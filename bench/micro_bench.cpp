@@ -1,11 +1,9 @@
 // Micro-benchmarks (google-benchmark) for the building blocks under the
-// workflow harness: DES engine throughput, Hilbert mapping, spatial
-// placement, fabric round-trips through the typed RPC transport,
-// object-store operations, event-queue bookkeeping, GF(256) arithmetic,
-// and Reed–Solomon encode/decode.
+// workflow harness: DES engine throughput, coroutine frame churn, Hilbert
+// mapping, spatial placement, fabric round-trips through the typed RPC
+// transport, remote one-way sends, object-store operations, event-queue
+// bookkeeping, GF(256) arithmetic, and Reed–Solomon encode/decode.
 #include <benchmark/benchmark.h>
-
-#include <any>
 
 #include "dht/spatial_index.hpp"
 #include "gc/garbage_collector.hpp"
@@ -105,20 +103,62 @@ void BM_FabricRpcRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_FabricRpcRoundTrip);
 
-// Envelope pack/unpack only: the std::any packet payload the typed codec
-// replaced (kept here, outside src/, as the before/after reference).
-void BM_PayloadEnvelopeAny(benchmark::State& state) {
-  for (auto _ : state) {
-    net::FragmentPrune prune;
-    prune.owner = 1;
-    prune.var = "field";
-    prune.upto = 7;
-    std::any envelope = std::move(prune);
-    auto& out = std::any_cast<net::FragmentPrune&>(envelope);
-    benchmark::DoNotOptimize(out.upto);
-  }
+// Coroutine frame churn: a nested create/await/destroy Task chain, the
+// shape of every RPC handler calling into helpers. Frames cycle through the
+// thread-local frame pool.
+sim::Task<int> frame_chain(int depth) {
+  if (depth == 0) co_return 0;
+  co_return 1 + co_await frame_chain(depth - 1);
 }
-BENCHMARK(BM_PayloadEnvelopeAny);
+
+void BM_TaskFrameChurn(benchmark::State& state) {
+  constexpr int kDepth = 8;
+  constexpr int kChains = 128;
+  sim::Engine eng;
+  for (auto _ : state) {
+    int total = 0;
+    sim::spawn(eng, [&]() -> sim::Task<void> {
+      for (int i = 0; i < kChains; ++i) total += co_await frame_chain(kDepth);
+    });
+    eng.run();
+    benchmark::DoNotOptimize(total);
+  }
+  // Items are frames: one chain allocates depth + 1 of them.
+  state.SetItemsProcessed(state.iterations() * kChains * (kDepth + 1));
+}
+BENCHMARK(BM_TaskFrameChurn);
+
+// One-way cross-node sends through the NIC path: injection on the source
+// NIC, then a delivery call frame that owns the packet.
+void BM_FabricSendRemote(benchmark::State& state) {
+  constexpr int kSends = 256;
+  for (auto _ : state) {
+    sim::Engine eng;
+    net::Fabric fabric(eng, {});
+    const auto src = fabric.add_endpoint(fabric.add_node());
+    const auto dst = fabric.add_endpoint(fabric.add_node());
+    sim::spawn(eng, [&]() -> sim::Task<void> {
+      sim::Ctx ctx{&eng, nullptr};
+      for (int i = 0; i < kSends; ++i) {
+        net::FragmentPrune prune;
+        prune.owner = 1;
+        prune.var = "f";
+        prune.upto = static_cast<staging::Version>(i);
+        net::Message msg{std::move(prune)};
+        co_await fabric.send(ctx, src, dst, std::move(msg));
+      }
+    });
+    sim::spawn(eng, [&]() -> sim::Task<void> {
+      for (int i = 0; i < kSends; ++i) {
+        net::Packet pkt = co_await fabric.endpoint(dst).recv(nullptr);
+        benchmark::DoNotOptimize(pkt.bytes);
+      }
+    });
+    benchmark::DoNotOptimize(eng.run());
+  }
+  state.SetItemsProcessed(state.iterations() * kSends);
+}
+BENCHMARK(BM_FabricSendRemote);
 
 void BM_PayloadEnvelopeTyped(benchmark::State& state) {
   for (auto _ : state) {
@@ -157,25 +197,12 @@ void BM_SpatialPlace(benchmark::State& state) {
 }
 BENCHMARK(BM_SpatialPlace)->Arg(4)->Arg(16)->Arg(64);
 
-// The epoch-aware refactor must add no lookup-path regression: these two
-// run the identical place() workload against a constructor-time map
-// (epoch 0, the legacy shape) and against a map that lived through a
-// grow/shrink episode (joins + retires fragment the curve segments).
-void BM_DhtLegacyLookup(benchmark::State& state) {
-  dht::SpatialIndex index(Box::from_dims(512, 512, 256),
-                          static_cast<int>(state.range(0)), 8);
-  Box query{{17, 33, 9}, {430, 401, 200}};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(index.place(query));
-    benchmark::DoNotOptimize(index.server_of({100, 200, 50}));
-  }
-}
-BENCHMARK(BM_DhtLegacyLookup)->Arg(4)->Arg(16);
-
+// place() and server_of() against a map that lived through a grow/shrink
+// episode (joins + retires fragment the curve segments).
 void BM_DhtEpochLookup(benchmark::State& state) {
   const int servers = static_cast<int>(state.range(0));
   dht::SpatialIndex index(Box::from_dims(512, 512, 256), servers, 8);
-  // Grow by two, shrink back: same active count as the legacy index but
+  // Grow by two, shrink back: the constructor's active count, with
   // ownership assigned across four epochs of minimal-motion moves.
   benchmark::DoNotOptimize(index.add_server(servers));
   benchmark::DoNotOptimize(index.add_server(servers + 1));

@@ -59,6 +59,13 @@ class Cluster {
   /// doing) and notifies failure observers after the detection delay.
   void kill(VprocId id);
 
+  /// Teardown for harnesses that own the engine: cancel every vproc's
+  /// token, with no failure notification. Draining the engine afterwards
+  /// unwinds whatever each process is parked on and frees its frames.
+  void cancel_all() {
+    for (auto& vp : vprocs_) vp->token->cancel();
+  }
+
   /// Recycle the slot for a replacement process: re-arms the token and bumps
   /// the incarnation. The caller restarts the process logic via spawn().
   void revive(VprocId id);

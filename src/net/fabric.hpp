@@ -134,6 +134,10 @@ class Fabric {
                                 std::function<void()> deliver);
   sim::Task<void> notify_impl(sim::Ctx ctx, EndpointId src, EndpointId dst,
                               std::function<void()> deliver);
+  /// The one NIC-injection routine: FIFO acquire of `node`'s NIC, held
+  /// for the injection time of `bytes`. Throws Cancelled if the sender dies
+  /// first, so nothing is delivered.
+  sim::Task<void> inject(sim::Ctx ctx, NodeId node, std::uint64_t bytes);
 
   sim::Engine* eng_;
   Params params_;

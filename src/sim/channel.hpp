@@ -1,17 +1,64 @@
 // Unbounded FIFO channel between simulated processes — the mailbox primitive
 // under every RPC endpoint. send() never blocks; recv() suspends until a
 // value arrives or the receiver is killed.
+//
+// Both queues (pending items, waiting receivers) are a vector plus a head
+// index: pops advance the head, and the vector resets once drained, so a
+// mailbox that keeps up with its traffic reuses one buffer instead of
+// allocating deque nodes. A queue that never drains compacts its consumed
+// prefix once it is at least half the vector.
 #pragma once
 
+#include <algorithm>
 #include <coroutine>
-#include <deque>
+#include <cstddef>
 #include <optional>
 #include <utility>
+#include <vector>
 
 #include "sim/cancel.hpp"
 #include "sim/engine.hpp"
 
 namespace dstage::sim {
+
+namespace detail {
+
+/// FIFO over a vector with a head index (see the file comment).
+template <class T>
+class RingQueue {
+ public:
+  [[nodiscard]] bool empty() const { return head_ == buf_.size(); }
+  [[nodiscard]] std::size_t size() const { return buf_.size() - head_; }
+  [[nodiscard]] T& front() { return buf_[head_]; }
+
+  void push_back(T v) { buf_.push_back(std::move(v)); }
+
+  void pop_front() {
+    ++head_;
+    if (head_ == buf_.size()) {
+      buf_.clear();
+      head_ = 0;
+    } else if (head_ >= kCompactMin && 2 * head_ >= buf_.size()) {
+      buf_.erase(buf_.begin(),
+                 buf_.begin() + static_cast<std::ptrdiff_t>(head_));
+      head_ = 0;
+    }
+  }
+
+  /// Remove the first element equal to `v`, keeping the others in order.
+  void erase_value(const T& v) {
+    const auto it = std::find(
+        buf_.begin() + static_cast<std::ptrdiff_t>(head_), buf_.end(), v);
+    if (it != buf_.end()) buf_.erase(it);
+  }
+
+ private:
+  static constexpr std::size_t kCompactMin = 64;
+  std::vector<T> buf_;
+  std::size_t head_ = 0;
+};
+
+}  // namespace detail
 
 template <class T>
 class Channel {
@@ -49,7 +96,7 @@ class Channel {
 
     void on_cancel() override {
       cancelled_ = true;
-      ch_->remove_waiter(this);
+      ch_->waiters_.erase_value(this);
       ch_->eng_->schedule_now(handle_);
     }
 
@@ -86,18 +133,9 @@ class Channel {
   }
 
  private:
-  void remove_waiter(RecvAwaiter* w) {
-    for (auto it = waiters_.begin(); it != waiters_.end(); ++it) {
-      if (*it == w) {
-        waiters_.erase(it);
-        return;
-      }
-    }
-  }
-
   Engine* eng_;
-  std::deque<T> items_;
-  std::deque<RecvAwaiter*> waiters_;
+  detail::RingQueue<T> items_;
+  detail::RingQueue<RecvAwaiter*> waiters_;
 };
 
 }  // namespace dstage::sim

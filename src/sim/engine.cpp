@@ -3,6 +3,8 @@
 #include <cassert>
 #include <stdexcept>
 
+#include "sim/frame_pool.hpp"
+
 namespace dstage::sim {
 
 namespace {
@@ -20,6 +22,10 @@ Engine::~Engine() {
       frame->discard(frame);
     }
   }
+  // Hand the thread's cached coroutine frames back: the next engine built
+  // on this thread then reuses the freed pages rather than faulting in new
+  // ones while the pool sits on this run's frames. Live frames are untouched.
+  FramePool::trim();
 }
 
 void Engine::check_delay(Duration d) {

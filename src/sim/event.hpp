@@ -1,10 +1,14 @@
 // One-shot broadcast event and a reusable barrier. The barrier models the
 // pair of synchronizing barriers that global coordinated checkpointing
 // wraps around its snapshots (Section II of the paper).
+//
+// Waiter lists are plain vectors woken in registration order: an event
+// nobody waits on (most Reply slots, most when_all joins) allocates nothing.
 #pragma once
 
+#include <algorithm>
 #include <coroutine>
-#include <deque>
+#include <vector>
 
 #include "sim/cancel.hpp"
 #include "sim/context.hpp"
@@ -58,7 +62,7 @@ class OneShotEvent {
   void set() {
     if (set_) return;
     set_ = true;
-    std::deque<WaitAwaiter*> pending;
+    std::vector<WaitAwaiter*> pending;
     pending.swap(waiters_);
     for (WaitAwaiter* w : pending) {
       if (w->tok_ != nullptr) w->tok_->remove(w);
@@ -73,17 +77,13 @@ class OneShotEvent {
 
  private:
   void remove_waiter(WaitAwaiter* w) {
-    for (auto it = waiters_.begin(); it != waiters_.end(); ++it) {
-      if (*it == w) {
-        waiters_.erase(it);
-        return;
-      }
-    }
+    const auto it = std::find(waiters_.begin(), waiters_.end(), w);
+    if (it != waiters_.end()) waiters_.erase(it);
   }
 
   Engine* eng_;
   bool set_ = false;
-  std::deque<WaitAwaiter*> waiters_;
+  std::vector<WaitAwaiter*> waiters_;
 };
 
 /// Reusable N-party barrier with generation counting. A participant that is
@@ -153,7 +153,7 @@ class Barrier {
 
  private:
   void release_all() {
-    std::deque<ArriveAwaiter*> pending;
+    std::vector<ArriveAwaiter*> pending;
     pending.swap(waiters_);
     arrived_ = 0;
     for (ArriveAwaiter* w : pending) {
@@ -162,18 +162,14 @@ class Barrier {
     }
   }
   void remove_waiter(ArriveAwaiter* w) {
-    for (auto it = waiters_.begin(); it != waiters_.end(); ++it) {
-      if (*it == w) {
-        waiters_.erase(it);
-        return;
-      }
-    }
+    const auto it = std::find(waiters_.begin(), waiters_.end(), w);
+    if (it != waiters_.end()) waiters_.erase(it);
   }
 
   Engine* eng_;
   int parties_;
   int arrived_ = 0;
-  std::deque<ArriveAwaiter*> waiters_;
+  std::vector<ArriveAwaiter*> waiters_;
 };
 
 }  // namespace dstage::sim

@@ -15,6 +15,7 @@
 #include "sim/context.hpp"
 #include "sim/engine.hpp"
 #include "sim/event.hpp"
+#include "sim/frame_pool.hpp"
 #include "sim/task.hpp"
 
 namespace dstage::sim {
@@ -24,7 +25,7 @@ namespace detail {
 /// Self-destroying root coroutine: final_suspend never suspends, so the
 /// frame (and the Task it owns) is freed when the process finishes.
 struct RootCoro {
-  struct promise_type {
+  struct promise_type : PooledFrame {
     RootCoro get_return_object() {
       return RootCoro{std::coroutine_handle<promise_type>::from_promise(*this)};
     }

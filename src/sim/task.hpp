@@ -9,6 +9,8 @@
 #include <utility>
 #include <variant>
 
+#include "sim/frame_pool.hpp"
+
 namespace dstage::sim {
 
 template <class T>
@@ -17,7 +19,7 @@ class [[nodiscard]] Task;
 namespace detail {
 
 template <class T>
-struct TaskPromiseBase {
+struct TaskPromiseBase : PooledFrame {
   std::coroutine_handle<> continuation;
 
   struct FinalAwaiter {

@@ -81,28 +81,36 @@ void StagingServer::set_peers(
   peer_endpoints_ = std::move(endpoints);
   if (initial_view != nullptr) {
     active_view_ = std::move(initial_view);
-    return;
+  } else {
+    // Default membership view: every peer is active. Elastic runs
+    // overwrite this via apply_membership / MembershipUpdate; non-elastic
+    // runs keep it, which makes the view-based fan-out below
+    // byte-identical to the old index-over-all-peers loops.
+    auto identity = std::make_shared<std::vector<int>>(peers().size());
+    for (std::size_t s = 0; s < identity->size(); ++s)
+      (*identity)[s] = static_cast<int>(s);
+    active_view_ = std::move(identity);
   }
-  // Default membership view: every peer is active. Elastic runs overwrite
-  // this via apply_membership / MembershipUpdate; non-elastic runs keep it,
-  // which makes the view-based fan-out below byte-identical to the old
-  // index-over-all-peers loops.
-  auto identity = std::make_shared<std::vector<int>>(peers().size());
-  for (std::size_t s = 0; s < identity->size(); ++s)
-    (*identity)[s] = static_cast<int>(s);
-  active_view_ = std::move(identity);
+  refresh_view_pos();
 }
 
 void StagingServer::apply_membership(std::uint64_t epoch,
                                      std::vector<int> active) {
   view_epoch_ = epoch;
   active_view_ = std::make_shared<const std::vector<int>>(std::move(active));
+  refresh_view_pos();
 }
 
-int StagingServer::active_pos() const {
+void StagingServer::refresh_view_pos() {
+  // O(1) when the server sits at its own index, as in the identity view
+  // every non-elastic run keeps; a scan otherwise.
+  const auto self = static_cast<std::size_t>(self_index_);
+  if (self_index_ >= 0 && self < view().size() && view()[self] == self_index_) {
+    view_pos_ = self_index_;
+    return;
+  }
   const auto it = std::find(view().begin(), view().end(), self_index_);
-  if (it == view().end()) return -1;
-  return static_cast<int>(it - view().begin());
+  view_pos_ = it == view().end() ? -1 : static_cast<int>(it - view().begin());
 }
 
 bool StagingServer::not_owner(const Box& region) const {
@@ -851,8 +859,7 @@ sim::Task<void> StagingServer::push_fragments(Chunk chunk, bool logged) {
   // fragments. With every peer active this reduces to the old
   // index-arithmetic placement exactly.
   const int group = static_cast<int>(view().size());
-  const int self_pos = active_pos();
-  if (group < 2 || self_pos < 0) co_return;
+  if (group < 2 || active_pos() < 0) co_return;
   sim::Ctx c = ctx();
   ++stats_.fragments_pushed;
 
@@ -878,28 +885,39 @@ sim::Task<void> StagingServer::push_fragments(Chunk chunk, bool logged) {
           .inc();
   }
 
-  auto push_one = [&](int frag_index, std::uint64_t nominal,
+  // Round-robin over the *other* active servers only: a fragment stored on
+  // its own owner would die with it. The view is re-read for every pick —
+  // a membership update may land while an earlier fragment is in flight,
+  // and a retire shrinks the view under this loop. -1 once this server has
+  // left the view or the group is too small to hold a fragment.
+  auto pick_peer = [this](int frag_index) -> int {
+    const int n = static_cast<int>(view().size());
+    const int pos = active_pos();
+    if (n < 2 || pos < 0) return -1;
+    return view()[static_cast<std::size_t>(
+        (pos + 1 + (frag_index - 1) % (n - 1)) % n)];
+  };
+  auto push_one = [&](int peer, int frag_index, std::uint64_t nominal,
                       std::shared_ptr<const std::vector<std::uint8_t>> data)
       -> sim::Task<void> {
-    // Round-robin over the *other* active servers only: a fragment stored
-    // on its own owner would die with it.
-    const auto peer = static_cast<std::size_t>(view()[
-        static_cast<std::size_t>((self_pos + 1 + (frag_index - 1) %
-                                                     (group - 1)) %
-                                 group)]);
     net::Message frag{FragmentPut{self_index_,       chunk.var,
                                   chunk.version,     chunk.region,
                                   frag_index,        nominal,
                                   chunk.data ? chunk.data->size() : 0,
                                   chunk.content_key, logged,
                                   std::move(data)}};
-    return rpc_.send(c, peers()[peer], std::move(frag));
+    return rpc_.send(c, peers()[static_cast<std::size_t>(peer)],
+                     std::move(frag));
   };
 
   if (params_.policy.kind == resilience::Redundancy::kReplication) {
     // Full copies on the next replicas-1 peers.
-    for (int j = 1; j < params_.policy.replicas && j < group; ++j) {
-      co_await push_one(j, chunk.nominal_bytes, chunk.data);
+    for (int j = 1; j < params_.policy.replicas &&
+                    j < static_cast<int>(view().size());
+         ++j) {
+      const int peer = pick_peer(j);
+      if (peer < 0) co_return;
+      co_await push_one(peer, j, chunk.nominal_bytes, chunk.data);
     }
     co_return;
   }
@@ -920,7 +938,9 @@ sim::Task<void> StagingServer::push_fragments(Chunk chunk, bool logged) {
       data = std::make_shared<std::vector<std::uint8_t>>(
           std::move(shards[static_cast<std::size_t>(j)]));
     }
-    co_await push_one(j, shard_nominal, std::move(data));
+    const int peer = pick_peer(j);
+    if (peer < 0) co_return;
+    co_await push_one(peer, j, shard_nominal, std::move(data));
   }
 }
 

@@ -340,7 +340,9 @@ class StagingServer {
   sim::Task<ResilverOutcome> drain_out_impl(std::vector<DrainDest> dests);
   sim::Task<void> handoff_redundancy_impl();
   /// Position of this server in the active view, or -1 when retired.
-  [[nodiscard]] int active_pos() const;
+  /// O(1): cached by refresh_view_pos() whenever the view changes.
+  [[nodiscard]] int active_pos() const { return view_pos_; }
+  void refresh_view_pos();
   /// True in elastic mode when the current epoch maps any cell of
   /// `region` to a different owner.
   [[nodiscard]] bool not_owner(const Box& region) const;
@@ -429,6 +431,7 @@ class StagingServer {
   std::shared_ptr<const std::vector<int>> active_view_ =
       std::make_shared<std::vector<int>>();  // ascending server ids
   [[nodiscard]] const std::vector<int>& view() const { return *active_view_; }
+  int view_pos_ = -1;  // this server's index in *active_view_, or -1
   // owner → fragments held on that owner's behalf.
   std::map<int, std::vector<FragmentPut>> fragments_;
   std::uint64_t fragment_bytes_ = 0;

@@ -4,6 +4,8 @@
 // scenario passes every invariant with data moving the whole time.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <set>
 #include <stdexcept>
 #include <string>
 
@@ -11,6 +13,7 @@
 #include "check/oracle.hpp"
 #include "check/schedule.hpp"
 #include "check/shrink.hpp"
+#include "core/executor.hpp"
 
 namespace dstage::check {
 namespace {
@@ -29,6 +32,26 @@ TEST(CheckElasticTest, ReproRoundTripsElasticField) {
   EXPECT_NE(repro.find(";ss=3"), std::string::npos);
   EXPECT_NE(repro.find(";elastic=j3,j5,r8,r10"), std::string::npos);
   EXPECT_EQ(Schedule::parse(repro), s);
+}
+
+TEST(CheckElasticTest, RetireDuringFragmentPushReproIsDeterministic) {
+  // A retire lands while the owner is still pushing RS(2,1) fragments.
+  // Fragment placement once reused the pre-retire view size after its
+  // co_awaits and read past the shrunken view, so plain runs of this
+  // schedule drifted between trace digests. The pinned digest is the one
+  // placement over the live view gives; the out-of-bounds read gave others.
+  const Schedule s = Schedule::parse(
+      "cc1;id=57;sch=co;ts=12;sp=3;ap=4;lp=2;res=2;mtbf=1;elastic=j7,r8"
+      ";f=1:7:0.44417586001904841:;f=0:10:0.64393891274561454:n"
+      ";f=0:11:0.27701717915369706:n");
+  std::set<std::uint64_t> digests;
+  for (int run = 0; run < 40; ++run) {
+    core::WorkflowRunner runner(s.to_spec());
+    runner.run();
+    digests.insert(runner.trace().digest());
+  }
+  EXPECT_EQ(digests.size(), 1u);
+  EXPECT_EQ(*digests.begin(), 0x6935f2cf8403784eull);
 }
 
 TEST(CheckElasticTest, FixedGroupReproStaysStable) {

@@ -27,7 +27,7 @@ TEST(ClusterTest, AddVprocAssignsEndpointAndToken) {
   EXPECT_EQ(v.incarnation, 0u);
   EXPECT_GE(v.endpoint, 0);
   EXPECT_NE(v.token, nullptr);
-  EXPECT_THROW(rig.cluster.vproc(99), std::out_of_range);
+  EXPECT_THROW((void)rig.cluster.vproc(99), std::out_of_range);
 }
 
 TEST(ClusterTest, KillCancelsAndNotifiesAfterDetectionDelay) {
@@ -116,7 +116,9 @@ TEST(FailureInjectorTest, UniformPlanWithinWindowSorted) {
   for (std::size_t i = 0; i < plan.size(); ++i) {
     EXPECT_GE(plan[i].at.seconds(), 10.0);
     EXPECT_LT(plan[i].at.seconds(), 50.0);
-    if (i > 0) EXPECT_GE(plan[i].at.ns, plan[i - 1].at.ns);
+    if (i > 0) {
+      EXPECT_GE(plan[i].at.ns, plan[i - 1].at.ns);
+    }
     EXPECT_GE(plan[i].group, 0);
     EXPECT_LE(plan[i].group, 1);
   }
@@ -194,7 +196,9 @@ TEST(FailureInjectorPropertyTest, UniformPlanInvariantsHoldAcrossSeeds) {
     for (std::size_t i = 0; i < plan.size(); ++i) {
       EXPECT_GE(plan[i].at.ns, start.ns) << seed;
       EXPECT_LT(plan[i].at.ns, end.ns) << seed;
-      if (i > 0) EXPECT_GE(plan[i].at.ns, plan[i - 1].at.ns) << seed;
+      if (i > 0) {
+        EXPECT_GE(plan[i].at.ns, plan[i - 1].at.ns) << seed;
+      }
       EXPECT_GE(plan[i].group, 0) << seed;
       EXPECT_LE(plan[i].group, 2) << seed;
     }
@@ -215,7 +219,9 @@ TEST(FailureInjectorPropertyTest, MtbfPlanInvariantsHoldAcrossSeeds) {
       // probability zero) and never land on or past the window end.
       EXPECT_GT(plan[i].at.ns, start.ns) << seed;
       EXPECT_LT(plan[i].at.ns, end.ns) << seed;
-      if (i > 0) EXPECT_GT(plan[i].at.ns, plan[i - 1].at.ns) << seed;
+      if (i > 0) {
+        EXPECT_GT(plan[i].at.ns, plan[i - 1].at.ns) << seed;
+      }
       EXPECT_GE(plan[i].group, 0) << seed;
       EXPECT_LE(plan[i].group, 1) << seed;
     }

@@ -63,7 +63,9 @@ TEST(DhtElasticTest, AddServerMovesOnlyReportedCells) {
   }
   // Every cell not named in the move list keeps its owner.
   for (const auto& [cell, owner] : before) {
-    if (moved.count(cell) == 0) EXPECT_EQ(after.at(cell), owner);
+    if (moved.count(cell) == 0) {
+      EXPECT_EQ(after.at(cell), owner);
+    }
   }
   // The newcomer's share is an even split (within one cell per donor).
   const auto per_server = index.cells_per_server();

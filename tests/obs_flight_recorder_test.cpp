@@ -31,7 +31,9 @@ TEST(FlightRecorderTest, RingKeepsLastKOldestFirstUnderSustainedTraffic) {
   // Oldest first, and exactly the last K offered.
   for (std::size_t i = 0; i < survived.size(); ++i) {
     EXPECT_EQ(survived[i].a, 92 + static_cast<std::int64_t>(i));
-    if (i > 0) EXPECT_LT(survived[i - 1].seq, survived[i].seq);
+    if (i > 0) {
+      EXPECT_LT(survived[i - 1].seq, survived[i].seq);
+    }
   }
 }
 

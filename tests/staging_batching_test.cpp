@@ -57,6 +57,13 @@ struct Rig {
     return std::make_unique<StagingClient>(cluster, index, server_vprocs,
                                            vp, cp);
   }
+
+  // Server loops wait on their mailboxes forever: unwind every parked
+  // process so its coroutine frames are freed.
+  ~Rig() {
+    cluster.cancel_all();
+    eng.run();
+  }
 };
 
 struct PutOutcome {

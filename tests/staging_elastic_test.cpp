@@ -4,6 +4,7 @@
 // reconstruct pieces from redundancy fragments while an owner is down.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
 #include <string>
@@ -105,6 +106,13 @@ struct ElasticRig {
   }
 
   void run() { eng.run(); }
+
+  // Server loops wait on their mailboxes forever: unwind every parked
+  // process so its coroutine frames are freed.
+  ~ElasticRig() {
+    cluster.cancel_all();
+    eng.run();
+  }
 };
 
 TEST(StagingElasticTest, JoinResilversAndReadsStayEquivalent) {
@@ -259,6 +267,97 @@ TEST(StagingElasticTest, LossBeyondToleranceIsTypedDataLossNotTimeout) {
   EXPECT_TRUE(typed_loss);
   // Fail-fast: well under the client's 30 s get timeout window.
   EXPECT_LT(failed_at.ns, sim::seconds(20).ns);
+}
+
+/// Redundancy traffic a server has received: fragments stored plus
+/// duplicate pushes it skipped.
+std::uint64_t fragments_received(const StagingServer& s) {
+  return s.stats().fragments_held + s.stats().fragments_deduped;
+}
+
+/// `view` minus `server`.
+std::vector<int> without(std::vector<int> view, int server) {
+  std::erase(view, server);
+  return view;
+}
+
+TEST(StagingElasticTest, RetireDuringFragmentPushTargetsOnlyTheCurrentView) {
+  // Four full copies of one cell's chunk: the owner pushes them one at a
+  // time through a slow NIC. The peer the last copy was headed for retires
+  // while the first is still on the wire. The owner once kept the
+  // pre-retire group size and indexed past the end of the new view; now
+  // every copy lands on a distinct peer of the shrunken view, which has
+  // room for two.
+  ServerParams params = elastic_params(resilience::Redundancy::kReplication);
+  params.policy.replicas = 4;
+  ElasticRig rig(4, 0, params);
+  const Box cell{{0, 0, 0}, {7, 7, 7}};
+  const int owner = rig.index.server_of(cell.lo);
+  const int retiree = (owner + 3) % 4;
+  rig.fabric.set_node_injection_bw(
+      rig.cluster.vproc(rig.server_vprocs[static_cast<std::size_t>(owner)])
+          .node,
+      1e6);
+  auto producer = rig.make_client(0);
+  std::uint64_t received_at_retire = 0;
+  sim::spawn(rig.eng, [&]() -> sim::Task<void> {
+    sim::Ctx ctx{&rig.eng, nullptr};
+    co_await producer->put(ctx, "f", 1, cell);
+    for (const auto& s : rig.servers)
+      received_at_retire += fragments_received(*s);
+    const std::vector<int> view = without(rig.index.active_servers(), retiree);
+    for (const auto& s : rig.servers) s->apply_membership(1, view);
+  });
+  rig.run();
+  EXPECT_LT(received_at_retire, 2u);  // the retire landed mid-push
+  for (int s = 0; s < 4; ++s) {
+    const bool in_view = s != owner && s != retiree;
+    EXPECT_EQ(fragments_received(*rig.servers[static_cast<std::size_t>(s)]),
+              in_view ? 1u : 0u)
+        << "server " << s;
+  }
+}
+
+TEST(StagingElasticTest, MirrorSuccessorFollowsMembership) {
+  // The owner mirrors each logged put's event to its successor in the
+  // active view: the join of a standby and a later retire both move it.
+  ElasticRig rig(3, 1, elastic_params(resilience::Redundancy::kNone));
+  const Box cell{{0, 0, 0}, {7, 7, 7}};
+  const int owner = rig.index.server_of(cell.lo);
+  auto producer = rig.make_client(0);
+  std::vector<int> got;  // the server whose mirror count rose, per put
+  sim::spawn(rig.eng, [&]() -> sim::Task<void> {
+    sim::Ctx ctx{&rig.eng, nullptr};
+    auto put_and_find_mirror = [&](Version v) -> sim::Task<void> {
+      std::vector<std::uint64_t> before;
+      for (const auto& s : rig.servers)
+        before.push_back(s->stats().mirrored_events);
+      co_await producer->put(ctx, "f", v, cell);
+      co_await ctx.delay(sim::seconds(1));
+      int mirror = -1;
+      for (std::size_t s = 0; s < rig.servers.size(); ++s) {
+        if (rig.servers[s]->stats().mirrored_events == before[s]) continue;
+        mirror = mirror < 0 ? static_cast<int>(s) : -2;  // -2: ambiguous
+      }
+      got.push_back(mirror);
+    };
+    co_await put_and_find_mirror(1);
+    for (const auto& s : rig.servers) s->apply_membership(1, {0, 1, 2, 3});
+    co_await put_and_find_mirror(2);
+    const std::vector<int> view = without({0, 1, 2, 3}, (owner + 1) % 4);
+    for (const auto& s : rig.servers) s->apply_membership(2, view);
+    co_await put_and_find_mirror(3);
+  });
+  rig.run();
+  const std::vector<int> three = {0, 1, 2};
+  const std::vector<int> four = {0, 1, 2, 3};
+  const std::vector<int> shrunk = without(four, (owner + 1) % 4);
+  auto successor = [&](const std::vector<int>& view) {
+    const auto pos = std::find(view.begin(), view.end(), owner) - view.begin();
+    return view[static_cast<std::size_t>(pos + 1) % view.size()];
+  };
+  EXPECT_EQ(got, (std::vector<int>{successor(three), successor(four),
+                                   successor(shrunk)}));
 }
 
 TEST(StagingElasticTest, WorkflowGrowsAndShrinksMidRun) {

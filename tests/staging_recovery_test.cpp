@@ -73,6 +73,13 @@ struct Rig {
   }
 
   void run() { eng.run(); }
+
+  // Server loops wait on their mailboxes forever: unwind every parked
+  // process so its coroutine frames are freed.
+  ~Rig() {
+    cluster.cancel_all();
+    eng.run();
+  }
 };
 
 class RecoveryPolicyTest

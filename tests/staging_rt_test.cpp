@@ -56,7 +56,7 @@ struct Rig {
                                            vp, cp);
   }
 
-  sim::Ctx ctx_of(const StagingClient& c) {
+  sim::Ctx ctx_of(const StagingClient& /*client*/) {
     // The client's vproc id is not exposed; track via endpoint order:
     // vprocs are servers first, then clients in creation order.
     return sim::Ctx{&eng, nullptr};
@@ -82,6 +82,13 @@ struct Rig {
       t.gc_versions_dropped += st.gc_versions_dropped;
     }
     return t;
+  }
+
+  // Server loops wait on their mailboxes forever: unwind every parked
+  // process so its coroutine frames are freed.
+  ~Rig() {
+    cluster.cancel_all();
+    eng.run();
   }
 };
 
@@ -313,7 +320,9 @@ TEST(StagingRtTest, RollbackDiscardsNewerVersions) {
   rig.run();
   for (const auto& s : rig.servers) {
     auto latest = s->store().latest("f");
-    if (latest) EXPECT_LE(*latest, 3u);
+    if (latest) {
+      EXPECT_LE(*latest, 3u);
+    }
   }
 }
 

@@ -176,6 +176,13 @@ struct TenantRig {
   }
 
   void run() { eng.run(); }
+
+  // Server loops wait on their mailboxes forever: unwind every parked
+  // process so its coroutine frames are freed.
+  ~TenantRig() {
+    cluster.cancel_all();
+    eng.run();
+  }
 };
 
 TEST(TenantRollbackTest, ScopedRollbackLeavesCoResidentTenantIntact) {

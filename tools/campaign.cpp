@@ -179,7 +179,7 @@ int run_cli(int argc, char** argv) {
   opts.sabotage = check::parse_sabotage(flags.get("break", "none"));
   opts.shrink = !flags.get_bool("no-shrink", false);
   opts.shrink_budget = flags.get_int("shrink-budget", 120);
-  flags.get_bool("all-schemes", true);  // the default; accepted for clarity
+  (void)flags.get_bool("all-schemes", true);  // the default; accepted for clarity
   if (flags.has("schemes")) {
     opts.gen.schemes = parse_scheme_list(flags.get("schemes", ""));
   }
