@@ -1,13 +1,15 @@
 // Micro-benchmarks (google-benchmark) for the building blocks under the
 // workflow harness: DES engine throughput, coroutine frame churn, Hilbert
 // mapping, spatial placement, fabric round-trips through the typed RPC
-// transport, remote one-way sends, object-store operations, event-queue
-// bookkeeping, GF(256) arithmetic, and Reed–Solomon encode/decode.
+// transport, remote one-way sends, event-recorder emits, object-store
+// operations, event-queue bookkeeping, GF(256) arithmetic, and Reed–Solomon
+// encode/decode.
 #include <benchmark/benchmark.h>
 
 #include "dht/spatial_index.hpp"
 #include "gc/garbage_collector.hpp"
 #include "net/rpc.hpp"
+#include "obs/recorder.hpp"
 #include "resilience/reed_solomon.hpp"
 #include "sim/channel.hpp"
 #include "sim/spawn.hpp"
@@ -159,6 +161,36 @@ void BM_FabricSendRemote(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kSends);
 }
 BENCHMARK(BM_FabricSendRemote);
+
+// One instrumentation call through the event vocabulary, on a recorder with
+// one track per staging server of the ceiling_10k cell. Arg 0: a ring-only
+// kind (put-admit) — the per-request flight-recorder cost. Arg 1: a
+// digest-visible kind (read-done), which appends to the digest trace
+// instead; the trace grows with every call, so the run length is fixed.
+void BM_TrackEmit(benchmark::State& state) {
+  constexpr int kTracks = 10000;
+  const bool digest = state.range(0) != 0;
+  sim::Engine eng;
+  obs::Recorder rec(eng);
+  std::vector<obs::Track> tracks;
+  tracks.reserve(kTracks);
+  for (int t = 0; t < kTracks; ++t) {
+    tracks.push_back(rec.track("staging-" + std::to_string(t)));
+  }
+  const obs::Kind kind = digest ? obs::Kind::kReadDone : obs::Kind::kPutAdmit;
+  const std::string var = "field";
+  std::size_t t = 0;
+  std::int64_t n = 0;
+  for (auto _ : state) {
+    tracks[t].emit(kind, var, n, n);
+    if (++t == tracks.size()) t = 0;
+    ++n;
+  }
+  benchmark::DoNotOptimize(rec.events_recorded() + rec.trace().size());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TrackEmit)->Arg(0);
+BENCHMARK(BM_TrackEmit)->Arg(1)->Iterations(1 << 19);
 
 void BM_PayloadEnvelopeTyped(benchmark::State& state) {
   for (auto _ : state) {

@@ -14,7 +14,7 @@ namespace dstage::check {
 
 namespace {
 
-Json event_to_json(const obs::FrDecoded& e) {
+Json event_to_json(const obs::DecodedEvent& e) {
   Json out = Json::object();
   out.set("seq", e.seq);
   out.set("at_ns", e.at_ns);
@@ -26,8 +26,8 @@ Json event_to_json(const obs::FrDecoded& e) {
   return out;
 }
 
-obs::FrDecoded event_from_json(const JsonValue& v) {
-  obs::FrDecoded e;
+obs::DecodedEvent event_from_json(const JsonValue& v) {
+  obs::DecodedEvent e;
   if (const JsonValue* m = v.member("seq")) e.seq = m->as_u64();
   if (const JsonValue* m = v.member("at_ns")) e.at_ns = m->as_i64();
   if (const JsonValue* m = v.member("kind")) e.kind = m->string;
@@ -38,8 +38,8 @@ obs::FrDecoded event_from_json(const JsonValue& v) {
   return e;
 }
 
-std::vector<obs::FrDecoded> events_from_json(const JsonValue* arr) {
-  std::vector<obs::FrDecoded> out;
+std::vector<obs::DecodedEvent> events_from_json(const JsonValue* arr) {
+  std::vector<obs::DecodedEvent> out;
   if (arr == nullptr || !arr->is_array()) return out;
   out.reserve(arr->array.size());
   for (const JsonValue& v : arr->array) out.push_back(event_from_json(v));
@@ -48,32 +48,32 @@ std::vector<obs::FrDecoded> events_from_json(const JsonValue* arr) {
 
 /// Key identifying one get occurrence across runs: the ring truncates
 /// independently per run, so positional alignment is meaningless.
-std::string read_key(const obs::FrDecoded& e) {
+std::string read_key(const obs::DecodedEvent& e) {
   return e.track + "|" + e.detail + "|" + std::to_string(e.a);
 }
 
-std::string var_key(const obs::FrDecoded& e) {
+std::string var_key(const obs::DecodedEvent& e) {
   return e.track + "|" + e.detail;
 }
 
-/// Kinds worth following when reconstructing the causal chain backwards:
-/// data movement, durability promotions, membership changes, GC moves,
-/// restarts — everything that can change what a later read observes.
+constexpr const char* kCausalKinds[] = {
+    "put-admit",    "put-reject",   "put-bounce",    "get-serve",
+    "get-anomaly",  "get-bounce",   "spill-out",     "spill-fetch",
+    "drain-ack",    "ckpt-store",   "ckpt-encode",   "ckpt-drain",
+    "resilver-out", "resilver-in",  "epoch-change",  "gc-watermark",
+    "gc-sweep",     "log-truncate", "restart-level", "replay-done",
+    "failure",      "degradation"};
+
 bool causal_kind(const std::string& kind) {
-  static const char* const kCausal[] = {
-      "put-admit",     "put-reject",  "put-bounce",  "get-serve",
-      "get-anomaly",   "get-bounce",  "spill-out",   "spill-fetch",
-      "drain-ack",     "ckpt-store",  "ckpt-encode", "ckpt-drain",
-      "resilver-out",  "resilver-in", "epoch-change", "gc-watermark",
-      "gc-sweep",      "log-truncate", "restart-level", "replay-done",
-      "failure",       "degradation"};
-  for (const char* k : kCausal) {
+  for (const char* k : kCausalKinds) {
     if (kind == k) return true;
   }
   return false;
 }
 
 }  // namespace
+
+std::span<const char* const> causal_kinds() { return kCausalKinds; }
 
 std::string bundle_to_json(const ForensicBundle& b) {
   Json out = Json::object();
@@ -89,10 +89,10 @@ std::string bundle_to_json(const ForensicBundle& b) {
   for (const std::string& d : b.degradations) degradations.push(d);
   out.set("degradations", std::move(degradations));
   Json events = Json::array();
-  for (const obs::FrDecoded& e : b.events) events.push(event_to_json(e));
+  for (const obs::DecodedEvent& e : b.events) events.push(event_to_json(e));
   out.set("events", std::move(events));
   Json ref = Json::array();
-  for (const obs::FrDecoded& e : b.reference_events)
+  for (const obs::DecodedEvent& e : b.reference_events)
     ref.push(event_to_json(e));
   out.set("reference_events", std::move(ref));
   return out.str();
@@ -135,7 +135,7 @@ Divergence find_divergence(const ForensicBundle& b) {
   // final GC watermark per (track, var).
   std::map<std::string, std::int64_t> ref_reads;
   std::map<std::string, std::int64_t> ref_watermark;
-  for (const obs::FrDecoded& e : b.reference_events) {
+  for (const obs::DecodedEvent& e : b.reference_events) {
     if (e.kind == "get-serve") {
       ref_reads[read_key(e)] = e.b;
     } else if (e.kind == "gc-watermark") {
@@ -163,7 +163,7 @@ Divergence find_divergence(const ForensicBundle& b) {
   }
   // replay-done seqs per component, to test "did a replay follow?".
   std::map<std::string, std::vector<std::uint64_t>> replays;
-  for (const obs::FrDecoded& e : b.events) {
+  for (const obs::DecodedEvent& e : b.events) {
     if (e.kind == "replay-done") replays[e.detail].push_back(e.seq);
   }
 
@@ -171,7 +171,7 @@ Divergence find_divergence(const ForensicBundle& b) {
   // (track, var) means the divergence was detected, not silent — the
   // anomaly IS the finding then.
   std::map<std::string, std::uint64_t> flagged;  // var_key -> first seq
-  for (const obs::FrDecoded& e : b.events) {
+  for (const obs::DecodedEvent& e : b.events) {
     if (e.kind == "get-anomaly" && flagged.find(var_key(e)) == flagged.end())
       flagged[var_key(e)] = e.seq;
   }
@@ -180,7 +180,7 @@ Divergence find_divergence(const ForensicBundle& b) {
   std::size_t best = b.events.size();
   std::string what;
   for (std::size_t i = 0; i < b.events.size(); ++i) {
-    const obs::FrDecoded& e = b.events[i];
+    const obs::DecodedEvent& e = b.events[i];
     if (e.kind == "get-serve") {
       const auto it = ref_reads.find(read_key(e));
       if (it == ref_reads.end() || it->second == e.b) continue;
@@ -248,11 +248,11 @@ Divergence find_divergence(const ForensicBundle& b) {
   // neighborhood: events touching the same variable, plus events on the
   // same track (the component or server where it surfaced).
   constexpr std::size_t kChainCap = 16;
-  const obs::FrDecoded& pivot = b.events[best];
-  std::vector<obs::FrDecoded> chain;
+  const obs::DecodedEvent& pivot = b.events[best];
+  std::vector<obs::DecodedEvent> chain;
   chain.push_back(pivot);
   for (std::size_t i = best; i-- > 0 && chain.size() < kChainCap;) {
-    const obs::FrDecoded& e = b.events[i];
+    const obs::DecodedEvent& e = b.events[i];
     if (!causal_kind(e.kind)) continue;
     const bool same_var = !pivot.detail.empty() && e.detail == pivot.detail;
     const bool same_track = e.track == pivot.track;

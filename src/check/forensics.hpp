@@ -1,5 +1,5 @@
 // Failure forensics: the post-mortem side of the always-on flight
-// recorder (obs/flight_recorder). When check_schedule() trips an oracle
+// recorder rings (obs/recorder). When check_schedule() trips an oracle
 // invariant, a campaign --expect-fail run passes unexpectedly, or the
 // recorder noted a loud degradation (spare-pool exhaustion, double XOR
 // loss), the run's surviving ring events are frozen into a ForensicBundle
@@ -12,10 +12,11 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "obs/flight_recorder.hpp"
+#include "obs/recorder.hpp"
 
 namespace dstage::check {
 
@@ -38,9 +39,9 @@ struct ForensicBundle {
   std::uint64_t events_dropped = 0;
   /// Surviving events of the failing run, global seq order (last K per
   /// component track).
-  std::vector<obs::FrDecoded> events;
+  std::vector<obs::DecodedEvent> events;
   /// Same, from the memoized failure-free reference run.
-  std::vector<obs::FrDecoded> reference_events;
+  std::vector<obs::DecodedEvent> reference_events;
   /// Verbatim degradation notes (spare exhaustion, double XOR loss).
   std::vector<std::string> degradations;
 };
@@ -60,8 +61,13 @@ struct Divergence {
   std::string what;
   /// Events causally upstream of the divergent one (same variable or same
   /// track), oldest first, ending with the divergent event itself.
-  std::vector<obs::FrDecoded> causal_chain;
+  std::vector<obs::DecodedEvent> causal_chain;
 };
+
+/// Ring kind names (obs/event.hpp) the causal-chain walk follows: data
+/// movement, durability promotions, membership changes, GC moves, restarts
+/// — everything that can change what a later read observes.
+std::span<const char* const> causal_kinds();
 
 /// Diff the failing run's events against the reference and name the first
 /// divergent event. Keyed comparison, not positional: a get-serve is

@@ -131,15 +131,15 @@ Version true_watermark(const Observation& obs, std::size_t si,
   return mark;
 }
 
-bool events_equal(const core::TraceEvent& a, const core::TraceEvent& b) {
+bool events_equal(const obs::TraceEvent& a, const obs::TraceEvent& b) {
   return a.at == b.at && a.kind == b.kind && a.timestep == b.timestep &&
          a.value == b.value && a.component == b.component;
 }
 
-std::string describe(const core::TraceEvent& e) {
+std::string describe(const obs::TraceEvent& e) {
   char buf[128];
   std::snprintf(buf, sizeof(buf), "%s(%s, ts=%d) at %.6fs",
-                core::trace_kind_name(e.kind), e.component.c_str(),
+                obs::kind_name(e.kind), e.component.c_str(),
                 e.timestep, e.at.seconds());
   return buf;
 }
@@ -158,9 +158,7 @@ std::shared_ptr<const ReferenceCache::Entry> run_reference(
   runner.run();
   entry->trace = runner.trace().events();
   entry->digest = runner.trace().digest();
-  if (const obs::FlightRecorder* rec = runner.runtime().recorder()) {
-    entry->recorder_events = rec->dump();
-  }
+  entry->recorder_events = runner.runtime().recorder().dump();
   return entry;
 }
 
@@ -359,10 +357,10 @@ OracleReport check_schedule(const Schedule& s, ReferenceCache& cache,
             ReferenceCache::ReadObs{checksum, bytes,
                                     wrong_version + corrupt});
       };
-  runner.services().recovery_probe = [&obs](core::TraceKind stage,
+  runner.services().recovery_probe = [&obs](obs::Kind stage,
                                             const core::Comp*, int) {
-    if (stage == core::TraceKind::kRecoveryStart) ++obs.recovery_starts;
-    if (stage == core::TraceKind::kRecoveryDone) ++obs.recovery_dones;
+    if (stage == obs::Kind::kRecoveryStart) ++obs.recovery_starts;
+    if (stage == obs::Kind::kRecoveryDone) ++obs.recovery_dones;
   };
 
   bool deadlocked = false;
@@ -397,9 +395,8 @@ OracleReport check_schedule(const Schedule& s, ReferenceCache& cache,
   // mismatch documentation). Called at every return point below.
   const auto attach_bundle = [&report, &runner, &ref, &s, sabotage,
                               capture_bundle] {
-    const obs::FlightRecorder* rec = runner.runtime().recorder();
-    if (rec == nullptr) return;
-    const bool degraded = !rec->degradations().empty();
+    const obs::Recorder& rec = runner.runtime().recorder();
+    const bool degraded = !rec.degradations().empty();
     if (report.violations.empty() && !degraded && !capture_bundle) return;
     auto bundle = std::make_shared<ForensicBundle>();
     bundle->trigger = !report.violations.empty() ? "invariant-violation"
@@ -407,17 +404,17 @@ OracleReport check_schedule(const Schedule& s, ReferenceCache& cache,
                                                  : "expect-fail-mismatch";
     bundle->detail =
         !report.violations.empty() ? report.violations.front().detail
-        : degraded                 ? rec->degradations().front()
+        : degraded                 ? rec.degradations().front()
                    : "schedule expected to fail but passed clean";
     bundle->repro = s.repro();
     bundle->sabotage = sabotage_name(sabotage);
     bundle->trace_digest = report.trace_digest;
     bundle->reference_digest = report.reference_digest;
-    bundle->events_recorded = rec->events_recorded();
-    bundle->events_dropped = rec->events_dropped();
-    bundle->events = rec->dump();
+    bundle->events_recorded = rec.events_recorded();
+    bundle->events_dropped = rec.events_dropped();
+    bundle->events = rec.dump();
     bundle->reference_events = ref->recorder_events;
-    bundle->degradations = rec->degradations();
+    bundle->degradations = rec.degradations();
     report.bundle = std::move(bundle);
   };
 
@@ -462,8 +459,8 @@ OracleReport check_schedule(const Schedule& s, ReferenceCache& cache,
       if (!f.fired) continue;
       const std::string& victim =
           rspec.components[static_cast<std::size_t>(f.comp)].name;
-      for (const core::TraceEvent& e : ftrace) {
-        if (e.kind == core::TraceKind::kTimestepStart &&
+      for (const obs::TraceEvent& e : ftrace) {
+        if (e.kind == obs::Kind::kTimestepStart &&
             e.timestep == f.ts && e.component == victim) {
           t_perturb = std::min(t_perturb, e.at);
           break;
@@ -498,18 +495,18 @@ OracleReport check_schedule(const Schedule& s, ReferenceCache& cache,
     logged_by_name[c.name] = real_policy->component_logged(c);
   }
   for (std::size_t i = 0; i < ftrace.size(); ++i) {
-    const core::TraceEvent& e = ftrace[i];
-    if (e.kind != core::TraceKind::kRecoveryDone) continue;
+    const obs::TraceEvent& e = ftrace[i];
+    if (e.kind != obs::Kind::kRecoveryDone) continue;
     if (!logged_by_name[e.component]) continue;
     bool replayed = false;
     bool resumed = false;
     for (std::size_t j = i + 1; j < ftrace.size(); ++j) {
       if (ftrace[j].component != e.component) continue;
-      if (ftrace[j].kind == core::TraceKind::kReplayDone) {
+      if (ftrace[j].kind == obs::Kind::kReplayDone) {
         replayed = true;
         break;
       }
-      if (ftrace[j].kind == core::TraceKind::kTimestepStart) {
+      if (ftrace[j].kind == obs::Kind::kTimestepStart) {
         resumed = true;
         break;
       }
@@ -684,8 +681,8 @@ OracleReport check_schedule(const Schedule& s, ReferenceCache& cache,
   std::map<std::string, std::set<Version>> written;
   std::map<std::string, Box> write_region;
   std::map<std::string, std::map<int, int>> write_occurrence;
-  for (const core::TraceEvent& e : ftrace) {
-    if (e.kind != core::TraceKind::kWriteDone) continue;
+  for (const obs::TraceEvent& e : ftrace) {
+    if (e.kind != obs::Kind::kWriteDone) continue;
     const core::ComponentSpec* c = spec_by_name[e.component];
     if (c == nullptr || c->writes.empty()) continue;
     const int k = write_occurrence[e.component][e.timestep]++;

@@ -57,8 +57,8 @@
 #include <vector>
 
 #include "check/schedule.hpp"
-#include "core/trace.hpp"
-#include "obs/flight_recorder.hpp"
+#include "obs/recorder.hpp"
+#include "obs/trace.hpp"
 
 namespace dstage::check {
 
@@ -151,11 +151,11 @@ class ReferenceCache {
 
   struct Entry {
     std::map<std::string, ReadObs> reads;  // "comp|var|ts" -> observation
-    std::vector<core::TraceEvent> trace;
+    std::vector<obs::TraceEvent> trace;
     std::uint64_t digest = 0;
     /// The reference run's flight-recorder dump: what the forensic diff
     /// compares a failing run's events against.
-    std::vector<obs::FrDecoded> recorder_events;
+    std::vector<obs::DecodedEvent> recorder_events;
   };
 
   /// The failure-free reference for `s`'s configuration (failures and id

@@ -14,12 +14,14 @@ using net::CkptStoreLocal;
 using net::CkptXorShard;
 
 DrainAgent::DrainAgent(cluster::Cluster& cluster, cluster::VprocId vproc,
-                       cluster::Pfs& pfs, CheckpointHierarchy& hierarchy)
+                       cluster::Pfs& pfs, CheckpointHierarchy& hierarchy,
+                       obs::Track track)
     : cluster_(&cluster),
       vproc_(vproc),
       pfs_(&pfs),
       hierarchy_(&hierarchy),
-      rpc_(cluster.fabric(), cluster.vproc(vproc).endpoint) {}
+      rpc_(cluster.fabric(), cluster.vproc(vproc).endpoint),
+      track_(track) {}
 
 net::EndpointId DrainAgent::endpoint() const {
   return cluster_->vproc(vproc_).endpoint;
@@ -38,32 +40,19 @@ sim::Task<void> DrainAgent::run() {
       // hierarchy synchronously; this notice just tells the drain the set
       // exists.
       ++stats_.store_notices;
-      if (recorder_ != nullptr)
-        recorder_->record(recorder_track_, cluster_->engine().now(),
-                          obs::FrKind::kCkptStore, std::to_string(store->app),
-                          static_cast<std::int64_t>(store->version));
-      if (obs_ != nullptr)
-        obs_->metrics().counter("ckpt.store_notices", obs_track_).inc();
+      track_.emit(obs::Kind::kCkptStore, std::to_string(store->app),
+                  static_cast<std::int64_t>(store->version));
     } else if (auto* shard = std::get_if<CkptXorShard>(&msg)) {
       // The parity distribution landed: the set is now partner-protected
       // and eligible for the background PFS flush.
       if (hierarchy_->encode_set(shard->app, static_cast<int>(shard->version))) {
         ++stats_.shards_encoded;
-        if (recorder_ != nullptr)
-          recorder_->record(recorder_track_, cluster_->engine().now(),
-                            obs::FrKind::kCkptEncode,
-                            std::to_string(shard->app),
-                            static_cast<std::int64_t>(shard->version),
-                            static_cast<std::int64_t>(shard->nominal_bytes));
-        if (obs_ != nullptr) {
-          obs_->metrics().counter("ckpt.shards_encoded", obs_track_).inc();
-          // Zero-length marker span: encoding takes no agent-side virtual
-          // time, but the trace should still show when parity landed.
-          const obs::SpanId enc = obs_->tracer().begin(
-              obs_track_, "encode", obs::Phase::kDrain,
-              cluster_->engine().now());
-          obs_->tracer().end(enc, cluster_->engine().now());
-        }
+        track_.emit(obs::Kind::kCkptEncode, std::to_string(shard->app),
+                    static_cast<std::int64_t>(shard->version),
+                    static_cast<std::int64_t>(shard->nominal_bytes));
+        // Zero-length marker span: encoding takes no agent-side virtual
+        // time, but the trace should still show when parity landed.
+        track_.end(track_.begin("encode", obs::Phase::kDrain));
         if (!draining_) {
           draining_ = true;
           sim::spawn(cluster_->engine(), drain_loop());
@@ -84,32 +73,19 @@ sim::Task<void> DrainAgent::drain_loop() {
     int backoff = 1;
     while (pressure_ && pressure_() > 1.0) {
       ++stats_.pressure_stalls;
-      if (obs_ != nullptr)
-        obs_->metrics().counter("ckpt.pressure_stalls", obs_track_).inc();
       co_await c.delay(sim::milliseconds(backoff));
       backoff = std::min(backoff * 2, 64);
     }
     hierarchy_->begin_drain(next->app, next->ts);
-    obs::SpanId span = 0;
-    if (obs_ != nullptr)
-      span = obs_->tracer().begin(obs_track_, "drain", obs::Phase::kDrain,
-                                  cluster_->engine().now());
+    const obs::SpanId span = track_.begin("drain", obs::Phase::kDrain);
     co_await pfs_->write(c, next->nominal_bytes);
     hierarchy_->complete_drain(next->app, next->ts);
     ++stats_.drains_completed;
     stats_.drain_bytes += next->nominal_bytes;
-    if (recorder_ != nullptr)
-      recorder_->record(recorder_track_, cluster_->engine().now(),
-                        obs::FrKind::kCkptDrain, std::to_string(next->app),
-                        static_cast<std::int64_t>(next->ts),
-                        static_cast<std::int64_t>(next->nominal_bytes));
-    if (obs_ != nullptr) {
-      obs_->tracer().end(span, cluster_->engine().now());
-      obs_->metrics().counter("ckpt.drains", obs_track_).inc();
-      obs_->metrics()
-          .counter("ckpt.drain_bytes", obs_track_)
-          .inc(next->nominal_bytes);
-    }
+    track_.emit(obs::Kind::kCkptDrain, std::to_string(next->app),
+                static_cast<std::int64_t>(next->ts),
+                static_cast<std::int64_t>(next->nominal_bytes));
+    track_.end(span);
     if (on_complete_) on_complete_(next->app, next->ts);
     // Durable promotion: only now may the staging GC watermark advance past
     // this checkpoint (the cached copy alone is not crash-consistent).

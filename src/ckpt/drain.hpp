@@ -18,8 +18,7 @@
 #include "cluster/cluster.hpp"
 #include "cluster/pfs.hpp"
 #include "net/rpc.hpp"
-#include "obs/flight_recorder.hpp"
-#include "obs/observability.hpp"
+#include "obs/recorder.hpp"
 
 namespace dstage::ckpt {
 
@@ -35,13 +34,15 @@ struct DrainAgentStats {
 class DrainAgent {
  public:
   DrainAgent(cluster::Cluster& cluster, cluster::VprocId vproc,
-             cluster::Pfs& pfs, CheckpointHierarchy& hierarchy);
+             cluster::Pfs& pfs, CheckpointHierarchy& hierarchy,
+             obs::Track track = {});
 
   /// Spawn the request-processing loop.
   void start();
 
   [[nodiscard]] net::EndpointId endpoint() const;
   [[nodiscard]] const DrainAgentStats& stats() const { return stats_; }
+  [[nodiscard]] const obs::Track& track() const { return track_; }
 
   /// Staging servers to broadcast the durable promotion to.
   void set_server_endpoints(std::vector<net::EndpointId> endpoints) {
@@ -57,16 +58,6 @@ class DrainAgent {
   /// runtime advances the component's durable anchor here.
   void set_on_complete(std::function<void(int app, int ts)> on_complete) {
     on_complete_ = std::move(on_complete);
-  }
-  /// Attach the run's observability bundle (null = off).
-  void set_obs(obs::Observability* obs, std::string track) {
-    obs_ = obs;
-    obs_track_ = std::move(track);
-  }
-  /// Attach the always-on flight recorder (null = off).
-  void set_recorder(obs::FlightRecorder* recorder, std::uint32_t track) {
-    recorder_ = recorder;
-    recorder_track_ = track;
   }
 
  private:
@@ -86,10 +77,7 @@ class DrainAgent {
   std::function<void(int, int)> on_complete_;
   bool draining_ = false;
   DrainAgentStats stats_;
-  obs::Observability* obs_ = nullptr;
-  std::string obs_track_;
-  obs::FlightRecorder* recorder_ = nullptr;
-  std::uint32_t recorder_track_ = 0;
+  obs::Track track_;
 };
 
 }  // namespace dstage::ckpt

@@ -93,26 +93,19 @@ RunMetrics WorkflowRunner::run() {
 
 sim::Task<void> WorkflowRunner::run_component(Comp* comp, int start_ts) {
   const WorkflowSpec& spec = runtime_->spec();
-  Trace& trace = runtime_->trace();
   sim::Ctx ctx = runtime_->cluster().ctx_for(comp->vproc);
-  obs::Observability* obs = services_.obs;
-  obs::FlightRecorder* rec = services_.recorder;
-  const std::uint32_t rec_track =
-      rec != nullptr ? rec->track(comp->spec.name) : 0;
+  const obs::Track& track = comp->track;
   for (int ts = start_ts + 1; ts <= spec.total_ts; ++ts) {
-    trace.record(ctx.now(), TraceKind::kTimestepStart, comp->spec.name, ts);
+    track.emit(obs::Kind::kTimestepStart, ts);
     fire_elastic_events(ts);
     co_await maybe_fail(comp, ts, ctx);
 
     // Reads first (consumers pull the coupled data for this timestep).
     obs::SpanId read_span = 0;
-    if (obs != nullptr) {
-      for (const auto& read : comp->spec.reads) {
-        if (ts % read.every == 0) {
-          read_span = obs->tracer().begin(comp->spec.name, "read",
-                                          obs::Phase::kRead, ctx.now(), 0, ts);
-          break;
-        }
+    for (const auto& read : comp->spec.reads) {
+      if (ts % read.every == 0) {
+        read_span = track.begin("read", obs::Phase::kRead, 0, ts);
+        break;
       }
     }
     for (const auto& read : comp->spec.reads) {
@@ -124,44 +117,32 @@ sim::Task<void> WorkflowRunner::run_component(Comp* comp, int start_ts) {
       comp->metrics.cum_get_response_s += result.response_time.seconds();
       comp->metrics.wrong_version_reads += result.wrong_version;
       comp->metrics.corrupt_reads += result.corrupt;
-      if (obs != nullptr) {
-        obs->metrics()
-            .histogram("get_response_s", comp->spec.name)
-            .observe(result.response_time.seconds());
+      track.observe("get_response_s", result.response_time.seconds());
+      // The order-independent payload fingerprint is the forensic anchor
+      // for replay-equivalence diffs: a replayed read that serves different
+      // bytes than the reference run diverges here.
+      const std::uint64_t checksum = pieces_checksum(result.pieces);
+      track.emit(obs::Kind::kGetServe, read.var, ts,
+                 static_cast<std::int64_t>(checksum));
+      if (services_.read_probe) {
+        services_.read_probe(*comp, ts, read.var, checksum,
+                             result.nominal_bytes, result.wrong_version,
+                             result.corrupt);
       }
-      if (rec != nullptr || services_.read_probe) {
-        const std::uint64_t checksum = pieces_checksum(result.pieces);
-        if (rec != nullptr) {
-          // The order-independent payload fingerprint is the forensic
-          // anchor for replay-equivalence diffs: a replayed read that
-          // serves different bytes than the reference run diverges here.
-          rec->record(rec_track, ctx.now(), obs::FrKind::kGetServe, read.var,
-                      ts, static_cast<std::int64_t>(checksum));
-        }
-        if (services_.read_probe) {
-          services_.read_probe(*comp, ts, read.var, checksum,
-                               result.nominal_bytes, result.wrong_version,
-                               result.corrupt);
-        }
-      }
-      trace.record(ctx.now(), TraceKind::kReadDone, comp->spec.name, ts,
-                   static_cast<std::int64_t>(result.nominal_bytes));
+      track.emit(obs::Kind::kReadDone, ts,
+                 static_cast<std::int64_t>(result.nominal_bytes));
     }
-    if (obs != nullptr) obs->tracer().end(read_span, ctx.now());
+    track.end(read_span);
 
-    obs::SpanId compute_span = 0;
-    if (obs != nullptr) {
-      compute_span = obs->tracer().begin(comp->spec.name, "compute",
-                                         obs::Phase::kCompute, ctx.now(), 0, ts);
-    }
+    const obs::SpanId compute_span =
+        track.begin("compute", obs::Phase::kCompute, 0, ts);
     co_await ctx.delay(sim::from_seconds(comp->spec.compute_per_ts_s));
-    if (obs != nullptr) obs->tracer().end(compute_span, ctx.now());
-    trace.record(ctx.now(), TraceKind::kComputeDone, comp->spec.name, ts);
+    track.end(compute_span);
+    track.emit(obs::Kind::kComputeDone, ts);
 
     obs::SpanId write_span = 0;
-    if (obs != nullptr && !comp->spec.writes.empty()) {
-      write_span = obs->tracer().begin(comp->spec.name, "write",
-                                       obs::Phase::kWrite, ctx.now(), 0, ts);
+    if (!comp->spec.writes.empty()) {
+      write_span = track.begin("write", obs::Phase::kWrite, 0, ts);
     }
     for (const auto& write : comp->spec.writes) {
       auto result = co_await comp->client->put(
@@ -171,19 +152,15 @@ sim::Task<void> WorkflowRunner::run_component(Comp* comp, int start_ts) {
       comp->metrics.cum_put_response_s += result.response_time.seconds();
       comp->metrics.put_bytes += result.nominal_bytes;
       comp->metrics.suppressed_puts += result.suppressed;
-      if (obs != nullptr) {
-        obs->metrics()
-            .histogram("put_response_s", comp->spec.name)
-            .observe(result.response_time.seconds());
-      }
-      trace.record(ctx.now(), TraceKind::kWriteDone, comp->spec.name, ts,
-                   static_cast<std::int64_t>(result.nominal_bytes));
+      track.observe("put_response_s", result.response_time.seconds());
+      track.emit(obs::Kind::kWriteDone, ts,
+                 static_cast<std::int64_t>(result.nominal_bytes));
     }
-    if (obs != nullptr) obs->tracer().end(write_span, ctx.now());
+    track.end(write_span);
 
     comp->current_ts = ts;
     ++comp->metrics.timesteps_done;
-    trace.record(ctx.now(), TraceKind::kTimestepDone, comp->spec.name, ts);
+    track.emit(obs::Kind::kTimestepDone, ts);
 
     co_await policy_->on_timestep_end(services_, *comp, ts, ctx);
   }
@@ -196,14 +173,12 @@ sim::Task<void> WorkflowRunner::run_component_recovered(Comp* comp) {
   sim::Ctx ctx = runtime_->cluster().ctx_for(comp->vproc);
   const bool replay = policy_->replay_on_restart(comp->spec);
   co_await stage_reattach_and_replay(services_, *comp, replay, ctx);
-  if (services_.obs != nullptr) {
-    // The recovery root opened at the failure instant closes once the
-    // component is back in its timestep loop.
-    services_.obs->tracer().end(comp->obs_recovery_span, ctx.now());
-    comp->obs_recovery_span = 0;
-    comp->obs_detect_span = 0;
-    services_.obs->metrics().counter("recoveries", comp->spec.name).inc();
-  }
+  // The recovery root opened at the failure instant closes once the
+  // component is back in its timestep loop.
+  comp->track.end(comp->obs_recovery_span);
+  comp->obs_recovery_span = 0;
+  comp->obs_detect_span = 0;
+  comp->track.count("recoveries");
   co_await run_component(comp, comp->last_ckpt_ts);
 }
 
@@ -219,13 +194,8 @@ sim::Task<void> WorkflowRunner::maybe_fail(Comp* comp, int ts, sim::Ctx ctx) {
     if (f.phase < 0) continue;  // false alarm: no failure follows
     ++failures_injected_;
     // Die partway into this timestep's work.
-    obs::SpanId partial = 0;
-    if (services_.obs != nullptr) {
-      partial = services_.obs->tracer().begin(comp->spec.name,
-                                              "compute (interrupted)",
-                                              obs::Phase::kCompute, ctx.now(),
-                                              0, ts);
-    }
+    const obs::SpanId partial =
+        comp->track.begin("compute (interrupted)", obs::Phase::kCompute, 0, ts);
     co_await ctx.delay(
         sim::from_seconds(f.phase * comp->spec.compute_per_ts_s));
     if (f.node_level) {
@@ -237,14 +207,11 @@ sim::Task<void> WorkflowRunner::maybe_fail(Comp* comp, int ts, sim::Ctx ctx) {
         const std::uint64_t double_losses_before =
             services_.ckpt->stats().double_losses;
         services_.ckpt->on_node_failure(comp->id);
-        if (services_.recorder != nullptr &&
-            services_.ckpt->stats().double_losses > double_losses_before) {
+        if (services_.ckpt->stats().double_losses > double_losses_before) {
           // Double XOR loss: some cached set is now unrestorable at any
           // level below the PFS — loud enough to warrant a forensic dump.
-          services_.recorder->note_degradation(
-              services_.recorder->track(comp->spec.name), ctx.now(),
-              "double XOR loss: checkpoint set(s) of " + comp->spec.name +
-                  " unrestorable below the PFS");
+          comp->track.degrade("double XOR loss: checkpoint set(s) of " +
+                              comp->spec.name + " unrestorable below the PFS");
         }
         comp->last_ckpt_ts = services_.ckpt->best_restart_ts(
             comp->id, comp->last_pfs_ckpt_ts);
@@ -252,29 +219,16 @@ sim::Task<void> WorkflowRunner::maybe_fail(Comp* comp, int ts, sim::Ctx ctx) {
         comp->last_ckpt_ts = comp->last_pfs_ckpt_ts;
       }
     }
-    if (services_.recorder != nullptr) {
-      services_.recorder->record(services_.recorder->track(comp->spec.name),
-                                 ctx.now(), obs::FrKind::kFailure,
-                                 std::uint32_t{0}, ts, f.node_level ? 1 : 0);
-    }
-    runtime_->trace().record(ctx.now(), TraceKind::kFailure, comp->spec.name,
-                             ts, f.node_level ? 1 : 0);
-    if (services_.obs != nullptr) {
-      obs::SpanTracer& tracer = services_.obs->tracer();
-      tracer.end(partial, ctx.now());
-      tracer.instant(comp->spec.name, "failure", ctx.now(),
-                     f.node_level ? 1 : 0);
-      // Root of this recovery's causal tree; the detect child covers the
-      // failure-detection window and is closed by the recovery path that
-      // eventually picks the component up.
-      comp->obs_recovery_span =
-          tracer.begin(comp->spec.name, "recovery", obs::Phase::kRestart,
-                       ctx.now(), 0, ts);
-      comp->obs_detect_span =
-          tracer.begin(comp->spec.name, "detect", obs::Phase::kRestart,
-                       ctx.now(), comp->obs_recovery_span);
-      services_.obs->metrics().counter("failures", comp->spec.name).inc();
-    }
+    comp->track.emit(obs::Kind::kFailure, ts, f.node_level ? 1 : 0);
+    comp->track.end(partial);
+    // Root of this recovery's causal tree; the detect child covers the
+    // failure-detection window and is closed by the recovery path that
+    // eventually picks the component up.
+    comp->obs_recovery_span =
+        comp->track.begin("recovery", obs::Phase::kRestart, 0, ts);
+    comp->obs_detect_span = comp->track.begin(
+        "detect", obs::Phase::kRestart, comp->obs_recovery_span);
+    comp->track.count("failures");
     runtime_->cluster().kill(comp->vproc);
     co_await ctx.delay({0});  // the cancelled token unwinds here
   }
@@ -293,13 +247,12 @@ sim::Task<void> WorkflowRunner::drive_elastic_event(ElasticEvent event) {
   // Membership changes are system activity: they survive component kills
   // and run concurrently with the timestep loops they rebalance under.
   sim::Ctx ctx = services_.system_ctx();
-  Trace& trace = runtime_->trace();
-  trace.record(ctx.now(), TraceKind::kMembershipChange, "group-mgr", event.ts,
-               event.join ? 1 : 0);
+  const obs::Track& track = runtime_->group_manager()->track();
+  track.emit(obs::Kind::kMembershipChange, event.ts, event.join ? 1 : 0);
   staging::GroupChangeAck ack =
       co_await runtime_->group_change(ctx, event.join, event.server);
-  trace.record(ctx.now(), TraceKind::kResilverDone, "group-mgr", event.ts,
-               ack.ok ? static_cast<std::int64_t>(ack.server) : -1);
+  track.emit(obs::Kind::kResilverDone, event.ts,
+             ack.ok ? static_cast<std::int64_t>(ack.server) : -1);
 }
 
 void WorkflowRunner::on_vproc_failure(cluster::VprocId vproc) {

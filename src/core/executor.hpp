@@ -39,7 +39,7 @@ class WorkflowRunner {
   [[nodiscard]] int server_count() const { return runtime_->server_count(); }
   [[nodiscard]] sim::Engine& engine() { return runtime_->engine(); }
   /// Structured execution timeline (populated during run()).
-  [[nodiscard]] const Trace& trace() const { return runtime_->trace(); }
+  [[nodiscard]] const obs::Trace& trace() const { return runtime_->trace(); }
   /// The scheme policy driving this run.
   [[nodiscard]] const SchemePolicy& policy() const { return *policy_; }
   /// The assembled runtime (engine, cluster, staging, components).

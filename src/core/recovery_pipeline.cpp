@@ -10,32 +10,24 @@ namespace dstage::core {
 
 sim::Task<void> stage_process_recovery(RuntimeServices& rt, Comp& comp,
                                        sim::Ctx sys) {
-  rt.trace->record(sys.now(), TraceKind::kRecoveryStart, comp.spec.name,
-                   comp.current_ts);
+  comp.track.emit(obs::Kind::kRecoveryStart, comp.current_ts);
   if (rt.recovery_probe) {
-    rt.recovery_probe(TraceKind::kRecoveryStart, &comp, comp.current_ts);
+    rt.recovery_probe(obs::Kind::kRecoveryStart, &comp, comp.current_ts);
   }
-  obs::SpanId ulfm = 0;
-  if (rt.obs != nullptr) {
-    rt.obs->tracer().end(comp.obs_detect_span, sys.now());
-    comp.obs_detect_span = 0;
-    ulfm = rt.obs->tracer().begin(comp.spec.name, "ulfm", obs::Phase::kRestart,
-                                  sys.now(), comp.obs_recovery_span);
-  }
+  comp.track.end(comp.obs_detect_span);
+  comp.obs_detect_span = 0;
+  const obs::SpanId ulfm = comp.track.begin("ulfm", obs::Phase::kRestart,
+                                            comp.obs_recovery_span);
   // ULFM: revoke, shrink, agree, then a spare joins the communicator.
   co_await sys.delay(rt.spec->costs.ulfm_time(comp.spec.cores));
-  if (rt.obs != nullptr) rt.obs->tracer().end(ulfm, sys.now());
+  comp.track.end(ulfm);
 }
 
 sim::Task<void> stage_data_recovery(RuntimeServices& rt, Comp& comp,
                                     sim::Ctx sys) {
-  obs::SpanId restore = 0;
-  if (rt.obs != nullptr) {
-    restore = rt.obs->tracer().begin(comp.spec.name, "restore",
-                                     obs::Phase::kRestart, sys.now(),
-                                     comp.obs_recovery_span,
-                                     comp.last_ckpt_ts);
-  }
+  const obs::SpanId restore =
+      comp.track.begin("restore", obs::Phase::kRestart,
+                       comp.obs_recovery_span, comp.last_ckpt_ts);
   const std::uint64_t bytes = rt.spec->costs.state_bytes(comp.spec.cores);
   if (rt.ckpt != nullptr) {
     // A drain may have landed between the failure instant and this restore,
@@ -51,12 +43,8 @@ sim::Task<void> stage_data_recovery(RuntimeServices& rt, Comp& comp,
     // verifies checksums and records the choice for the oracle.
     const ckpt::Restore r =
         rt.ckpt->restore(comp.id, comp.last_ckpt_ts, comp.last_pfs_ckpt_ts);
-    if (rt.recorder != nullptr) {
-      rt.recorder->record(rt.recorder->track(comp.spec.name), sys.now(),
-                          obs::FrKind::kRestartLevel, comp.spec.name,
-                          static_cast<std::int64_t>(r.level),
-                          comp.last_ckpt_ts);
-    }
+    comp.track.emit(obs::Kind::kRestartLevel, comp.spec.name,
+                    static_cast<std::int64_t>(r.level), comp.last_ckpt_ts);
     switch (r.level) {
       case ckpt::CkptLevel::kCache:
         co_await sys.delay(sim::from_seconds(static_cast<double>(bytes) /
@@ -65,75 +53,56 @@ sim::Task<void> stage_data_recovery(RuntimeServices& rt, Comp& comp,
       case ckpt::CkptLevel::kPartner: {
         // Pull the lost member's worth of blocks off the group peers and
         // decode; slower than local NVRAM, far faster than a cold PFS read.
-        obs::SpanId rebuild = 0;
-        if (rt.obs != nullptr) {
-          rebuild = rt.obs->tracer().begin(comp.spec.name, "rebuild",
-                                           obs::Phase::kDrain, sys.now(),
-                                           restore, comp.last_ckpt_ts);
-        }
+        const obs::SpanId rebuild = comp.track.begin(
+            "rebuild", obs::Phase::kDrain, restore, comp.last_ckpt_ts);
         co_await sys.delay(sim::from_seconds(
             static_cast<double>(bytes) / rt.spec->costs.partner_rebuild_bw));
-        if (rt.obs != nullptr) rt.obs->tracer().end(rebuild, sys.now());
+        comp.track.end(rebuild);
         break;
       }
       case ckpt::CkptLevel::kPfs:
         co_await rt.pfs->read(sys, bytes);
         break;
     }
-    rt.trace->record(sys.now(), TraceKind::kCkptRestore, comp.spec.name,
-                     comp.last_ckpt_ts, static_cast<std::int64_t>(r.level));
+    comp.track.emit(obs::Kind::kCkptRestore, comp.last_ckpt_ts,
+                    static_cast<std::int64_t>(r.level));
   } else if (comp.last_ckpt_ts > comp.last_pfs_ckpt_ts) {
     // Hierarchy off, but a fresher local (cache-level) checkpoint exists.
-    if (rt.recorder != nullptr) {
-      rt.recorder->record(rt.recorder->track(comp.spec.name), sys.now(),
-                          obs::FrKind::kRestartLevel, comp.spec.name,
-                          static_cast<std::int64_t>(ckpt::CkptLevel::kCache),
-                          comp.last_ckpt_ts);
-    }
+    comp.track.emit(obs::Kind::kRestartLevel, comp.spec.name,
+                    static_cast<std::int64_t>(ckpt::CkptLevel::kCache),
+                    comp.last_ckpt_ts);
     co_await sys.delay(sim::from_seconds(static_cast<double>(bytes) /
                                          rt.spec->costs.local_ckpt_bw));
   } else {
-    if (rt.recorder != nullptr) {
-      rt.recorder->record(rt.recorder->track(comp.spec.name), sys.now(),
-                          obs::FrKind::kRestartLevel, comp.spec.name,
-                          static_cast<std::int64_t>(ckpt::CkptLevel::kPfs),
-                          comp.last_ckpt_ts);
-    }
+    comp.track.emit(obs::Kind::kRestartLevel, comp.spec.name,
+                    static_cast<std::int64_t>(ckpt::CkptLevel::kPfs),
+                    comp.last_ckpt_ts);
     co_await rt.pfs->read(sys, bytes);
   }
-  if (rt.obs != nullptr) rt.obs->tracer().end(restore, sys.now());
+  comp.track.end(restore);
   comp.metrics.timesteps_reworked += comp.current_ts - comp.last_ckpt_ts;
 }
 
 sim::Task<void> stage_reattach_and_replay(RuntimeServices& rt, Comp& comp,
                                           bool logged, sim::Ctx ctx) {
-  obs::SpanId reattach = 0;
-  if (rt.obs != nullptr) {
-    reattach = rt.obs->tracer().begin(
-        comp.spec.name, logged ? "replay" : "reattach",
-        logged ? obs::Phase::kReplay : obs::Phase::kRestart, ctx.now(),
-        comp.obs_recovery_span, comp.last_ckpt_ts);
-  }
+  const obs::SpanId reattach = comp.track.begin(
+      logged ? "replay" : "reattach",
+      logged ? obs::Phase::kReplay : obs::Phase::kRestart,
+      comp.obs_recovery_span, comp.last_ckpt_ts);
   if (logged) {
     // workflow_restart(): client re-init + recovery event; the servers
     // switch this app's queues into replay mode.
     const std::size_t replay = co_await comp.client->workflow_restart(
         ctx, static_cast<staging::Version>(comp.last_ckpt_ts));
-    if (rt.recorder != nullptr) {
-      rt.recorder->record(rt.recorder->track(comp.spec.name), ctx.now(),
-                          obs::FrKind::kReplayDone, comp.spec.name,
-                          static_cast<std::int64_t>(replay),
-                          comp.last_ckpt_ts);
-    }
-    rt.trace->record(ctx.now(), TraceKind::kReplayDone, comp.spec.name,
-                     comp.last_ckpt_ts, static_cast<std::int64_t>(replay));
+    comp.track.emit(obs::Kind::kReplayDone, comp.spec.name, comp.last_ckpt_ts,
+                    static_cast<std::int64_t>(replay));
     if (rt.recovery_probe) {
-      rt.recovery_probe(TraceKind::kReplayDone, &comp, comp.last_ckpt_ts);
+      rt.recovery_probe(obs::Kind::kReplayDone, &comp, comp.last_ckpt_ts);
     }
   } else {
     co_await ctx.delay(comp.client->params().reconnect_cost);
   }
-  if (rt.obs != nullptr) rt.obs->tracer().end(reattach, ctx.now());
+  comp.track.end(reattach);
   comp.current_ts = comp.last_ckpt_ts;
 }
 
@@ -144,10 +113,9 @@ sim::Task<void> run_checkpoint_restart_recovery(RuntimeServices& rt,
   co_await stage_data_recovery(rt, comp, sys);
   rt.cluster->revive(comp.vproc);
   comp.recovering = false;
-  rt.trace->record(sys.now(), TraceKind::kRecoveryDone, comp.spec.name,
-                   comp.last_ckpt_ts);
+  comp.track.emit(obs::Kind::kRecoveryDone, comp.last_ckpt_ts);
   if (rt.recovery_probe) {
-    rt.recovery_probe(TraceKind::kRecoveryDone, &comp, comp.last_ckpt_ts);
+    rt.recovery_probe(obs::Kind::kRecoveryDone, &comp, comp.last_ckpt_ts);
   }
   rt.resume_recovered(&comp);
 }
@@ -155,16 +123,12 @@ sim::Task<void> run_checkpoint_restart_recovery(RuntimeServices& rt,
 sim::Task<void> run_failover_recovery(RuntimeServices& rt, Comp& comp) {
   sim::Ctx sys = rt.system_ctx();
   if (rt.recovery_probe) {
-    rt.recovery_probe(TraceKind::kRecoveryStart, &comp, comp.current_ts);
+    rt.recovery_probe(obs::Kind::kRecoveryStart, &comp, comp.current_ts);
   }
-  obs::SpanId failover = 0;
-  if (rt.obs != nullptr) {
-    rt.obs->tracer().end(comp.obs_detect_span, sys.now());
-    comp.obs_detect_span = 0;
-    failover = rt.obs->tracer().begin(comp.spec.name, "failover",
-                                      obs::Phase::kRestart, sys.now(),
-                                      comp.obs_recovery_span);
-  }
+  comp.track.end(comp.obs_detect_span);
+  comp.obs_detect_span = 0;
+  const obs::SpanId failover = comp.track.begin(
+      "failover", obs::Phase::kRestart, comp.obs_recovery_span);
   // The replica takes over; the interrupted timestep is re-executed by the
   // surviving copy. No rollback, no staging recovery event.
   co_await sys.delay(sim::from_seconds(rt.spec->costs.failover_s));
@@ -172,14 +136,12 @@ sim::Task<void> run_failover_recovery(RuntimeServices& rt, Comp& comp) {
   comp.recovering = false;
   const int resume_from = comp.current_ts;
   if (rt.recovery_probe) {
-    rt.recovery_probe(TraceKind::kRecoveryDone, &comp, resume_from);
+    rt.recovery_probe(obs::Kind::kRecoveryDone, &comp, resume_from);
   }
-  if (rt.obs != nullptr) {
-    rt.obs->tracer().end(failover, sys.now());
-    rt.obs->tracer().end(comp.obs_recovery_span, sys.now());
-    comp.obs_recovery_span = 0;
-    rt.obs->metrics().counter("recoveries", comp.spec.name).inc();
-  }
+  comp.track.end(failover);
+  comp.track.end(comp.obs_recovery_span);
+  comp.obs_recovery_span = 0;
+  comp.track.count("recoveries");
   rt.resume(&comp, resume_from);
 }
 
@@ -197,43 +159,33 @@ sim::Task<void> run_coordinated_recovery(RuntimeServices& rt,
   const int scope_cores =
       tenant < 0 ? rt.total_app_cores() : rt.tenant_app_cores(tenant);
   if (rt.recovery_probe) {
-    rt.recovery_probe(TraceKind::kRecoveryStart, nullptr, global_ckpt_ts);
+    rt.recovery_probe(obs::Kind::kRecoveryStart, nullptr, global_ckpt_ts);
   }
   // Everyone in scope rolls back: kill the surviving components.
   for (auto& c : *rt.comps) {
     if (!in_scope(c)) continue;
     if (rt.cluster->vproc(c->vproc).alive) rt.cluster->kill(c->vproc);
   }
-  obs::SpanId coord = 0;
-  if (rt.obs != nullptr) {
-    obs::SpanTracer& tracer = rt.obs->tracer();
-    obs::SpanId parent = 0;
-    for (auto& c : *rt.comps) {
-      if (!in_scope(c)) continue;
-      if (c->obs_recovery_span != 0) {
-        // A component that failed: its recovery root stays open across the
-        // whole global restart; close only the detect child.
-        tracer.end(c->obs_detect_span, sys.now());
-        c->obs_detect_span = 0;
-        if (parent == 0) parent = c->obs_recovery_span;
-      } else {
-        // A survivor killed mid-activity by the rollback.
-        tracer.end_open_for_track(c->spec.name, sys.now());
-      }
+  obs::SpanId parent = 0;
+  for (auto& c : *rt.comps) {
+    if (!in_scope(c)) continue;
+    if (c->obs_recovery_span != 0) {
+      // A component that failed: its recovery root stays open across the
+      // whole global restart; close only the detect child.
+      c->track.end(c->obs_detect_span);
+      c->obs_detect_span = 0;
+      if (parent == 0) parent = c->obs_recovery_span;
+    } else {
+      // A survivor killed mid-activity by the rollback.
+      c->track.end_open();
     }
-    coord = tracer.begin("workflow", "coordinated restart",
-                         obs::Phase::kRestart, sys.now(), parent,
-                         global_ckpt_ts);
   }
+  const obs::SpanId coord = rt.workflow.begin(
+      "coordinated restart", obs::Phase::kRestart, parent, global_ckpt_ts);
   auto child = [&](const char* name) {
-    return rt.obs == nullptr
-               ? obs::SpanId{0}
-               : rt.obs->tracer().begin("workflow", name, obs::Phase::kRestart,
-                                        sys.now(), coord);
+    return rt.workflow.begin(name, obs::Phase::kRestart, coord);
   };
-  auto close = [&](obs::SpanId id) {
-    if (rt.obs != nullptr) rt.obs->tracer().end(id, sys.now());
-  };
+  auto close = [&](obs::SpanId id) { rt.workflow.end(id); };
   // ULFM recovery across the rollback scope.
   obs::SpanId stage = child("ulfm");
   co_await sys.delay(rt.spec->costs.ulfm_time(scope_cores));
@@ -273,20 +225,15 @@ sim::Task<void> run_coordinated_recovery(RuntimeServices& rt,
   }
   if (on_restarted) on_restarted();
   if (rt.recovery_probe) {
-    rt.recovery_probe(TraceKind::kRecoveryDone, nullptr, global_ckpt_ts);
+    rt.recovery_probe(obs::Kind::kRecoveryDone, nullptr, global_ckpt_ts);
   }
-  if (rt.obs != nullptr) {
-    obs::SpanTracer& tracer = rt.obs->tracer();
-    tracer.end(coord, sys.now());
-    for (auto& c : *rt.comps) {
-      if (!in_scope(c)) continue;
-      if (c->obs_recovery_span != 0) {
-        tracer.end(c->obs_recovery_span, sys.now());
-        c->obs_recovery_span = 0;
-      }
-    }
-    rt.obs->metrics().counter("recoveries", "workflow").inc();
+  rt.workflow.end(coord);
+  for (auto& c : *rt.comps) {
+    if (!in_scope(c)) continue;
+    c->track.end(c->obs_recovery_span);
+    c->obs_recovery_span = 0;
   }
+  rt.workflow.count("recoveries");
   for (auto& c : *rt.comps) {
     if (!in_scope(c)) continue;
     rt.resume(c.get(), global_ckpt_ts);

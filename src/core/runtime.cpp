@@ -26,6 +26,7 @@ int RuntimeServices::tenant_app_cores(int tenant) const {
 
 Runtime::Runtime(WorkflowSpec spec, const SchemePolicy& policy)
     : spec_(std::move(spec)),
+      recorder_(engine_, spec_.recorder, spec_.obs),
       fabric_(engine_, spec_.fabric),
       cluster_(engine_, fabric_),
       pfs_(engine_, spec_.pfs),
@@ -66,15 +67,6 @@ void Runtime::check_all_done() {
 }
 
 void Runtime::build(const SchemePolicy& policy) {
-  if (obs::compiled_in() && spec_.obs.enabled) {
-    obs_ = std::make_unique<obs::Observability>();
-  }
-  // The flight recorder is pure host-side bookkeeping: no vprocs, no
-  // virtual-time delays, no trace records, no randomness. Allocating it
-  // unconditionally (default-on) cannot move a digest.
-  if (spec_.recorder.enabled) {
-    recorder_ = std::make_unique<obs::FlightRecorder>(spec_.recorder);
-  }
   cluster_.set_detection_delay(
       sim::from_seconds(spec_.costs.detection_delay_s));
   index_ = std::make_unique<dht::SpatialIndex>(
@@ -96,101 +88,8 @@ void Runtime::build(const SchemePolicy& policy) {
     const std::string name = "staging-" + std::to_string(s);
     const auto vp = cluster_.add_vproc(name, node);
     server_vprocs_.push_back(vp);
-    servers_.push_back(
-        std::make_unique<staging::StagingServer>(cluster_, vp, server_params));
-    {
-      staging::StagingServer& server = *servers_.back();
-      if (obs_ != nullptr) server.set_obs(obs_.get(), name);
-      if (recorder_ != nullptr) {
-        server.set_recorder(recorder_.get(), recorder_->track(name));
-      }
-      // GC/log milestone hooks are installed unconditionally: they feed the
-      // always-on flight recorder, and their host-side work (snapshotting
-      // watermarks before a checkpoint) consumes no virtual time. Trace
-      // records and metrics inside them stay obs-gated — those kinds only
-      // exist in instrumented runs, so the golden digests of
-      // uninstrumented traces are untouched.
-      obs::FlightRecorder* rec = recorder_.get();
-      const std::uint32_t rec_track =
-          rec != nullptr ? rec->track(name) : 0;
-      obs::Observability* obs = obs_.get();
-      staging::StagingServer::ObsHooks hooks;
-      hooks.gc_sweep = [this, rec, rec_track, obs, name](
-                           staging::Version ckpt_version,
-                           std::size_t versions_dropped,
-                           std::uint64_t nominal_freed,
-                           std::size_t entries_scanned) {
-        if (rec != nullptr) {
-          rec->record(rec_track, engine_.now(), obs::FrKind::kGcSweep,
-                      std::uint32_t{0},
-                      static_cast<std::int64_t>(entries_scanned),
-                      static_cast<std::int64_t>(nominal_freed));
-        }
-        if (obs != nullptr) {
-          trace_.record(engine_.now(), TraceKind::kGcSweep, name,
-                        static_cast<int>(ckpt_version),
-                        static_cast<std::int64_t>(nominal_freed));
-          obs->metrics().counter("gc.sweeps", name).inc();
-          obs->metrics()
-              .counter("gc.entries_scanned", name)
-              .inc(entries_scanned);
-        }
-        (void)versions_dropped;  // counted at the sweep site
-      };
-      hooks.gc_watermark_advance = [this, rec, rec_track, obs, name](
-                                       const std::string& var,
-                                       staging::Version from,
-                                       staging::Version to) {
-        if (rec != nullptr) {
-          rec->record(rec_track, engine_.now(), obs::FrKind::kGcWatermark,
-                      var, static_cast<std::int64_t>(to));
-        }
-        if (obs != nullptr) {
-          trace_.record(engine_.now(), TraceKind::kGcWatermarkAdvance,
-                        name + "/" + var, static_cast<int>(from),
-                        static_cast<std::int64_t>(to));
-          obs->metrics().counter("gc.watermark_advances", name).inc();
-        }
-      };
-      hooks.log_truncate = [this, rec, rec_track, obs, name](
-                               staging::AppId app,
-                               staging::Version ckpt_version,
-                               std::size_t events_dropped) {
-        if (rec != nullptr) {
-          rec->record(rec_track, engine_.now(), obs::FrKind::kLogTruncate,
-                      std::uint32_t{0},
-                      static_cast<std::int64_t>(events_dropped));
-        }
-        if (obs != nullptr) {
-          trace_.record(engine_.now(), TraceKind::kLogTruncate, name,
-                        static_cast<int>(ckpt_version),
-                        static_cast<std::int64_t>(events_dropped));
-          obs->metrics()
-              .counter("wlog.events_truncated", name)
-              .inc(events_dropped);
-        }
-        (void)app;
-      };
-      hooks.spill = [this, rec, rec_track](const std::string& var,
-                                           staging::Version version,
-                                           std::uint64_t bytes) {
-        if (rec != nullptr) {
-          rec->record(rec_track, engine_.now(), obs::FrKind::kSpillOut, var,
-                      static_cast<std::int64_t>(version),
-                      static_cast<std::int64_t>(bytes));
-        }
-      };
-      hooks.spill_fetch = [this, rec, rec_track](const std::string& var,
-                                                 staging::Version version,
-                                                 std::uint64_t bytes) {
-        if (rec != nullptr) {
-          rec->record(rec_track, engine_.now(), obs::FrKind::kSpillFetch, var,
-                      static_cast<std::int64_t>(version),
-                      static_cast<std::int64_t>(bytes));
-        }
-      };
-      server.set_obs_hooks(std::move(hooks));
-    }
+    servers_.push_back(std::make_unique<staging::StagingServer>(
+        cluster_, vp, server_params, recorder_.track(name)));
   }
 
   {
@@ -223,6 +122,7 @@ void Runtime::build(const SchemePolicy& policy) {
     fabric_.set_node_injection_bw(
         node, spec_.fabric.injection_bw * nodes_spanned);
     comp->vproc = cluster_.add_vproc(comp->spec.name, node);
+    comp->track = recorder_.track(comp->spec.name);
     staging::ClientParams cp;
     cp.app = comp->id;
     cp.logged = policy.component_logged(comp->spec);
@@ -252,13 +152,8 @@ void Runtime::build(const SchemePolicy& policy) {
   if (spec_.staging.memory_budget > 0) {
     const auto node = cluster_.add_node();
     spill_vproc_ = cluster_.add_vproc("spill-gw", node);
-    spill_gateway_ =
-        std::make_unique<staging::SpillGateway>(cluster_, spill_vproc_, pfs_);
-    if (obs_ != nullptr) spill_gateway_->set_obs(obs_.get(), "spill-gw");
-    if (recorder_ != nullptr) {
-      spill_gateway_->set_recorder(recorder_.get(),
-                                   recorder_->track("spill-gw"));
-    }
+    spill_gateway_ = std::make_unique<staging::SpillGateway>(
+        cluster_, spill_vproc_, pfs_, recorder_.track("spill-gw"));
     const auto ep = cluster_.vproc(spill_vproc_).endpoint;
     for (auto& server : servers_) server->set_spill_endpoint(ep);
   }
@@ -273,12 +168,8 @@ void Runtime::build(const SchemePolicy& policy) {
     group_servers.reserve(servers_.size());
     for (auto& server : servers_) group_servers.push_back(server.get());
     group_manager_ = std::make_unique<staging::GroupManager>(
-        cluster_, group_vproc_, *index_, std::move(group_servers));
-    if (obs_ != nullptr) group_manager_->set_obs(obs_.get(), "group-mgr");
-    if (recorder_ != nullptr) {
-      group_manager_->set_recorder(recorder_.get(),
-                                   recorder_->track("group-mgr"));
-    }
+        cluster_, group_vproc_, *index_, std::move(group_servers),
+        recorder_.track("group-mgr"));
     for (auto& server : servers_) {
       server->set_group_index(index_.get());
       server->apply_membership(index_->epoch(), index_->active_servers());
@@ -304,7 +195,8 @@ void Runtime::build(const SchemePolicy& policy) {
     const auto node = cluster_.add_node();
     drain_vproc_ = cluster_.add_vproc("ckpt-drain", node);
     drain_agent_ = std::make_unique<ckpt::DrainAgent>(
-        cluster_, drain_vproc_, pfs_, *ckpt_hierarchy_);
+        cluster_, drain_vproc_, pfs_, *ckpt_hierarchy_,
+        recorder_.track("ckpt-drain"));
     std::vector<net::EndpointId> server_endpoints;
     server_endpoints.reserve(server_vprocs_.size());
     for (auto vp : server_vprocs_)
@@ -330,14 +222,8 @@ void Runtime::build(const SchemePolicy& policy) {
     drain_agent_->set_on_complete([this](int app, int ts) {
       auto& comp = comps_[static_cast<std::size_t>(app)];
       comp->last_pfs_ckpt_ts = std::max(comp->last_pfs_ckpt_ts, ts);
-      trace_.record(engine_.now(), TraceKind::kCkptDrainDone, comp->spec.name,
-                    ts, ts);
+      comp->track.emit(obs::Kind::kCkptDrainDone, ts, ts);
     });
-    if (obs_ != nullptr) drain_agent_->set_obs(obs_.get(), "ckpt-drain");
-    if (recorder_ != nullptr) {
-      drain_agent_->set_recorder(recorder_.get(),
-                                 recorder_->track("ckpt-drain"));
-    }
   }
 
   // Variable registry for GC retention: consumers pin retention only when
@@ -486,10 +372,8 @@ RuntimeServices Runtime::services() {
   rt.barrier = barrier_.get();
   for (const auto& b : tenant_barriers_) rt.tenant_barriers.push_back(b.get());
   rt.sys_token = &sys_token_;
-  rt.trace = &trace_;
   rt.runtime = this;
-  rt.obs = obs_.get();
-  rt.recorder = recorder_.get();
+  rt.workflow = recorder_.track("workflow");
   rt.ckpt = ckpt_hierarchy_.get();
   if (drain_agent_ != nullptr) rt.ckpt_drain_ep = drain_agent_->endpoint();
   return rt;
@@ -584,76 +468,96 @@ RunMetrics Runtime::collect(int failures_injected) const {
 }
 
 void Runtime::finalize_obs() {
-  if (obs_ == nullptr) return;
-  obs::SpanTracer& tracer = obs_->tracer();
-  tracer.end_all(engine_.now());
-  obs::MetricsRegistry& m = obs_->metrics();
-  m.counter("fabric.packets_sent").inc(fabric_.packets_sent());
-  m.counter("fabric.bytes_sent").inc(fabric_.bytes_sent());
-  m.counter("pfs.bytes_written").inc(pfs_.bytes_written());
-  m.counter("pfs.bytes_read").inc(pfs_.bytes_read());
-  m.counter("engine.events_processed").inc(engine_.processed());
-  m.counter("dht.lookups").inc(index_->lookups());
+  recorder_.close_spans();
+  const auto count = [this](std::string_view name, std::uint64_t n) {
+    recorder_.count(name, {}, n);
+  };
+  // Facts below are exported only once their mechanism acted, so runs that
+  // never sweep, govern, rebalance, spill or drain export an unchanged
+  // metric set.
+  const auto count_nonzero = [](const obs::Track& t, std::string_view name,
+                                std::uint64_t n) {
+    if (n > 0) t.count(name, n);
+  };
+  count("fabric.packets_sent", fabric_.packets_sent());
+  count("fabric.bytes_sent", fabric_.bytes_sent());
+  count("pfs.bytes_written", pfs_.bytes_written());
+  count("pfs.bytes_read", pfs_.bytes_read());
+  count("engine.events_processed", engine_.processed());
+  count("dht.lookups", index_->lookups());
   for (const auto& c : comps_) {
     const net::RpcStats& rs = c->client->rpc_stats();
-    m.counter("rpc.calls").inc(rs.calls);
-    m.counter("rpc.retries").inc(rs.retries);
-    m.counter("rpc.exhausted").inc(rs.exhausted);
+    count("rpc.calls", rs.calls);
+    count("rpc.retries", rs.retries);
+    count("rpc.exhausted", rs.exhausted);
     if (rs.backpressure_waits > 0)
-      m.counter("rpc.backpressure_waits").inc(rs.backpressure_waits);
+      count("rpc.backpressure_waits", rs.backpressure_waits);
   }
-  for (std::size_t s = 0; s < servers_.size(); ++s) {
-    const std::string name = "staging-" + std::to_string(s);
-    const staging::ServerStats& st = servers_[s]->stats();
-    m.counter("staging.puts", name).inc(st.puts);
-    m.counter("staging.gets", name).inc(st.gets);
-    m.counter("staging.puts_suppressed", name).inc(st.puts_suppressed);
-    m.counter("staging.gets_from_log", name).inc(st.gets_from_log);
-    m.counter("staging.checkpoints", name).inc(st.checkpoints);
-    m.counter("staging.mirrored_events", name).inc(st.mirrored_events);
-    m.gauge("staging.peak_total_bytes", name)
-        .set(static_cast<double>(servers_[s]->peak_total_bytes()));
-    m.gauge("staging.mean_total_bytes", name)
-        .set(servers_[s]->mean_total_bytes());
-    // Governor counters, only when the governor actually acted, so
-    // governed-off instrumented runs export an unchanged metric set.
-    if (st.spill_versions > 0)
-      m.counter("governor.spilled_versions", name).inc(st.spill_versions);
-    if (st.spill_bytes > 0)
-      m.counter("governor.spilled_bytes", name).inc(st.spill_bytes);
-    if (st.spill_fetches > 0)
-      m.counter("governor.spill_fetches", name).inc(st.spill_fetches);
-    if (st.puts_rejected > 0)
-      m.counter("governor.puts_rejected_total", name).inc(st.puts_rejected);
-    if (st.placement_clamped > 0)
-      m.counter("resilience.placement_clamped_total", name)
-          .inc(st.placement_clamped);
+  for (const auto& server : servers_) {
+    const obs::Track& t = server->track();
+    const staging::ServerStats& st = server->stats();
+    t.count("staging.puts", st.puts);
+    t.count("staging.gets", st.gets);
+    t.count("staging.puts_suppressed", st.puts_suppressed);
+    t.count("staging.gets_from_log", st.gets_from_log);
+    t.count("staging.checkpoints", st.checkpoints);
+    t.count("staging.mirrored_events", st.mirrored_events);
+    t.gauge("staging.peak_total_bytes",
+            static_cast<double>(server->peak_total_bytes()));
+    t.gauge("staging.mean_total_bytes", server->mean_total_bytes());
+    count_nonzero(t, "gc.versions_dropped", st.gc_versions_dropped);
+    count_nonzero(t, "gc.nominal_freed_bytes", st.gc_nominal_freed);
+    count_nonzero(t, "governor.spill_versions", st.spill_versions);
+    count_nonzero(t, "governor.spill_bytes", st.spill_bytes);
+    count_nonzero(t, "governor.spill_fetches", st.spill_fetches);
+    count_nonzero(t, "governor.spill_fetch_bytes", st.spill_fetch_bytes);
+    count_nonzero(t, "governor.spills_aborted", st.spills_aborted);
+    count_nonzero(t, "governor.urgent_sweeps", st.urgent_gc_sweeps);
+    count_nonzero(t, "governor.puts_rejected", st.puts_rejected);
+    count_nonzero(t, "governor.fair_share_rejects", st.fair_share_rejects);
+    count_nonzero(t, "governor.overruns", st.governor_overruns);
+    count_nonzero(t, "resilience.placement_clamped", st.placement_clamped);
+    count_nonzero(t, "elastic.wrong_epoch", st.wrong_epoch_rejects);
+    count_nonzero(t, "elastic.resilver_chunks_in", st.resilver_chunks_in);
+    count_nonzero(t, "elastic.resilver_bytes_in", st.resilver_bytes_in);
+    count_nonzero(t, "elastic.resilver_chunks_out", st.resilver_chunks_out);
+    count_nonzero(t, "elastic.resilver_bytes_out", st.resilver_bytes_out);
   }
   // Elastic counters, only when the control plane exists, so classic runs
   // export an unchanged metric set.
   if (group_manager_ != nullptr) {
-    m.gauge("elastic.epoch", "group-mgr")
-        .set(static_cast<double>(index_->epoch()));
+    const obs::Track& t = group_manager_->track();
+    t.gauge("elastic.epoch", static_cast<double>(index_->epoch()));
     const staging::GroupManagerStats& gs = group_manager_->stats();
-    if (gs.membership_updates > 0)
-      m.counter("elastic.membership_updates", "group-mgr")
-          .inc(gs.membership_updates);
-    if (gs.drain_sweeps > 0)
-      m.counter("elastic.drain_sweeps", "group-mgr").inc(gs.drain_sweeps);
+    count_nonzero(t, "elastic.membership_updates", gs.membership_updates);
+    count_nonzero(t, "elastic.drain_sweeps", gs.drain_sweeps);
+    count_nonzero(t, "elastic.resilver_chunks", gs.resilver_chunks);
+    count_nonzero(t, "elastic.resilver_bytes", gs.resilver_bytes);
+  }
+  if (spill_gateway_ != nullptr) {
+    const obs::Track& t = spill_gateway_->track();
+    const staging::SpillGatewayStats& ss = spill_gateway_->stats();
+    count_nonzero(t, "spill.chunks", ss.spill_puts);
+    count_nonzero(t, "spill.bytes", ss.spill_bytes);
+    count_nonzero(t, "spill.fetches", ss.fetches);
+    count_nonzero(t, "spill.fetch_bytes", ss.fetch_bytes);
+    count_nonzero(t, "spill.pruned_versions", ss.pruned_versions);
   }
   // Ckpt-hierarchy counters, only when the drain agent exists, so classic
   // runs export an unchanged metric set.
   if (drain_agent_ != nullptr) {
+    const obs::Track& t = drain_agent_->track();
     const ckpt::CkptStats& cs = ckpt_hierarchy_->stats();
-    if (cs.sets_written > 0)
-      m.counter("ckpt.sets_written", "ckpt-drain").inc(cs.sets_written);
-    if (cs.cache_restarts > 0)
-      m.counter("ckpt.cache_restarts", "ckpt-drain").inc(cs.cache_restarts);
-    if (cs.partner_rebuilds > 0)
-      m.counter("ckpt.partner_rebuilds", "ckpt-drain")
-          .inc(cs.partner_rebuilds);
-    if (cs.pfs_restarts > 0)
-      m.counter("ckpt.pfs_restarts", "ckpt-drain").inc(cs.pfs_restarts);
+    count_nonzero(t, "ckpt.sets_written", cs.sets_written);
+    count_nonzero(t, "ckpt.cache_restarts", cs.cache_restarts);
+    count_nonzero(t, "ckpt.partner_rebuilds", cs.partner_rebuilds);
+    count_nonzero(t, "ckpt.pfs_restarts", cs.pfs_restarts);
+    const ckpt::DrainAgentStats& ds = drain_agent_->stats();
+    count_nonzero(t, "ckpt.store_notices", ds.store_notices);
+    count_nonzero(t, "ckpt.shards_encoded", ds.shards_encoded);
+    count_nonzero(t, "ckpt.pressure_stalls", ds.pressure_stalls);
+    count_nonzero(t, "ckpt.drains", ds.drains_completed);
+    count_nonzero(t, "ckpt.drain_bytes", ds.drain_bytes);
   }
 }
 

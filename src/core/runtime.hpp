@@ -18,12 +18,10 @@
 #include "ckpt/hierarchy.hpp"
 #include "cluster/cluster.hpp"
 #include "cluster/pfs.hpp"
-#include "core/trace.hpp"
 #include "core/workflow.hpp"
 #include "dht/spatial_index.hpp"
 #include "net/fabric.hpp"
-#include "obs/flight_recorder.hpp"
-#include "obs/observability.hpp"
+#include "obs/recorder.hpp"
 #include "sim/engine.hpp"
 #include "sim/event.hpp"
 #include "staging/client.hpp"
@@ -50,8 +48,9 @@ struct Comp {
   bool done = false;
   bool recovering = false;
   ComponentMetrics metrics;
-  // Open observability spans (0 = none); raw ids so this header stays
-  // decoupled from the tracer's lifetime.
+  /// This component's event track (named after the component).
+  obs::Track track;
+  // Open observability spans (0 = none).
   obs::SpanId obs_recovery_span = 0;  // root span of the in-flight recovery
   obs::SpanId obs_detect_span = 0;    // its "detect" child
 };
@@ -86,14 +85,10 @@ struct RuntimeServices {
   /// runs are byte-identical.
   std::vector<sim::Barrier*> tenant_barriers;
   sim::CancelToken* sys_token = nullptr;
-  Trace* trace = nullptr;
   Runtime* runtime = nullptr;
-  /// Observability bundle; null when disabled (the common case), so every
-  /// instrumentation site is a single pointer test.
-  obs::Observability* obs = nullptr;
-  /// Always-on flight recorder; null only when RecorderConfig::enabled is
-  /// explicitly cleared. Sites pay one pointer test, exactly like obs.
-  obs::FlightRecorder* recorder = nullptr;
+  /// Run-wide event track ("workflow"): the coordinated restart's spans.
+  /// Per-component events go through Comp::track.
+  obs::Track workflow;
   /// Multi-level checkpoint hierarchy; null unless
   /// spec.ckpt.hierarchy_enabled(). Schemes route checkpoints through it
   /// and the recovery pipeline restores from the fastest complete level.
@@ -119,7 +114,7 @@ struct RuntimeServices {
       read_probe;
   /// Fires at recovery-pipeline milestones (kRecoveryStart, kRecoveryDone,
   /// kReplayDone). `comp` is null for whole-workflow (coordinated) stages.
-  std::function<void(TraceKind stage, const Comp* comp, int ts)>
+  std::function<void(obs::Kind stage, const Comp* comp, int ts)>
       recovery_probe;
 
   /// Context for system activities that survive component kills.
@@ -151,8 +146,8 @@ class Runtime {
   [[nodiscard]] sim::Engine& engine() { return engine_; }
   [[nodiscard]] cluster::Cluster& cluster() { return cluster_; }
   [[nodiscard]] cluster::Pfs& pfs() { return pfs_; }
-  [[nodiscard]] Trace& trace() { return trace_; }
-  [[nodiscard]] const Trace& trace() const { return trace_; }
+  [[nodiscard]] obs::Trace& trace() { return recorder_.trace(); }
+  [[nodiscard]] const obs::Trace& trace() const { return recorder_.trace(); }
   [[nodiscard]] std::vector<std::unique_ptr<Comp>>& comps() { return comps_; }
   [[nodiscard]] std::vector<std::unique_ptr<staging::StagingServer>>&
   servers() {
@@ -166,16 +161,15 @@ class Runtime {
   }
   [[nodiscard]] std::vector<PlannedFailure>& plan() { return plan_; }
   [[nodiscard]] sim::OneShotEvent& all_done() { return *all_done_; }
-  /// Null unless the spec enables observability on a build that compiles
-  /// it in.
-  [[nodiscard]] obs::Observability* obs() { return obs_.get(); }
-  [[nodiscard]] const obs::Observability* obs() const { return obs_.get(); }
-  /// Always-on flight recorder (null only when spec.recorder.enabled is
-  /// cleared).
-  [[nodiscard]] obs::FlightRecorder* recorder() { return recorder_.get(); }
-  [[nodiscard]] const obs::FlightRecorder* recorder() const {
-    return recorder_.get();
+  /// Span tracer + metrics registry; null unless spec.obs.enabled.
+  [[nodiscard]] obs::Observability* obs() { return recorder_.obs(); }
+  [[nodiscard]] const obs::Observability* obs() const {
+    return recorder_.obs();
   }
+  /// The run's event recorder: digest trace, flight-recorder rings, and
+  /// (obs on) spans and metrics.
+  [[nodiscard]] obs::Recorder& recorder() { return recorder_; }
+  [[nodiscard]] const obs::Recorder& recorder() const { return recorder_; }
   /// PFS spill gateway for memory-governed runs; null when the governor is
   /// disabled (spec.staging.memory_budget == 0, the default).
   [[nodiscard]] staging::SpillGateway* spill_gateway() {
@@ -226,9 +220,10 @@ class Runtime {
   void check_all_done();
   /// Aggregate per-component, staging, PFS, and engine metrics.
   [[nodiscard]] RunMetrics collect(int failures_injected) const;
-  /// Close any spans still open at end of run and register the final
-  /// fabric/PFS/server/engine counters and gauges. No-op when obs is off;
-  /// called by WorkflowRunner after the engine drains.
+  /// Close any spans still open at end of run and export the final
+  /// fabric/PFS/server/engine counters and gauges — every fact a *Stats
+  /// struct keeps is exported here, once. No-op when obs is off; called by
+  /// WorkflowRunner after the engine drains.
   void finalize_obs();
   /// Unwind every suspended actor so coroutine frames are reclaimed.
   /// Idempotent; also run by the destructor.
@@ -242,6 +237,7 @@ class Runtime {
 
   WorkflowSpec spec_;
   sim::Engine engine_;
+  obs::Recorder recorder_;
   net::Fabric fabric_;
   cluster::Cluster cluster_;
   cluster::Pfs pfs_;
@@ -269,9 +265,6 @@ class Runtime {
   sim::CancelToken sys_token_;
   std::vector<PlannedFailure> plan_;
   Rng rng_;
-  Trace trace_;
-  std::unique_ptr<obs::Observability> obs_;  // null = observability off
-  std::unique_ptr<obs::FlightRecorder> recorder_;  // null = recorder off
   bool torn_down_ = false;
 };
 

@@ -23,12 +23,9 @@ sim::Task<void> CoordinatedPolicy::on_timestep_end(RuntimeServices& rt,
 sim::Task<void> CoordinatedPolicy::checkpoint(RuntimeServices& rt, Comp& comp,
                                               int ts, sim::Ctx ctx) {
   const sim::TimePoint stall_start = ctx.now();
-  obs::SpanId span = 0;
-  if (rt.obs != nullptr) {
-    // Covers both barriers: the coordination wait is checkpoint cost.
-    span = rt.obs->tracer().begin(comp.spec.name, "checkpoint (coordinated)",
-                                  obs::Phase::kCheckpoint, ctx.now(), 0, ts);
-  }
+  // Covers both barriers: the coordination wait is checkpoint cost.
+  const obs::SpanId span = comp.track.begin("checkpoint (coordinated)",
+                                            obs::Phase::kCheckpoint, 0, ts);
   // Synchronizing barriers before and after the snapshot flush any
   // in-flight coupling traffic (Section II). Under multi-tenancy the
   // barrier and its cost span only the tenant's own components — tenant
@@ -44,13 +41,13 @@ sim::Task<void> CoordinatedPolicy::checkpoint(RuntimeServices& rt, Comp& comp,
   co_await rt.pfs->write(ctx, rt.spec->costs.state_bytes(comp.spec.cores));
   co_await barrier->arrive_and_wait(ctx.tok);
   co_await ctx.delay(bcost);
-  if (rt.obs != nullptr) rt.obs->tracer().end(span, ctx.now());
+  comp.track.end(span);
   comp.last_ckpt_ts = ts;
   comp.last_pfs_ckpt_ts = ts;
   global_ckpt_ts_[comp.spec.tenant] = ts;
   ++comp.metrics.checkpoints;
   comp.metrics.ckpt_stall_s += (ctx.now() - stall_start).seconds();
-  rt.trace->record(ctx.now(), TraceKind::kCheckpoint, comp.spec.name, ts);
+  comp.track.emit(obs::Kind::kCheckpoint, ts);
 }
 
 void CoordinatedPolicy::recover(RuntimeServices& rt, Comp& comp) {

@@ -28,11 +28,8 @@ sim::Task<void> SchemePolicy::emergency_checkpoint(RuntimeServices& rt,
     co_return;
   }
   const sim::TimePoint stall_start = ctx.now();
-  obs::SpanId span = 0;
-  if (rt.obs != nullptr) {
-    span = rt.obs->tracer().begin(comp.spec.name, "emergency checkpoint",
-                                  obs::Phase::kCheckpoint, ctx.now(), 0, ts);
-  }
+  const obs::SpanId span =
+      comp.track.begin("emergency checkpoint", obs::Phase::kCheckpoint, 0, ts);
   co_await ctx.delay(sim::from_seconds(
       static_cast<double>(rt.spec->costs.state_bytes(comp.spec.cores)) /
       rt.spec->costs.local_ckpt_bw));
@@ -48,12 +45,9 @@ sim::Task<void> SchemePolicy::emergency_checkpoint(RuntimeServices& rt,
   comp.last_ckpt_ts = ts;
   ++comp.metrics.proactive_checkpoints;
   comp.metrics.ckpt_stall_s += (ctx.now() - stall_start).seconds();
-  rt.trace->record(ctx.now(), TraceKind::kProactiveCheckpoint, comp.spec.name,
-                   ts);
-  if (rt.obs != nullptr) {
-    rt.obs->tracer().end(span, ctx.now());
-    rt.obs->metrics().counter("proactive_checkpoints", comp.spec.name).inc();
-  }
+  comp.track.emit(obs::Kind::kProactiveCheckpoint, ts);
+  comp.track.end(span);
+  comp.track.count("proactive_checkpoints");
 }
 
 sim::Task<void> SchemePolicy::hierarchy_checkpoint(RuntimeServices& rt,
@@ -61,14 +55,10 @@ sim::Task<void> SchemePolicy::hierarchy_checkpoint(RuntimeServices& rt,
                                                    sim::Ctx ctx,
                                                    bool emergency) {
   const sim::TimePoint stall_start = ctx.now();
-  obs::SpanId span = 0;
-  if (rt.obs != nullptr) {
-    span = rt.obs->tracer().begin(comp.spec.name,
-                                  emergency
-                                      ? "emergency checkpoint (hierarchy)"
-                                      : "checkpoint (hierarchy)",
-                                  obs::Phase::kCheckpoint, ctx.now(), 0, ts);
-  }
+  const obs::SpanId span =
+      comp.track.begin(emergency ? "emergency checkpoint (hierarchy)"
+                                 : "checkpoint (hierarchy)",
+                       obs::Phase::kCheckpoint, 0, ts);
   const std::uint64_t bytes = rt.spec->costs.state_bytes(comp.spec.cores);
   // Level 0: node-local cache write — the only synchronous I/O the
   // component pays. PFS durability is the drain agent's job.
@@ -91,20 +81,14 @@ sim::Task<void> SchemePolicy::hierarchy_checkpoint(RuntimeServices& rt,
   comp.last_ckpt_ts = ts;
   if (emergency) {
     ++comp.metrics.proactive_checkpoints;
-    rt.trace->record(ctx.now(), TraceKind::kProactiveCheckpoint,
-                     comp.spec.name, ts);
+    comp.track.emit(obs::Kind::kProactiveCheckpoint, ts);
   } else {
     ++comp.metrics.local_checkpoints;
-    rt.trace->record(ctx.now(), TraceKind::kLocalCheckpoint, comp.spec.name,
-                     ts);
+    comp.track.emit(obs::Kind::kLocalCheckpoint, ts);
   }
   comp.metrics.ckpt_stall_s += (ctx.now() - stall_start).seconds();
-  if (rt.obs != nullptr) {
-    rt.obs->tracer().end(span, ctx.now());
-    rt.obs->metrics()
-        .counter("ckpt.hierarchy_writes", comp.spec.name)
-        .inc();
-  }
+  comp.track.end(span);
+  comp.track.count("ckpt.hierarchy_writes");
 }
 
 void SchemePolicy::recover_local(RuntimeServices& rt, Comp& comp) {

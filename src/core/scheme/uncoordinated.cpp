@@ -50,20 +50,17 @@ sim::Task<void> UncoordinatedPolicy::checkpoint(RuntimeServices& rt,
   }
   const sim::TimePoint stall_start = ctx.now();
   if (pfs_ckpt_due(rt, comp, ts)) {
-    obs::SpanId span = 0;
-    if (rt.obs != nullptr) {
-      span = rt.obs->tracer().begin(comp.spec.name, "checkpoint",
-                                    obs::Phase::kCheckpoint, ctx.now(), 0, ts);
-    }
+    const obs::SpanId span =
+        comp.track.begin("checkpoint", obs::Phase::kCheckpoint, 0, ts);
     co_await rt.pfs->write(ctx, rt.spec->costs.state_bytes(comp.spec.cores));
     comp.last_pfs_ckpt_ts = ts;
     ++comp.metrics.checkpoints;
-    rt.trace->record(ctx.now(), TraceKind::kCheckpoint, comp.spec.name, ts);
+    comp.track.emit(obs::Kind::kCheckpoint, ts);
     if (component_logged(comp.spec)) {
       co_await comp.client->workflow_check(ctx,
                                            static_cast<staging::Version>(ts));
     }
-    if (rt.obs != nullptr) rt.obs->tracer().end(span, ctx.now());
+    comp.track.end(span);
   } else {
     // Node-local level: fast, uncontended, lost on node failure. The
     // staging servers still record a replay anchor for it, but marked
@@ -71,22 +68,18 @@ sim::Task<void> UncoordinatedPolicy::checkpoint(RuntimeServices& rt,
     // this level advance the GC watermark would allow logged versions the
     // fallback restart still has to replay to be reclaimed (the oracle
     // catches that as a retention violation followed by a replay deadlock).
-    obs::SpanId span = 0;
-    if (rt.obs != nullptr) {
-      span = rt.obs->tracer().begin(comp.spec.name, "local checkpoint",
-                                    obs::Phase::kCheckpoint, ctx.now(), 0, ts);
-    }
+    const obs::SpanId span =
+        comp.track.begin("local checkpoint", obs::Phase::kCheckpoint, 0, ts);
     co_await ctx.delay(sim::from_seconds(
         static_cast<double>(rt.spec->costs.state_bytes(comp.spec.cores)) /
         rt.spec->costs.local_ckpt_bw));
     ++comp.metrics.local_checkpoints;
-    rt.trace->record(ctx.now(), TraceKind::kLocalCheckpoint, comp.spec.name,
-                     ts);
+    comp.track.emit(obs::Kind::kLocalCheckpoint, ts);
     if (component_logged(comp.spec)) {
       co_await comp.client->workflow_check(
           ctx, static_cast<staging::Version>(ts), /*durable=*/false);
     }
-    if (rt.obs != nullptr) rt.obs->tracer().end(span, ctx.now());
+    comp.track.end(span);
   }
   comp.last_ckpt_ts = ts;
   comp.metrics.ckpt_stall_s += (ctx.now() - stall_start).seconds();

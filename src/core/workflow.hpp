@@ -230,9 +230,9 @@ struct WorkflowSpec {
   /// Cross-layer observability (metrics registry + span tracing). Off by
   /// default: golden-trace digests are recorded without it.
   obs::ObsConfig obs;
-  /// Always-on flight recorder (bounded per-track event rings for failure
-  /// forensics). ON by default — it is digest-invisible: no vprocs, no
-  /// virtual-time cost, no trace records, no randomness.
+  /// Always-on flight-recorder rings (bounded per-track event rings for
+  /// failure forensics). Digest-invisible: no vprocs, no virtual-time
+  /// cost, no trace records, no randomness.
   obs::RecorderConfig recorder;
   /// Transport options (request coalescing). Off by default: golden-trace
   /// digests are recorded with per-chunk messages.

@@ -21,12 +21,14 @@ constexpr int kMaxDrainSweeps = 64;
 
 GroupManager::GroupManager(cluster::Cluster& cluster, cluster::VprocId vproc,
                            dht::SpatialIndex& index,
-                           std::vector<StagingServer*> servers)
+                           std::vector<StagingServer*> servers,
+                           obs::Track track)
     : cluster_(&cluster),
       vproc_(vproc),
       index_(&index),
       servers_(std::move(servers)),
-      rpc_(cluster.fabric(), cluster.vproc(vproc).endpoint) {}
+      rpc_(cluster.fabric(), cluster.vproc(vproc).endpoint),
+      track_(track) {}
 
 net::EndpointId GroupManager::endpoint() const {
   return cluster_->vproc(vproc_).endpoint;
@@ -55,11 +57,8 @@ sim::Task<void> GroupManager::broadcast_view() {
   sim::Ctx c = ctx();
   const std::uint64_t epoch = index_->epoch();
   const std::vector<int> active = index_->active_servers();
-  if (recorder_ != nullptr)
-    recorder_->record(recorder_track_, cluster_->engine().now(),
-                      obs::FrKind::kEpochChange, std::uint32_t{0},
-                      static_cast<std::int64_t>(epoch),
-                      static_cast<std::int64_t>(active.size()));
+  track_.emit(obs::Kind::kEpochChange, static_cast<std::int64_t>(epoch),
+              static_cast<std::int64_t>(active.size()));
   for (std::size_t s = 0; s < servers_.size(); ++s) {
     ++stats_.membership_updates;
     net::Message update{MembershipUpdate{epoch, active}};
@@ -95,14 +94,6 @@ sim::Task<StagingServer::ResilverOutcome> GroupManager::resilver_moves(
   }
   stats_.resilver_chunks += total.chunks;
   stats_.resilver_bytes += total.bytes;
-  if (obs_ != nullptr) {
-    obs_->metrics()
-        .counter("elastic.resilver_chunks", obs_track_)
-        .inc(total.chunks);
-    obs_->metrics()
-        .counter("elastic.resilver_bytes", obs_track_)
-        .inc(total.bytes);
-  }
   co_return total;
 }
 
@@ -136,12 +127,8 @@ sim::Task<void> GroupManager::handle_join(JoinGroup req) {
     co_return;
   }
 
-  obs::SpanId span = 0;
-  if (obs_ != nullptr) {
-    span = obs_->tracer().begin(obs_track_, "join", obs::Phase::kResilver,
-                                cluster_->engine().now());
-    obs_->metrics().counter("elastic.joins", obs_track_).inc();
-  }
+  const obs::SpanId span = track_.begin("join", obs::Phase::kResilver);
+  track_.count("elastic.joins");
 
   std::vector<dht::CellMove> moves = index_->add_server(server);
   co_await broadcast_view();
@@ -156,7 +143,7 @@ sim::Task<void> GroupManager::handle_join(JoinGroup req) {
   ++stats_.joins;
   ack.ok = true;
   ack.epoch = index_->epoch();
-  if (obs_ != nullptr) obs_->tracer().end(span, cluster_->engine().now());
+  track_.end(span);
   co_await rpc_.fulfill(c, req.reply_to, std::move(req.reply), ack);
 }
 
@@ -182,12 +169,8 @@ sim::Task<void> GroupManager::handle_retire(RetireServer req) {
     co_return;
   }
 
-  obs::SpanId span = 0;
-  if (obs_ != nullptr) {
-    span = obs_->tracer().begin(obs_track_, "retire", obs::Phase::kResilver,
-                                cluster_->engine().now());
-    obs_->metrics().counter("elastic.retires", obs_track_).inc();
-  }
+  const obs::SpanId span = track_.begin("retire", obs::Phase::kResilver);
+  track_.count("elastic.retires");
 
   std::vector<dht::CellMove> moves = index_->remove_server(server);
   co_await broadcast_view();
@@ -224,14 +207,6 @@ sim::Task<void> GroupManager::handle_retire(RetireServer req) {
     StagingServer::ResilverOutcome o = co_await retiree->drain_out(dests);
     stats_.resilver_chunks += o.chunks;
     stats_.resilver_bytes += o.bytes;
-    if (obs_ != nullptr) {
-      obs_->metrics()
-          .counter("elastic.resilver_chunks", obs_track_)
-          .inc(o.chunks);
-      obs_->metrics()
-          .counter("elastic.resilver_bytes", obs_track_)
-          .inc(o.bytes);
-    }
   }
   co_await retiree->handoff_redundancy();
   stats_.resilver_time_s +=
@@ -241,7 +216,7 @@ sim::Task<void> GroupManager::handle_retire(RetireServer req) {
   ack.ok = retiree->drained();
   if (ack.ok) ++stats_.retires;
   ack.epoch = index_->epoch();
-  if (obs_ != nullptr) obs_->tracer().end(span, cluster_->engine().now());
+  track_.end(span);
   co_await rpc_.fulfill(c, req.reply_to, std::move(req.reply), ack);
 }
 

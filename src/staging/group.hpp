@@ -13,8 +13,7 @@
 #include "cluster/cluster.hpp"
 #include "dht/spatial_index.hpp"
 #include "net/rpc.hpp"
-#include "obs/flight_recorder.hpp"
-#include "obs/observability.hpp"
+#include "obs/recorder.hpp"
 #include "staging/server.hpp"
 #include "staging/types.hpp"
 
@@ -37,7 +36,8 @@ class GroupManager {
   /// that can ever join (standbys included). The index is the live one all
   /// servers and clients share.
   GroupManager(cluster::Cluster& cluster, cluster::VprocId vproc,
-               dht::SpatialIndex& index, std::vector<StagingServer*> servers);
+               dht::SpatialIndex& index, std::vector<StagingServer*> servers,
+               obs::Track track = {});
 
   /// Spawn the request-processing loop.
   void start();
@@ -48,18 +48,7 @@ class GroupManager {
   /// True while a rebalance is moving data (campaign failure injection
   /// targets this window).
   [[nodiscard]] bool resilver_active() const { return resilver_active_; }
-
-  /// Attach the run's observability bundle (null = off).
-  void set_obs(obs::Observability* obs, std::string track) {
-    obs_ = obs;
-    obs_track_ = std::move(track);
-  }
-
-  /// Attach the always-on flight recorder (null = off).
-  void set_recorder(obs::FlightRecorder* recorder, std::uint32_t track) {
-    recorder_ = recorder;
-    recorder_track_ = track;
-  }
+  [[nodiscard]] const obs::Track& track() const { return track_; }
 
  private:
   sim::Task<void> run();
@@ -86,10 +75,7 @@ class GroupManager {
   net::Rpc rpc_;
   GroupManagerStats stats_;
   bool resilver_active_ = false;
-  obs::Observability* obs_ = nullptr;
-  std::string obs_track_;
-  obs::FlightRecorder* recorder_ = nullptr;
-  std::uint32_t recorder_track_ = 0;
+  obs::Track track_;
 };
 
 }  // namespace dstage::staging

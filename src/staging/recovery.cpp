@@ -38,15 +38,9 @@ void StagingRecoveryManager::start_recovery(int index) {
                  "[staging] WARNING: spare pool exhausted; server %d is "
                  "down and will NOT be recovered (degraded mode)\n",
                  index);
-    if (obs_ != nullptr) {
-      obs_->metrics().counter("recovery.degraded_servers", obs_track_).inc();
-    }
-    if (recorder_ != nullptr) {
-      recorder_->note_degradation(
-          recorder_track_, cluster_->engine().now(),
-          "spare pool exhausted; server " + std::to_string(index) +
-              " down unrecovered (degraded mode)");
-    }
+    track_.count("recovery.degraded_servers");
+    track_.degrade("spare pool exhausted; server " + std::to_string(index) +
+                   " down unrecovered (degraded mode)");
     if (on_degraded_) on_degraded_(index);
     return;
   }

@@ -14,8 +14,7 @@
 #include <vector>
 
 #include "cluster/cluster.hpp"
-#include "obs/flight_recorder.hpp"
-#include "obs/observability.hpp"
+#include "obs/recorder.hpp"
 #include "staging/server.hpp"
 
 namespace dstage::staging {
@@ -34,15 +33,20 @@ class StagingRecoveryManager {
  public:
   /// @param servers the staging group (the manager replaces entries
   ///        in-place on recovery); all servers must have set_peers() wired.
+  /// @param track event track for the degraded-mode metric and the
+  ///        spare-exhaustion degradation (a loud event that triggers a
+  ///        forensic dump).
   StagingRecoveryManager(cluster::Cluster& cluster,
                          std::vector<std::unique_ptr<StagingServer>>* servers,
                          std::vector<cluster::VprocId> server_vprocs,
-                         ServerParams server_params, int spares = 4)
+                         ServerParams server_params, int spares = 4,
+                         obs::Track track = {})
       : cluster_(&cluster),
         servers_(servers),
         server_vprocs_(std::move(server_vprocs)),
         params_(server_params),
-        spares_(spares) {}
+        spares_(spares),
+        track_(track) {}
 
   /// Register the failure observer. Call once, after servers are started.
   void arm();
@@ -65,18 +69,6 @@ class StagingRecoveryManager {
   /// Optional notification when a server enters degraded mode.
   void set_on_degraded(std::function<void(int)> cb) {
     on_degraded_ = std::move(cb);
-  }
-  /// Attach the run's observability bundle (null = off) for the
-  /// degraded-mode metric/event.
-  void set_obs(obs::Observability* obs, std::string track) {
-    obs_ = obs;
-    obs_track_ = std::move(track);
-  }
-  /// Attach the always-on flight recorder (null = off): spare-pool
-  /// exhaustion is a loud degradation that triggers a forensic dump.
-  void set_recorder(obs::FlightRecorder* recorder, std::uint32_t track) {
-    recorder_ = recorder;
-    recorder_track_ = track;
   }
   /// Spill-gateway endpoint replacement servers should be wired to
   /// (memory-governed runs only; -1 = none).
@@ -106,10 +98,7 @@ class StagingRecoveryManager {
   /// Indexes running degraded (failed, spare pool empty, unrecovered).
   std::set<int> degraded_;
   std::function<void(int)> on_degraded_;
-  obs::Observability* obs_ = nullptr;
-  std::string obs_track_;
-  obs::FlightRecorder* recorder_ = nullptr;
-  std::uint32_t recorder_track_ = 0;
+  obs::Track track_;
   net::EndpointId spill_endpoint_ = -1;
 };
 

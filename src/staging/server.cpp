@@ -25,13 +25,15 @@ Overloaded(Ts...) -> Overloaded<Ts...>;
 }  // namespace
 
 StagingServer::StagingServer(cluster::Cluster& cluster,
-                             cluster::VprocId vproc, ServerParams params)
+                             cluster::VprocId vproc, ServerParams params,
+                             obs::Track track)
     : cluster_(&cluster),
       vproc_(vproc),
       params_(params),
       rpc_(cluster.fabric(), cluster.vproc(vproc).endpoint),
       governor_(params.governor),
-      store_(params.version_window) {
+      store_(params.version_window),
+      track_(track) {
   dlog_.set_codec(params.log_codec);
 }
 
@@ -57,13 +59,12 @@ void StagingServer::sample_memory() {
   byte_seconds_ +=
       static_cast<double>(last_total_) * (now - last_sample_).seconds();
   last_sample_ = now;
-  last_total_ = memory().total();
+  const MemoryReport mem = memory();
+  last_total_ = mem.total();
   peak_total_ = std::max(peak_total_, last_total_);
-  if (obs_ != nullptr && governor_.enabled()) {
+  if (governor_.enabled()) {
     // Gauges merge by max, so the final registry reports peak pressure.
-    obs_->metrics()
-        .gauge("governor.pressure", obs_track_)
-        .set(governor_.pressure(memory().governed()));
+    track_.gauge("governor.pressure", governor_.pressure(mem.governed()));
   }
 }
 
@@ -142,12 +143,9 @@ sim::Task<void> StagingServer::run() {
 }
 
 sim::Task<void> StagingServer::handle(Request request) {
-  if (obs_ != nullptr) {
-    current_request_span_ = obs_->tracer().begin(
-        obs_track_, net::message_name(request), obs::Phase::kOther,
-        cluster_->engine().now());
-    obs_->metrics().counter("staging.requests", obs_track_).inc();
-  }
+  current_request_span_ =
+      track_.begin(net::message_name(request), obs::Phase::kOther);
+  track_.count("staging.requests");
   co_await std::visit(
       Overloaded{
           [this](PutRequest&& m) { return handle_put(std::move(m)); },
@@ -197,10 +195,8 @@ sim::Task<void> StagingServer::handle(Request request) {
           },
       },
       std::move(request));
-  if (obs_ != nullptr) {
-    obs_->tracer().end(current_request_span_, cluster_->engine().now());
-    current_request_span_ = 0;
-  }
+  track_.end(current_request_span_);
+  current_request_span_ = 0;
 }
 
 sim::Task<PutResponse> StagingServer::apply_put(AppId app, bool logged,
@@ -215,13 +211,9 @@ sim::Task<PutResponse> StagingServer::apply_put(AppId app, bool logged,
   // refreshes its view and re-places against the current epoch.
   if (not_owner(chunk.region)) {
     ++stats_.wrong_epoch_rejects;
-    if (obs_ != nullptr)
-      obs_->metrics().counter("elastic.wrong_epoch", obs_track_).inc();
-    if (recorder_ != nullptr)
-      recorder_->record(recorder_track_, cluster_->engine().now(),
-                        obs::FrKind::kPutBounce, chunk.var,
-                        static_cast<std::int64_t>(chunk.version),
-                        static_cast<std::int64_t>(group_index_->epoch()));
+    track_.emit(obs::Kind::kPutBounce, chunk.var,
+                static_cast<std::int64_t>(chunk.version),
+                static_cast<std::int64_t>(group_index_->epoch()));
     resp.wrong_epoch = true;
     resp.epoch = group_index_->epoch();
     co_return resp;
@@ -270,18 +262,12 @@ sim::Task<PutResponse> StagingServer::apply_put(AppId app, bool logged,
         break;
       case MemoryGovernor::Admission::kAdmitOverrun:
         ++stats_.governor_overruns;
-        if (obs_ != nullptr)
-          obs_->metrics().counter("governor.overruns", obs_track_).inc();
         break;
       case MemoryGovernor::Admission::kReject:
         ++stats_.puts_rejected;
-        if (obs_ != nullptr)
-          obs_->metrics().counter("governor.puts_rejected", obs_track_).inc();
-        if (recorder_ != nullptr)
-          recorder_->record(recorder_track_, cluster_->engine().now(),
-                            obs::FrKind::kPutReject, chunk.var,
-                            static_cast<std::int64_t>(chunk.version),
-                            static_cast<std::int64_t>(chunk.nominal_bytes));
+        track_.emit(obs::Kind::kPutReject, chunk.var,
+                    static_cast<std::int64_t>(chunk.version),
+                    static_cast<std::int64_t>(chunk.nominal_bytes));
         resp.applied = false;
         resp.retry_later = true;
         poke_governor();  // make sure relief is under way before the retry
@@ -298,21 +284,13 @@ sim::Task<PutResponse> StagingServer::apply_put(AppId app, bool logged,
           break;
         case MemoryGovernor::Admission::kAdmitOverrun:
           ++stats_.governor_overruns;
-          if (obs_ != nullptr)
-            obs_->metrics().counter("governor.overruns", obs_track_).inc();
           break;
         case MemoryGovernor::Admission::kReject:
           ++stats_.puts_rejected;
           ++stats_.fair_share_rejects;
-          if (obs_ != nullptr)
-            obs_->metrics()
-                .counter("governor.fair_share_rejects", obs_track_)
-                .inc();
-          if (recorder_ != nullptr)
-            recorder_->record(recorder_track_, cluster_->engine().now(),
-                              obs::FrKind::kPutReject, chunk.var,
-                              static_cast<std::int64_t>(chunk.version),
-                              static_cast<std::int64_t>(chunk.nominal_bytes));
+          track_.emit(obs::Kind::kPutReject, chunk.var,
+                      static_cast<std::int64_t>(chunk.version),
+                      static_cast<std::int64_t>(chunk.nominal_bytes));
           resp.applied = false;
           resp.retry_later = true;
           poke_governor();
@@ -343,11 +321,8 @@ sim::Task<PutResponse> StagingServer::apply_put(AppId app, bool logged,
     }
     const std::string var = chunk.var;
     const Version version = chunk.version;
-    if (recorder_ != nullptr)
-      recorder_->record(recorder_track_, cluster_->engine().now(),
-                        obs::FrKind::kPutAdmit, var,
-                        static_cast<std::int64_t>(version),
-                        static_cast<std::int64_t>(chunk.nominal_bytes));
+    track_.emit(obs::Kind::kPutAdmit, var, static_cast<std::int64_t>(version),
+                static_cast<std::int64_t>(chunk.nominal_bytes));
     if (params_.policy.kind != resilience::Redundancy::kNone) {
       co_await c.delay(params_.policy.encode_time(chunk.nominal_bytes));
       const bool was_logged = params_.logging && logged;
@@ -398,13 +373,9 @@ sim::Task<void> StagingServer::handle_get(GetRequest req) {
   // rather than parking a request no local put will ever satisfy.
   if (not_owner(req.desc.region)) {
     ++stats_.wrong_epoch_rejects;
-    if (obs_ != nullptr)
-      obs_->metrics().counter("elastic.wrong_epoch", obs_track_).inc();
-    if (recorder_ != nullptr)
-      recorder_->record(recorder_track_, cluster_->engine().now(),
-                        obs::FrKind::kGetBounce, req.desc.var,
-                        static_cast<std::int64_t>(req.desc.version),
-                        static_cast<std::int64_t>(group_index_->epoch()));
+    track_.emit(obs::Kind::kGetBounce, req.desc.var,
+                static_cast<std::int64_t>(req.desc.version),
+                static_cast<std::int64_t>(group_index_->epoch()));
     GetResponse resp;
     resp.wrong_epoch = true;
     resp.epoch = group_index_->epoch();
@@ -489,11 +460,9 @@ sim::Task<void> StagingServer::handle_get(GetRequest req) {
         store_.covers(req.desc.var, *latest, req.desc.region)) {
       // Wrong-version serve: the forensic smoking gun for the Fig.-2
       // anomaly — recorded with the version actually substituted.
-      if (recorder_ != nullptr)
-        recorder_->record(recorder_track_, cluster_->engine().now(),
-                          obs::FrKind::kGetAnomaly, req.desc.var,
-                          static_cast<std::int64_t>(req.desc.version),
-                          static_cast<std::int64_t>(*latest));
+      track_.emit(obs::Kind::kGetAnomaly, req.desc.var,
+                  static_cast<std::int64_t>(req.desc.version),
+                  static_cast<std::int64_t>(*latest));
       auto pieces = store_.get(req.desc.var, *latest, req.desc.region);
       sim::spawn(cluster_->engine(),
                  respond_get(std::move(req), std::move(pieces), false));
@@ -560,15 +529,10 @@ sim::Task<void> StagingServer::handle_checkpoint(CheckpointEvent ev) {
   app_tenants_[ev.app] = ev.tenant;
   ++stats_.checkpoints;
 
-  // Watermark diffing for the observability hooks: snapshot before the
-  // checkpoint is applied, compare after. Skipped entirely when no hook is
-  // installed, so uninstrumented runs pay nothing.
+  // Watermark diffing for the gc-watermark events: snapshot before the
+  // checkpoint is applied, compare after.
   std::vector<std::pair<std::string, Version>> pre_watermarks;
-  if (obs_hooks_.gc_watermark_advance && ev.durable) {
-    for (const std::string& var : gc_.variables()) {
-      pre_watermarks.emplace_back(var, gc_.watermark(var));
-    }
-  }
+  if (ev.durable) pre_watermarks = watermarks();
 
   CheckpointAck ack;
   ack.chk_id = next_chk_id_++;
@@ -577,11 +541,7 @@ sim::Task<void> StagingServer::handle_checkpoint(CheckpointEvent ev) {
   // falls back to the last durable checkpoint and must still be able to
   // replay every logged version above it.
   if (ev.durable) gc_.on_checkpoint(ev.app, ev.version);
-
-  for (const auto& [var, from] : pre_watermarks) {
-    const Version to = gc_.watermark(var);
-    if (to > from) obs_hooks_.gc_watermark_advance(var, from, to);
-  }
+  emit_watermark_advances(pre_watermarks);
 
   if (params_.logging) {
     auto& q = queues_[ev.app];
@@ -594,43 +554,32 @@ sim::Task<void> StagingServer::handle_checkpoint(CheckpointEvent ev) {
     // restart from this checkpoint — but payload reclamation below only
     // runs when the watermark may actually have advanced.
     const std::size_t events_dropped = q.truncate_before_last_checkpoint();
-    if (obs_hooks_.log_truncate) {
-      obs_hooks_.log_truncate(ev.app, ev.version, events_dropped);
-    }
+    track_.emit(obs::Kind::kLogTruncate,
+                static_cast<std::int64_t>(events_dropped));
+    track_.count("wlog.events_truncated", events_dropped);
   }
   if (params_.logging && ev.durable) {
-    co_await sweep_after_durable(ev.version);
+    co_await sweep_after_durable();
   }
 
   co_await rpc_.fulfill(c, ev.reply_to, std::move(ev.reply), ack);
 }
 
-sim::Task<void> StagingServer::sweep_after_durable(Version version) {
+sim::Task<void> StagingServer::sweep_after_durable() {
   sim::Ctx c = ctx();
-  obs::SpanId sweep_span = 0;
-  if (obs_ != nullptr) {
-    sweep_span = obs_->tracer().begin(
-        obs_track_, "gc sweep", obs::Phase::kOther,
-        cluster_->engine().now(), current_request_span_);
-  }
+  const obs::SpanId sweep_span =
+      track_.begin("gc sweep", obs::Phase::kOther, current_request_span_);
   const gc::SweepResult sweep = gc_.sweep(dlog_);
   stats_.gc_versions_dropped += sweep.versions_dropped;
   stats_.gc_nominal_freed += sweep.nominal_freed;
   co_await c.delay(params_.gc_cost_per_entry *
                    static_cast<std::int64_t>(sweep.entries_scanned + 1));
-  if (obs_ != nullptr) {
-    obs_->tracer().end(sweep_span, cluster_->engine().now());
-    obs_->metrics()
-        .counter("gc.versions_dropped", obs_track_)
-        .inc(sweep.versions_dropped);
-    obs_->metrics()
-        .counter("gc.nominal_freed_bytes", obs_track_)
-        .inc(sweep.nominal_freed);
-  }
-  if (obs_hooks_.gc_sweep) {
-    obs_hooks_.gc_sweep(version, sweep.versions_dropped,
-                        sweep.nominal_freed, sweep.entries_scanned);
-  }
+  track_.end(sweep_span);
+  track_.emit(obs::Kind::kGcSweep,
+              static_cast<std::int64_t>(sweep.entries_scanned),
+              static_cast<std::int64_t>(sweep.nominal_freed));
+  track_.count("gc.sweeps");
+  track_.count("gc.entries_scanned", sweep.entries_scanned);
   // Spilled versions the watermark has now passed are as unreachable as
   // swept log versions: retire their PFS spill files too.
   prune_spilled_upto_watermark();
@@ -665,27 +614,37 @@ sim::Task<void> StagingServer::handle_ckpt_drain_ack(CkptDrainAck ack) {
   sim::Ctx c = ctx();
   co_await c.delay(params_.request_overhead);
   ++stats_.drain_promotions;
-  if (recorder_ != nullptr)
-    recorder_->record(recorder_track_, cluster_->engine().now(),
-                      obs::FrKind::kDrainAck, std::to_string(ack.app),
-                      static_cast<std::int64_t>(ack.version));
+  track_.emit(obs::Kind::kDrainAck, std::to_string(ack.app),
+              static_cast<std::int64_t>(ack.version));
 
-  std::vector<std::pair<std::string, Version>> pre_watermarks;
-  if (obs_hooks_.gc_watermark_advance) {
-    for (const std::string& var : gc_.variables()) {
-      pre_watermarks.emplace_back(var, gc_.watermark(var));
-    }
-  }
+  const std::vector<std::pair<std::string, Version>> pre_watermarks =
+      watermarks();
   // The async drain completed: the cached set at `version` is durable now,
   // which is exactly what lets the GC watermark advance. No queue marker is
   // recorded here — the non-durable CheckpointEvent taken when the set was
   // cached already anchors the replay script at this timestep.
   gc_.on_checkpoint(ack.app, ack.version);
-  for (const auto& [var, from] : pre_watermarks) {
-    const Version to = gc_.watermark(var);
-    if (to > from) obs_hooks_.gc_watermark_advance(var, from, to);
+  emit_watermark_advances(pre_watermarks);
+  if (params_.logging) co_await sweep_after_durable();
+}
+
+std::vector<std::pair<std::string, Version>> StagingServer::watermarks()
+    const {
+  std::vector<std::pair<std::string, Version>> out;
+  for (const std::string& var : gc_.variables()) {
+    out.emplace_back(var, gc_.watermark(var));
   }
-  if (params_.logging) co_await sweep_after_durable(ack.version);
+  return out;
+}
+
+void StagingServer::emit_watermark_advances(
+    const std::vector<std::pair<std::string, Version>>& before) {
+  for (const auto& [var, from] : before) {
+    const Version to = gc_.watermark(var);
+    if (to <= from) continue;
+    track_.emit(obs::Kind::kGcWatermark, var, static_cast<std::int64_t>(to));
+    track_.count("gc.watermark_advances");
+  }
 }
 
 sim::Task<void> StagingServer::handle_recovery(RecoveryEvent ev) {
@@ -879,10 +838,6 @@ sim::Task<void> StagingServer::push_fragments(Chunk chunk, bool logged) {
                    "wraps and survivability is degraded\n",
                    self_index_, params_.policy.fragments_total(), group);
     }
-    if (obs_ != nullptr)
-      obs_->metrics()
-          .counter("resilience.placement_clamped", obs_track_)
-          .inc();
   }
 
   // Round-robin over the *other* active servers only: a fragment stored on
@@ -1093,17 +1048,9 @@ sim::Task<void> StagingServer::handle_resilver_put(ResilverPut put) {
   co_await c.delay(params_.request_overhead);
   ++stats_.resilver_chunks_in;
   stats_.resilver_bytes_in += put.chunk.accounted_bytes();
-  if (recorder_ != nullptr)
-    recorder_->record(recorder_track_, cluster_->engine().now(),
-                      obs::FrKind::kResilverIn, put.chunk.var,
-                      static_cast<std::int64_t>(put.chunk.version),
-                      static_cast<std::int64_t>(put.chunk.nominal_bytes));
-  if (obs_ != nullptr) {
-    obs_->metrics().counter("elastic.resilver_chunks_in", obs_track_).inc();
-    obs_->metrics()
-        .counter("elastic.resilver_bytes_in", obs_track_)
-        .inc(put.chunk.nominal_bytes);
-  }
+  track_.emit(obs::Kind::kResilverIn, put.chunk.var,
+              static_cast<std::int64_t>(put.chunk.version),
+              static_cast<std::int64_t>(put.chunk.nominal_bytes));
   co_await c.delay(copy_time(put.chunk.nominal_bytes));
   const std::string var = put.chunk.var;
   const Version version = put.chunk.version;
@@ -1153,11 +1100,7 @@ sim::Task<StagingServer::ResilverOutcome> StagingServer::resilver_out_impl(
     int dest, net::EndpointId dest_ep, std::vector<Box> regions) {
   sim::Ctx c = ctx();
   ResilverOutcome outcome;
-  obs::SpanId span = 0;
-  if (obs_ != nullptr) {
-    span = obs_->tracer().begin(obs_track_, "resilver", obs::Phase::kResilver,
-                                cluster_->engine().now());
-  }
+  const obs::SpanId span = track_.begin("resilver", obs::Phase::kResilver);
 
   const auto moved = [&](const Box& region) {
     for (const Box& r : regions) {
@@ -1229,14 +1172,6 @@ sim::Task<StagingServer::ResilverOutcome> StagingServer::resilver_out_impl(
         outcome.bytes += bytes;
         ++stats_.resilver_chunks_out;
         stats_.resilver_bytes_out += bytes;
-        if (obs_ != nullptr) {
-          obs_->metrics()
-              .counter("elastic.resilver_chunks_out", obs_track_)
-              .inc();
-          obs_->metrics()
-              .counter("elastic.resilver_bytes_out", obs_track_)
-              .inc(bytes);
-        }
         // Yield to foreground traffic while the destination's governor
         // reports pressure: resilver is background work.
         if (ack.pressure > 1.0) {
@@ -1269,14 +1204,12 @@ sim::Task<StagingServer::ResilverOutcome> StagingServer::resilver_out_impl(
     }
   }
 
-  if (recorder_ != nullptr && outcome.chunks > 0)
-    recorder_->record(recorder_track_, cluster_->engine().now(),
-                      obs::FrKind::kResilverOut,
-                      "dest-" + std::to_string(dest),
-                      static_cast<std::int64_t>(outcome.chunks),
-                      static_cast<std::int64_t>(outcome.bytes));
-  if (obs_ != nullptr) obs_->tracer().end(span, cluster_->engine().now());
-  (void)dest;
+  if (outcome.chunks > 0) {
+    track_.emit(obs::Kind::kResilverOut, "dest-" + std::to_string(dest),
+                static_cast<std::int64_t>(outcome.chunks),
+                static_cast<std::int64_t>(outcome.bytes));
+  }
+  track_.end(span);
   co_return outcome;
 }
 
@@ -1455,15 +1388,6 @@ sim::Task<void> StagingServer::maintain_memory() {
     stats_.gc_nominal_freed += sweep.nominal_freed;
     co_await c.delay(params_.gc_cost_per_entry *
                      static_cast<std::int64_t>(sweep.entries_scanned + 1));
-    if (obs_ != nullptr) {
-      obs_->metrics().counter("governor.urgent_sweeps", obs_track_).inc();
-      obs_->metrics()
-          .counter("gc.versions_dropped", obs_track_)
-          .inc(sweep.versions_dropped);
-      obs_->metrics()
-          .counter("gc.nominal_freed_bytes", obs_track_)
-          .inc(sweep.nominal_freed);
-    }
     prune_spilled_upto_watermark();
   }
 
@@ -1504,11 +1428,7 @@ sim::Task<void> StagingServer::maintain_memory() {
     // so the gateway's copy decodes without this log's base versions.
     auto chunks = dlog_.export_chunks(victim_var, victim_version);
     if (chunks.empty()) break;
-    obs::SpanId span = 0;
-    if (obs_ != nullptr) {
-      span = obs_->tracer().begin(obs_track_, "spill", obs::Phase::kSpill,
-                                  cluster_->engine().now());
-    }
+    const obs::SpanId span = track_.begin("spill", obs::Phase::kSpill);
     std::uint64_t bytes = 0;
     for (Chunk& chunk : chunks) {
       bytes += chunk.accounted_bytes();
@@ -1517,7 +1437,7 @@ sim::Task<void> StagingServer::maintain_memory() {
       sp.chunk = std::move(chunk);
       co_await rpc_.call(c, spill_endpoint_, std::move(sp));
     }
-    if (obs_ != nullptr) obs_->tracer().end(span, cluster_->engine().now());
+    track_.end(span);
 
     // The gateway round-trip let the request loop run: a checkpoint-driven
     // GC sweep or a rollback may have reclaimed the victim meanwhile. The
@@ -1526,20 +1446,15 @@ sim::Task<void> StagingServer::maintain_memory() {
     // a re-added successor would lose data).
     if (!dlog_.has(victim_var, victim_version)) {
       ++stats_.spills_aborted;
-      if (obs_ != nullptr)
-        obs_->metrics().counter("governor.spills_aborted", obs_track_).inc();
       continue;
     }
     dlog_.drop_spilled(victim_var, victim_version);
     spilled_[victim_var][victim_version] = bytes;
     ++stats_.spill_versions;
     stats_.spill_bytes += bytes;
-    if (obs_ != nullptr) {
-      obs_->metrics().counter("governor.spill_versions", obs_track_).inc();
-      obs_->metrics().counter("governor.spill_bytes", obs_track_).inc(bytes);
-    }
-    if (obs_hooks_.spill)
-      obs_hooks_.spill(victim_var, victim_version, bytes);
+    track_.emit(obs::Kind::kSpillOut, victim_var,
+                static_cast<std::int64_t>(victim_version),
+                static_cast<std::int64_t>(bytes));
   }
   // Nothing left to sweep or spill, yet still above the hard watermark:
   // the budget is below the workload's working-set floor (base window +
@@ -1564,12 +1479,8 @@ sim::Task<void> StagingServer::ensure_log_resident(std::string var,
                                                    Version version) {
   if (spill_endpoint_ < 0 || !spill_covers(var, version)) co_return;
   sim::Ctx c = ctx();
-  obs::SpanId span = 0;
-  if (obs_ != nullptr) {
-    span = obs_->tracer().begin(obs_track_, "spill fetch", obs::Phase::kSpill,
-                                cluster_->engine().now(),
-                                current_request_span_);
-  }
+  const obs::SpanId span =
+      track_.begin("spill fetch", obs::Phase::kSpill, current_request_span_);
   SpillFetch fetch;
   fetch.owner = self_index_;
   fetch.var = var;
@@ -1582,7 +1493,7 @@ sim::Task<void> StagingServer::ensure_log_resident(std::string var,
   // discarded it. Re-adding here would double-count the footprint — or
   // resurrect a rolled-back version.
   if (!spill_covers(var, version) || dlog_.has(var, version)) {
-    if (obs_ != nullptr) obs_->tracer().end(span, cluster_->engine().now());
+    track_.end(span);
     co_return;
   }
   std::uint64_t bytes = 0;
@@ -1597,14 +1508,9 @@ sim::Task<void> StagingServer::ensure_log_resident(std::string var,
     it->second.erase(version);
     if (it->second.empty()) spilled_.erase(it);
   }
-  if (obs_ != nullptr) {
-    obs_->tracer().end(span, cluster_->engine().now());
-    obs_->metrics().counter("governor.spill_fetches", obs_track_).inc();
-    obs_->metrics()
-        .counter("governor.spill_fetch_bytes", obs_track_)
-        .inc(bytes);
-  }
-  if (obs_hooks_.spill_fetch) obs_hooks_.spill_fetch(var, version, bytes);
+  track_.end(span);
+  track_.emit(obs::Kind::kSpillFetch, var, static_cast<std::int64_t>(version),
+              static_cast<std::int64_t>(bytes));
   poke_governor();  // the fault-in may have pushed us over the soft mark
 }
 

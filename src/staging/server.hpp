@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <utility>
@@ -16,8 +15,7 @@
 #include "dht/spatial_index.hpp"
 #include "gc/garbage_collector.hpp"
 #include "net/rpc.hpp"
-#include "obs/flight_recorder.hpp"
-#include "obs/observability.hpp"
+#include "obs/recorder.hpp"
 #include "resilience/policy.hpp"
 #include "staging/memory_governor.hpp"
 #include "staging/object_store.hpp"
@@ -122,8 +120,10 @@ struct MemoryReport {
 
 class StagingServer {
  public:
+  /// `track` is this server's event track ("staging-N"); a detached
+  /// (default) track records nothing.
   StagingServer(cluster::Cluster& cluster, cluster::VprocId vproc,
-                ServerParams params);
+                ServerParams params, obs::Track track = {});
 
   /// Spawn the request-processing loop.
   void start();
@@ -178,29 +178,6 @@ class StagingServer {
   /// Fault-injection seam for the consistency campaign (see
   /// gc::GarbageCollector::set_watermark_bias).
   void set_gc_watermark_bias(Version bias) { gc_.set_watermark_bias(bias); }
-
-  /// Observability callbacks surfacing staging-internal events (GC sweeps,
-  /// watermark advances, metadata-log truncation) to whoever owns the
-  /// workflow trace. Installed by the core Runtime when observability is
-  /// on; firing them costs no virtual time. Any member may be null.
-  struct ObsHooks {
-    std::function<void(Version ckpt_version, std::size_t versions_dropped,
-                       std::uint64_t nominal_freed,
-                       std::size_t entries_scanned)>
-        gc_sweep;
-    std::function<void(const std::string& var, Version from, Version to)>
-        gc_watermark_advance;
-    std::function<void(AppId app, Version ckpt_version,
-                       std::size_t events_dropped)>
-        log_truncate;
-    std::function<void(const std::string& var, Version version,
-                       std::uint64_t bytes)>
-        spill;
-    std::function<void(const std::string& var, Version version,
-                       std::uint64_t bytes)>
-        spill_fetch;
-  };
-  void set_obs_hooks(ObsHooks hooks) { obs_hooks_ = std::move(hooks); }
 
   /// Wire the memory governor to the PFS spill gateway. Without a gateway
   /// the governor still enforces admission (backpressure), but has nowhere
@@ -273,26 +250,13 @@ class StagingServer {
     return spilled_;
   }
 
-  /// Attach the run's observability bundle (null = off). `track` names
-  /// this server's span track ("staging-N").
-  void set_obs(obs::Observability* obs, std::string track) {
-    obs_ = obs;
-    obs_track_ = std::move(track);
-  }
-
-  /// Attach the always-on flight recorder (null = off). `track` is this
-  /// server's pre-interned ring id.
-  void set_recorder(obs::FlightRecorder* recorder, std::uint32_t track) {
-    recorder_ = recorder;
-    recorder_track_ = track;
-  }
-
   [[nodiscard]] cluster::VprocId vproc() const { return vproc_; }
   [[nodiscard]] net::EndpointId endpoint() const;
   [[nodiscard]] const ObjectStore& store() const { return store_; }
   [[nodiscard]] const wlog::DataLog& data_log() const { return dlog_; }
   [[nodiscard]] const gc::GarbageCollector& gc() const { return gc_; }
   [[nodiscard]] const ServerStats& stats() const { return stats_; }
+  [[nodiscard]] const obs::Track& track() const { return track_; }
   [[nodiscard]] MemoryReport memory() const;
   /// One tenant's governed footprint: its store + retained log payloads
   /// (event-queue metadata is unattributed — it is bounded by truncation
@@ -333,7 +297,15 @@ class StagingServer {
   /// advanced watermark, retire passed spill files, and tell peers to
   /// reclaim fragments below the retention floor. Caller guards on
   /// params_.logging.
-  sim::Task<void> sweep_after_durable(Version version);
+  sim::Task<void> sweep_after_durable();
+  /// Every registered variable's GC watermark, for diffing around a
+  /// checkpoint.
+  [[nodiscard]] std::vector<std::pair<std::string, Version>> watermarks()
+      const;
+  /// Emit kGcWatermark for every variable whose watermark moved past its
+  /// `before` value.
+  void emit_watermark_advances(
+      const std::vector<std::pair<std::string, Version>>& before);
   sim::Task<ResilverOutcome> resilver_out_impl(int dest,
                                                net::EndpointId dest_ep,
                                                std::vector<Box> regions);
@@ -450,13 +422,9 @@ class StagingServer {
   double byte_seconds_ = 0;
   sim::TimePoint last_sample_{};
   std::uint64_t last_total_ = 0;
-  // Observability (null/empty = off). Requests are handled sequentially,
-  // so one "current request" span id suffices for parenting child spans.
-  obs::Observability* obs_ = nullptr;
-  std::string obs_track_;
-  obs::FlightRecorder* recorder_ = nullptr;
-  std::uint32_t recorder_track_ = 0;
-  ObsHooks obs_hooks_;
+  // Event track. Requests are handled sequentially, so one "current
+  // request" span id suffices for parenting child spans.
+  obs::Track track_;
   obs::SpanId current_request_span_ = 0;
 };
 

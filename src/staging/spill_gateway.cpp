@@ -13,11 +13,12 @@
 namespace dstage::staging {
 
 SpillGateway::SpillGateway(cluster::Cluster& cluster, cluster::VprocId vproc,
-                           cluster::Pfs& pfs)
+                           cluster::Pfs& pfs, obs::Track track)
     : cluster_(&cluster),
       vproc_(vproc),
       pfs_(&pfs),
-      rpc_(cluster.fabric(), cluster.vproc(vproc).endpoint) {}
+      rpc_(cluster.fabric(), cluster.vproc(vproc).endpoint),
+      track_(track) {}
 
 net::EndpointId SpillGateway::endpoint() const {
   return cluster_->vproc(vproc_).endpoint;
@@ -48,15 +49,10 @@ sim::Task<void> SpillGateway::handle_put(SpillPut put) {
   // Encoded log blocks spill at their encoded size: the PFS write (and the
   // spill accounting) should see the codec's savings, not the raw size.
   const std::uint64_t bytes = put.chunk.accounted_bytes();
-  obs::SpanId span = 0;
-  if (obs_ != nullptr)
-    span = obs_->tracer().begin(obs_track_, "spill", obs::Phase::kSpill,
-                                cluster_->engine().now());
-  if (recorder_ != nullptr)
-    recorder_->record(recorder_track_, cluster_->engine().now(),
-                      obs::FrKind::kSpillOut, put.chunk.var,
-                      static_cast<std::int64_t>(put.chunk.version),
-                      static_cast<std::int64_t>(bytes));
+  const obs::SpanId span = track_.begin("spill", obs::Phase::kSpill);
+  track_.emit(obs::Kind::kSpillOut, put.chunk.var,
+              static_cast<std::int64_t>(put.chunk.version),
+              static_cast<std::int64_t>(bytes));
   // Persisting the evicted chunk is a real PFS write: it queues on the
   // same FIFO channel as checkpoint traffic.
   co_await pfs_->write(c, bytes);
@@ -64,11 +60,7 @@ sim::Task<void> SpillGateway::handle_put(SpillPut put) {
   it->second.put(std::move(put.chunk));
   ++stats_.spill_puts;
   stats_.spill_bytes += bytes;
-  if (obs_ != nullptr) {
-    obs_->metrics().counter("spill.chunks", obs_track_).inc();
-    obs_->metrics().counter("spill.bytes", obs_track_).inc(bytes);
-    obs_->tracer().end(span, cluster_->engine().now());
-  }
+  track_.end(span);
   co_await rpc_.fulfill(c, put.reply_to, std::move(put.reply), SpillAck{true});
 }
 
@@ -96,26 +88,17 @@ sim::Task<void> SpillGateway::handle_fetch(SpillFetch fetch) {
       resp.chunks = it->second.chunks_of(fetch.var, fetch.version);
       for (const Chunk& chunk : resp.chunks) bytes += chunk.accounted_bytes();
     }
-    obs::SpanId span = 0;
-    if (obs_ != nullptr)
-      span = obs_->tracer().begin(obs_track_, "fetch-back", obs::Phase::kSpill,
-                                  cluster_->engine().now());
-    if (recorder_ != nullptr)
-      recorder_->record(recorder_track_, cluster_->engine().now(),
-                        obs::FrKind::kSpillFetch, fetch.var,
-                        static_cast<std::int64_t>(fetch.version),
-                        static_cast<std::int64_t>(bytes));
+    const obs::SpanId span = track_.begin("fetch-back", obs::Phase::kSpill);
+    track_.emit(obs::Kind::kSpillFetch, fetch.var,
+                static_cast<std::int64_t>(fetch.version),
+                static_cast<std::int64_t>(bytes));
     // Reading the spill file back is a real PFS read. The file stays put —
     // reclamation is the owner's explicit SpillPrune, mirroring how GC (not
     // reads) retires log versions.
     if (bytes > 0) co_await pfs_->read(c, bytes);
     ++stats_.fetches;
     stats_.fetch_bytes += bytes;
-    if (obs_ != nullptr) {
-      obs_->metrics().counter("spill.fetches", obs_track_).inc();
-      obs_->metrics().counter("spill.fetch_bytes", obs_track_).inc(bytes);
-      obs_->tracer().end(span, cluster_->engine().now());
-    }
+    track_.end(span);
   }
   co_await rpc_.fulfill(c, fetch.reply_to, std::move(fetch.reply),
                         std::move(resp));
@@ -143,8 +126,6 @@ void SpillGateway::handle_prune(const SpillPrune& prune) {
     }
   }
   stats_.pruned_versions += dropped;
-  if (obs_ != nullptr && dropped > 0)
-    obs_->metrics().counter("spill.pruned_versions", obs_track_).inc(dropped);
 }
 
 std::vector<std::string> SpillGateway::variables() const {

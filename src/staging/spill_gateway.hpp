@@ -16,8 +16,7 @@
 #include "cluster/cluster.hpp"
 #include "cluster/pfs.hpp"
 #include "net/rpc.hpp"
-#include "obs/flight_recorder.hpp"
-#include "obs/observability.hpp"
+#include "obs/recorder.hpp"
 #include "staging/object_store.hpp"
 #include "staging/types.hpp"
 
@@ -35,25 +34,14 @@ struct SpillGatewayStats {
 class SpillGateway {
  public:
   SpillGateway(cluster::Cluster& cluster, cluster::VprocId vproc,
-               cluster::Pfs& pfs);
+               cluster::Pfs& pfs, obs::Track track = {});
 
   /// Spawn the request-processing loop.
   void start();
 
   [[nodiscard]] net::EndpointId endpoint() const;
   [[nodiscard]] const SpillGatewayStats& stats() const { return stats_; }
-
-  /// Attach the run's observability bundle (null = off).
-  void set_obs(obs::Observability* obs, std::string track) {
-    obs_ = obs;
-    obs_track_ = std::move(track);
-  }
-
-  /// Attach the always-on flight recorder (null = off).
-  void set_recorder(obs::FlightRecorder* recorder, std::uint32_t track) {
-    recorder_ = recorder;
-    recorder_track_ = track;
-  }
+  [[nodiscard]] const obs::Track& track() const { return track_; }
 
   // Oracle-facing holdings API (aggregated across owners), shaped like the
   // ObjectStore accessors so check::verify_holdings treats the gateway as
@@ -81,10 +69,7 @@ class SpillGateway {
   /// lets a replacement server rebuild precisely its own spill index.
   std::map<int, ObjectStore> per_owner_;
   SpillGatewayStats stats_;
-  obs::Observability* obs_ = nullptr;
-  std::string obs_track_;
-  obs::FlightRecorder* recorder_ = nullptr;
-  std::uint32_t recorder_track_ = 0;
+  obs::Track track_;
 };
 
 }  // namespace dstage::staging

@@ -12,10 +12,10 @@
 namespace dstage::check {
 namespace {
 
-obs::FrDecoded ev(std::uint64_t seq, const std::string& kind,
-                  const std::string& track, const std::string& detail,
-                  std::int64_t a, std::int64_t b) {
-  obs::FrDecoded e;
+obs::DecodedEvent ev(std::uint64_t seq, const std::string& kind,
+                     const std::string& track, const std::string& detail,
+                     std::int64_t a, std::int64_t b) {
+  obs::DecodedEvent e;
   e.seq = seq;
   e.at_ns = static_cast<std::int64_t>(seq) * 1000;
   e.kind = kind;

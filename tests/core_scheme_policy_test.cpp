@@ -105,9 +105,9 @@ TEST(SchemePolicyTest, HybridAnalyticFailoverTriggersNoReplay) {
   EXPECT_EQ(m.total_anomalies(), 0);
   // Failover is not a checkpoint/restart: the recovery pipeline's restart
   // stages never run, so no recovery or replay milestones are traced.
-  EXPECT_TRUE(runner.trace().of_kind(TraceKind::kRecoveryStart).empty());
-  EXPECT_TRUE(runner.trace().of_kind(TraceKind::kReplayDone).empty());
-  EXPECT_EQ(runner.trace().of_kind(TraceKind::kFailure).size(), 1u);
+  EXPECT_TRUE(runner.trace().of_kind(obs::Kind::kRecoveryStart).empty());
+  EXPECT_TRUE(runner.trace().of_kind(obs::Kind::kReplayDone).empty());
+  EXPECT_EQ(runner.trace().of_kind(obs::Kind::kFailure).size(), 1u);
 }
 
 // Fig. 2: without logging, an individually-restarted component re-reads

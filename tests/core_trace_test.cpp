@@ -1,7 +1,8 @@
-#include "core/trace.hpp"
+#include "obs/trace.hpp"
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <sstream>
 
 #include "core/executor.hpp"
@@ -10,28 +11,33 @@
 namespace dstage::core {
 namespace {
 
+using obs::Kind;
+using obs::Trace;
+using obs::TraceEvent;
+using obs::TraceView;
+
 TEST(TraceTest, RecordAndQuery) {
   Trace t;
-  t.record(sim::TimePoint{} + sim::seconds(1), TraceKind::kTimestepStart,
+  t.record(sim::TimePoint{} + sim::seconds(1), Kind::kTimestepStart,
            "sim", 1);
-  t.record(sim::TimePoint{} + sim::seconds(2), TraceKind::kWriteDone, "sim",
+  t.record(sim::TimePoint{} + sim::seconds(2), Kind::kWriteDone, "sim",
            1, 4096);
-  t.record(sim::TimePoint{} + sim::seconds(3), TraceKind::kTimestepStart,
+  t.record(sim::TimePoint{} + sim::seconds(3), Kind::kTimestepStart,
            "analytic", 1);
   EXPECT_EQ(t.size(), 3u);
-  EXPECT_EQ(t.of_kind(TraceKind::kTimestepStart).size(), 2u);
+  EXPECT_EQ(t.of_kind(Kind::kTimestepStart).size(), 2u);
   EXPECT_EQ(t.of_component("sim").size(), 2u);
-  EXPECT_EQ(t.of_kind(TraceKind::kWriteDone)[0].value, 4096);
+  EXPECT_EQ(t.of_kind(Kind::kWriteDone)[0].value, 4096);
 }
 
 TEST(TraceTest, DigestDistinguishesContentAndOrder) {
   Trace a, b, c;
-  a.record({}, TraceKind::kFailure, "x", 3);
-  a.record({}, TraceKind::kRecoveryDone, "x", 2);
-  b.record({}, TraceKind::kRecoveryDone, "x", 2);
-  b.record({}, TraceKind::kFailure, "x", 3);
-  c.record({}, TraceKind::kFailure, "x", 3);
-  c.record({}, TraceKind::kRecoveryDone, "x", 2);
+  a.record({}, Kind::kFailure, "x", 3);
+  a.record({}, Kind::kRecoveryDone, "x", 2);
+  b.record({}, Kind::kRecoveryDone, "x", 2);
+  b.record({}, Kind::kFailure, "x", 3);
+  c.record({}, Kind::kFailure, "x", 3);
+  c.record({}, Kind::kRecoveryDone, "x", 2);
   EXPECT_NE(a.digest(), b.digest());  // order matters
   EXPECT_EQ(a.digest(), c.digest());  // identical content matches
 }
@@ -39,7 +45,7 @@ TEST(TraceTest, DigestDistinguishesContentAndOrder) {
 TEST(TraceTest, CsvRoundTripShape) {
   Trace t;
   t.record(sim::TimePoint{} + sim::milliseconds(1500),
-           TraceKind::kCheckpoint, "sim", 4);
+           Kind::kCheckpoint, "sim", 4);
   std::ostringstream os;
   t.write_csv(os);
   EXPECT_EQ(os.str(),
@@ -49,36 +55,35 @@ TEST(TraceTest, CsvRoundTripShape) {
 
 TEST(TraceTest, KindNamesAreUnique) {
   std::set<std::string> names;
-  for (int k = 0; k <= static_cast<int>(TraceKind::kLogTruncate); ++k) {
-    names.insert(trace_kind_name(static_cast<TraceKind>(k)));
+  for (std::size_t k = 0; k < obs::kKindCount; ++k) {
+    names.insert(obs::kind_name(static_cast<Kind>(k)));
   }
-  EXPECT_EQ(names.size(),
-            static_cast<std::size_t>(TraceKind::kLogTruncate) + 1);
+  EXPECT_EQ(names.size(), obs::kKindCount);
 }
 
 TEST(TraceTest, ViewsAreLazyAndIterable) {
   Trace t;
-  t.record(sim::TimePoint{} + sim::seconds(1), TraceKind::kGcSweep, "s0", 4,
+  t.record(sim::TimePoint{} + sim::seconds(1), Kind::kGcSweep, "s0", 4,
            100);
-  t.record(sim::TimePoint{} + sim::seconds(2), TraceKind::kGcWatermarkAdvance,
+  t.record(sim::TimePoint{} + sim::seconds(2), Kind::kGcWatermark,
            "s0/field", 0, 4);
-  t.record(sim::TimePoint{} + sim::seconds(3), TraceKind::kGcSweep, "s1", 4,
+  t.record(sim::TimePoint{} + sim::seconds(3), Kind::kGcSweep, "s1", 4,
            200);
 
   // Range-for over a filtered view visits matching events in trace order.
   std::int64_t reclaimed = 0;
-  for (const TraceEvent& e : t.of_kind(TraceKind::kGcSweep)) {
+  for (const TraceEvent& e : t.of_kind(Kind::kGcSweep)) {
     reclaimed += e.value;
   }
   EXPECT_EQ(reclaimed, 300);
 
-  const TraceView sweeps = t.of_kind(TraceKind::kGcSweep);
+  const TraceView sweeps = t.of_kind(Kind::kGcSweep);
   EXPECT_EQ(sweeps.size(), 2u);
   EXPECT_EQ(sweeps.front().component, "s0");
   EXPECT_EQ(sweeps.back().component, "s1");
   EXPECT_EQ(sweeps[1].value, 200);
 
-  EXPECT_TRUE(t.of_kind(TraceKind::kLogTruncate).empty());
+  EXPECT_TRUE(t.of_kind(Kind::kLogTruncate).empty());
   EXPECT_TRUE(t.of_component("nope").empty());
   EXPECT_EQ(t.of_component("s0/field").size(), 1u);
 }
@@ -96,9 +101,9 @@ TEST(TraceIntegrationTest, FailureFreeRunTimelineIsComplete) {
   runner.run();
   const Trace& t = runner.trace();
   // Every component starts and finishes every timestep exactly once.
-  EXPECT_EQ(t.of_kind(TraceKind::kTimestepStart).size(), 20u);
-  EXPECT_EQ(t.of_kind(TraceKind::kTimestepDone).size(), 20u);
-  EXPECT_TRUE(t.of_kind(TraceKind::kFailure).empty());
+  EXPECT_EQ(t.of_kind(Kind::kTimestepStart).size(), 20u);
+  EXPECT_EQ(t.of_kind(Kind::kTimestepDone).size(), 20u);
+  EXPECT_TRUE(t.of_kind(Kind::kFailure).empty());
   // Timestamps are monotone within a component.
   auto sim_events = t.of_component("simulation");
   for (std::size_t i = 1; i < sim_events.size(); ++i) {
@@ -110,10 +115,10 @@ TEST(TraceIntegrationTest, FailureRunRecordsRecoverySequence) {
   WorkflowRunner runner(spec_for_trace(1, 6));  // simulation fails
   runner.run();
   const Trace& t = runner.trace();
-  auto failures = t.of_kind(TraceKind::kFailure);
-  auto rec_start = t.of_kind(TraceKind::kRecoveryStart);
-  auto rec_done = t.of_kind(TraceKind::kRecoveryDone);
-  auto replay = t.of_kind(TraceKind::kReplayDone);
+  auto failures = t.of_kind(Kind::kFailure);
+  auto rec_start = t.of_kind(Kind::kRecoveryStart);
+  auto rec_done = t.of_kind(Kind::kRecoveryDone);
+  auto replay = t.of_kind(Kind::kReplayDone);
   ASSERT_EQ(failures.size(), 1u);
   ASSERT_EQ(rec_start.size(), 1u);
   ASSERT_EQ(rec_done.size(), 1u);

@@ -1,32 +1,33 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "check/forensics.hpp"
 #include "core/executor.hpp"
 #include "core/setups.hpp"
-#include "obs/flight_recorder.hpp"
-#include "sim/time.hpp"
+#include "obs/event.hpp"
+#include "obs/recorder.hpp"
+#include "sim/engine.hpp"
 
 namespace dstage::obs {
 namespace {
 
-sim::TimePoint at(std::int64_t ns) { return sim::TimePoint{} + sim::Duration{ns}; }
-
 TEST(FlightRecorderTest, RingKeepsLastKOldestFirstUnderSustainedTraffic) {
+  sim::Engine eng;
   RecorderConfig cfg;
   cfg.ring_capacity = 8;
-  FlightRecorder rec(cfg);
-  const std::uint32_t t = rec.track("staging-0");
-  const std::uint32_t var = rec.intern("field");
+  Recorder rec(eng, cfg);
+  const Track t = rec.track("staging-0");
   for (int i = 0; i < 100; ++i) {
-    rec.record(t, at(i), FrKind::kPutAdmit, var, i, 2 * i);
+    t.emit(Kind::kPutAdmit, "field", i, 2 * i);
   }
   EXPECT_EQ(rec.events_recorded(), 100u);
   EXPECT_EQ(rec.events_dropped(), 92u);
 
-  const std::vector<FrEvent> survived = rec.track_events(t);
+  const std::vector<Event> survived = rec.snapshot();
   ASSERT_EQ(survived.size(), 8u);
   // Oldest first, and exactly the last K offered.
   for (std::size_t i = 0; i < survived.size(); ++i) {
@@ -38,23 +39,24 @@ TEST(FlightRecorderTest, RingKeepsLastKOldestFirstUnderSustainedTraffic) {
 }
 
 TEST(FlightRecorderTest, TracksTruncateIndependentlyAndMergeBySeq) {
+  sim::Engine eng;
   RecorderConfig cfg;
   cfg.ring_capacity = 4;
-  FlightRecorder rec(cfg);
-  const std::uint32_t busy = rec.track("staging-0");
-  const std::uint32_t quiet = rec.track("analytic");
-  rec.record(quiet, at(0), FrKind::kGetServe, rec.intern("field"), 1, 42);
+  Recorder rec(eng, cfg);
+  const Track busy = rec.track("staging-0");
+  const Track quiet = rec.track("analytic");
+  quiet.emit(Kind::kGetServe, "field", 1, 42);
   for (int i = 0; i < 20; ++i) {
-    rec.record(busy, at(10 + i), FrKind::kPutAdmit, rec.intern("field"), i, 0);
+    busy.emit(Kind::kPutAdmit, "field", i, 0);
   }
   // The busy ring wrapped; the quiet track kept its single early event.
-  const std::vector<FrEvent> merged = rec.snapshot();
+  const std::vector<Event> merged = rec.snapshot();
   ASSERT_EQ(merged.size(), 5u);
-  EXPECT_EQ(merged.front().track, quiet);
+  EXPECT_EQ(rec.track_name(merged.front().track), "analytic");
   for (std::size_t i = 1; i < merged.size(); ++i) {
     EXPECT_LT(merged[i - 1].seq, merged[i].seq);
   }
-  const std::vector<FrDecoded> dump = rec.dump();
+  const std::vector<DecodedEvent> dump = rec.dump();
   ASSERT_EQ(dump.size(), 5u);
   EXPECT_EQ(dump.front().track, "analytic");
   EXPECT_EQ(dump.front().kind, "get-serve");
@@ -63,47 +65,133 @@ TEST(FlightRecorderTest, TracksTruncateIndependentlyAndMergeBySeq) {
 }
 
 TEST(FlightRecorderTest, InternTablesReturnStableDenseIds) {
-  FlightRecorder rec;
-  const std::uint32_t a = rec.track("a");
-  const std::uint32_t b = rec.track("b");
-  EXPECT_NE(a, b);
-  EXPECT_EQ(rec.track("a"), a);
-  EXPECT_EQ(rec.intern("field"), rec.intern("field"));
-  EXPECT_EQ(rec.track_name(a), "a");
+  sim::Engine eng;
+  Recorder rec(eng);
+  (void)rec.track("a");
+  (void)rec.track("b");
+  (void)rec.track("a");
   EXPECT_EQ(rec.track_count(), 2u);
+  EXPECT_EQ(rec.track_name(0), "a");
+  EXPECT_EQ(rec.track_name(1), "b");
+  EXPECT_EQ(rec.intern("field"), rec.intern("field"));
+  EXPECT_NE(rec.intern("field"), rec.intern("other"));
 }
 
 TEST(FlightRecorderTest, DegradationIsRecordedAndKeptVerbatim) {
-  FlightRecorder rec;
-  const std::uint32_t t = rec.track("recovery-manager");
-  rec.note_degradation(t, at(7), "spare pool exhausted; server 2 down");
+  sim::Engine eng;
+  Recorder rec(eng);
+  rec.track("recovery-manager").degrade("spare pool exhausted; server 2 down");
   ASSERT_EQ(rec.degradations().size(), 1u);
   EXPECT_EQ(rec.degradations()[0], "spare pool exhausted; server 2 down");
-  const std::vector<FrDecoded> dump = rec.dump();
+  const std::vector<DecodedEvent> dump = rec.dump();
   ASSERT_EQ(dump.size(), 1u);
   EXPECT_EQ(dump[0].kind, "degradation");
   EXPECT_EQ(dump[0].detail, "spare pool exhausted; server 2 down");
 }
 
-// The recorder's reason to exist is that it is free: golden trace digests
-// must be byte-identical with it at defaults (on), off, and at a tiny
-// ring size — it allocates no vprocs, takes no virtual time, records no
-// trace events, and draws no randomness.
+// A component built alone (a unit-test rig) holds a detached track: every
+// method must be a harmless no-op.
+TEST(FlightRecorderTest, DetachedTrackRecordsNothing) {
+  const Track t;
+  t.emit(Kind::kFailure, 3, 1);
+  t.emit(Kind::kPutAdmit, "field", 1, 2);
+  EXPECT_EQ(t.begin("span", Phase::kOther), SpanId{0});
+  t.end(1);
+  t.end_open();
+  t.count("requests");
+  t.gauge("pressure", 1.0);
+  t.observe("latency", 1.0);
+  t.degrade("nothing to see");
+}
+
+// The kind table routes each event: ring kinds reach the ring, the
+// failure kind is also a span instant, and spans/metrics stay off unless
+// ObsConfig is on.
+TEST(FlightRecorderTest, KindTableRoutesEventsToTheirSinks) {
+  sim::Engine eng;
+  ObsConfig on;
+  on.enabled = true;
+  Recorder rec(eng, {}, on);
+  const Track t = rec.track("simulation");
+  t.emit(Kind::kTimestepStart, 1);
+  t.emit(Kind::kFailure, 1, 1);
+  t.emit(Kind::kPutAdmit, "field", 1, 64);
+  EXPECT_EQ(rec.events_recorded(), 2u);  // failure + put-admit
+  EXPECT_EQ(rec.trace().size(), 2u);     // ts-start + failure
+  ASSERT_NE(rec.obs(), nullptr);
+  const std::vector<Instant>& instants = rec.obs()->tracer().instants();
+  ASSERT_EQ(instants.size(), 1u);
+  EXPECT_EQ(instants[0].name, "failure");
+  EXPECT_EQ(instants[0].track, "simulation");
+  EXPECT_EQ(instants[0].value, 1);
+  const std::vector<DecodedEvent> dump = rec.dump();
+  ASSERT_EQ(dump.size(), 2u);
+  EXPECT_EQ(dump[0].kind, "failure");
+  EXPECT_EQ(dump[0].a, 1);
+  EXPECT_EQ(dump[1].detail, "field");
+
+  Recorder off(eng);
+  EXPECT_EQ(off.obs(), nullptr);
+  EXPECT_EQ(off.track("simulation").begin("read", Phase::kRead), SpanId{0});
+}
+
+TEST(FlightRecorderTest, KindTableNamesAndDigestVisibility) {
+  std::set<std::string> names;
+  for (const KindInfo& k : kKindTable) names.insert(k.name);
+  EXPECT_EQ(names.size(), kKindCount) << "kind names must be unique";
+
+  // The forensic causal walk matches kinds by bundle name: every name it
+  // follows must be a kind the recorder can actually emit.
+  for (const char* name : check::causal_kinds()) {
+    EXPECT_EQ(names.count(name), 1u) << name;
+  }
+
+  // Digest visibility: with obs off only `always` kinds move the digest;
+  // with obs on `obs_only` kinds do too. `never` kinds never do.
+  sim::Engine eng;
+  Recorder plain(eng);
+  ObsConfig on;
+  on.enabled = true;
+  Recorder instrumented(eng, {}, on);
+  const Track p = plain.track("c");
+  const Track q = instrumented.track("c");
+  for (std::size_t i = 0; i < kKindCount; ++i) {
+    const Kind kind = static_cast<Kind>(i);
+    const Digest vis = kind_info(kind).digest;
+    const std::uint64_t before_plain = plain.trace().digest();
+    const std::uint64_t before_instr = instrumented.trace().digest();
+    p.emit(kind, "x", 7, 9);
+    q.emit(kind, "x", 7, 9);
+    if (vis == Digest::kAlways) {
+      EXPECT_NE(plain.trace().digest(), before_plain) << kind_name(kind);
+    } else {
+      EXPECT_EQ(plain.trace().digest(), before_plain) << kind_name(kind);
+    }
+    if (vis == Digest::kNever) {
+      EXPECT_EQ(instrumented.trace().digest(), before_instr)
+          << kind_name(kind);
+    } else {
+      EXPECT_NE(instrumented.trace().digest(), before_instr)
+          << kind_name(kind);
+    }
+  }
+}
+
+// The rings' reason to exist is that they are free: golden trace digests
+// must be byte-identical at any ring size — they allocate no vprocs, take
+// no virtual time, record no trace events, and draw no randomness.
 TEST(FlightRecorderTest, GoldenDigestIsInvariantToRecorderConfig) {
-  const auto digest_with = [](bool enabled, std::size_t ring) {
+  const auto digest_with = [](std::size_t ring) {
     core::WorkflowSpec spec = core::table2_setup(core::Scheme::kUncoordinated);
     spec.failures.count = 2;
     spec.failures.seed = 1;
     spec.failures.node_failure_fraction = 0.2;
-    spec.recorder.enabled = enabled;
     spec.recorder.ring_capacity = ring;
     core::WorkflowRunner runner(std::move(spec));
     runner.run();
     return runner.trace().digest();
   };
-  const std::uint64_t on = digest_with(true, 256);
-  EXPECT_EQ(digest_with(false, 256), on);
-  EXPECT_EQ(digest_with(true, 4), on);
+  EXPECT_EQ(digest_with(4), digest_with(256));
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -13,6 +14,7 @@
 #include "core/sweep.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/report.hpp"
+#include "util/json_reader.hpp"
 
 namespace dstage::core {
 namespace {
@@ -27,22 +29,20 @@ WorkflowSpec small_spec(Scheme scheme, int failures, std::uint64_t seed,
   return spec;
 }
 
-bool is_obs_kind(TraceKind k) {
-  return k == TraceKind::kGcSweep || k == TraceKind::kGcWatermarkAdvance ||
-         k == TraceKind::kLogTruncate;
+bool is_obs_kind(obs::Kind k) {
+  return obs::kind_info(k).digest == obs::Digest::kObsOnly;
 }
 
 TEST(ObsRuntimeTest, DisabledByDefault) {
   WorkflowRunner runner(small_spec(Scheme::kUncoordinated, 0, 1, false));
   runner.run();
   EXPECT_EQ(runner.runtime().obs(), nullptr);
-  for (const TraceEvent& e : runner.trace().events()) {
-    EXPECT_FALSE(is_obs_kind(e.kind)) << trace_kind_name(e.kind);
+  for (const obs::TraceEvent& e : runner.trace().events()) {
+    EXPECT_FALSE(is_obs_kind(e.kind)) << obs::kind_name(e.kind);
   }
 }
 
 TEST(ObsRuntimeTest, EnablingObsDoesNotPerturbTheRun) {
-  if (!obs::compiled_in()) GTEST_SKIP() << "built with DSTAGE_OBS=OFF";
   WorkflowRunner off(small_spec(Scheme::kUncoordinated, 1, 6, false));
   WorkflowRunner on(small_spec(Scheme::kUncoordinated, 1, 6, true));
   const RunMetrics m_off = off.run();
@@ -54,9 +54,9 @@ TEST(ObsRuntimeTest, EnablingObsDoesNotPerturbTheRun) {
   EXPECT_EQ(m_on.events_processed, m_off.events_processed);
   // ...and the workflow-level event stream is identical once the
   // obs-gated staging-internal kinds are filtered out.
-  std::vector<const TraceEvent*> a, b;
-  for (const TraceEvent& e : off.trace().events()) a.push_back(&e);
-  for (const TraceEvent& e : on.trace().events()) {
+  std::vector<const obs::TraceEvent*> a, b;
+  for (const obs::TraceEvent& e : off.trace().events()) a.push_back(&e);
+  for (const obs::TraceEvent& e : on.trace().events()) {
     if (!is_obs_kind(e.kind)) b.push_back(&e);
   }
   ASSERT_EQ(a.size(), b.size());
@@ -69,13 +69,12 @@ TEST(ObsRuntimeTest, EnablingObsDoesNotPerturbTheRun) {
 }
 
 TEST(ObsRuntimeTest, GcKindsRecordedOnlyWhenEnabled) {
-  if (!obs::compiled_in()) GTEST_SKIP() << "built with DSTAGE_OBS=OFF";
   // Uncoordinated logging + periodic durable checkpoints exercise the GC:
   // watermarks advance and sweeps run on every checkpoint.
   WorkflowRunner on(small_spec(Scheme::kUncoordinated, 0, 1, true));
   on.run();
-  EXPECT_FALSE(on.trace().of_kind(TraceKind::kGcWatermarkAdvance).empty());
-  EXPECT_FALSE(on.trace().of_kind(TraceKind::kGcSweep).empty());
+  EXPECT_FALSE(on.trace().of_kind(obs::Kind::kGcWatermark).empty());
+  EXPECT_FALSE(on.trace().of_kind(obs::Kind::kGcSweep).empty());
 
   obs::Observability* o = on.runtime().obs();
   ASSERT_NE(o, nullptr);
@@ -87,12 +86,11 @@ TEST(ObsRuntimeTest, GcKindsRecordedOnlyWhenEnabled) {
     advances += o->metrics().counter("gc.watermark_advances", label).value();
     sweeps += o->metrics().counter("gc.sweeps", label).value();
   }
-  EXPECT_EQ(advances, on.trace().of_kind(TraceKind::kGcWatermarkAdvance).size());
-  EXPECT_EQ(sweeps, on.trace().of_kind(TraceKind::kGcSweep).size());
+  EXPECT_EQ(advances, on.trace().of_kind(obs::Kind::kGcWatermark).size());
+  EXPECT_EQ(sweeps, on.trace().of_kind(obs::Kind::kGcSweep).size());
 }
 
 TEST(ObsRuntimeTest, CoordinatedFailureBreakdownAndCriticalPath) {
-  if (!obs::compiled_in()) GTEST_SKIP() << "built with DSTAGE_OBS=OFF";
   WorkflowRunner runner(small_spec(Scheme::kCoordinated, 1, 6, true));
   const RunMetrics m = runner.run();
   ASSERT_EQ(m.failures_injected, 1);
@@ -133,7 +131,6 @@ TEST(ObsRuntimeTest, CoordinatedFailureBreakdownAndCriticalPath) {
 }
 
 TEST(ObsRuntimeTest, KilledProcessSpansStayMatchedInExport) {
-  if (!obs::compiled_in()) GTEST_SKIP() << "built with DSTAGE_OBS=OFF";
   // Node-level failures under Hybrid kill several processes mid-activity;
   // every span must still export as a matched begin/end pair.
   WorkflowSpec spec = small_spec(Scheme::kHybrid, 2, 3, true);
@@ -147,10 +144,57 @@ TEST(ObsRuntimeTest, KilledProcessSpansStayMatchedInExport) {
   EXPECT_TRUE(v.ok) << (v.errors.empty() ? "" : v.errors[0]);
 }
 
+// Each governor fact is counted once, in ServerStats, and exported to the
+// registry once: every governor.* registry total must equal its RunMetrics
+// field. (A spill fetch used to be counted at the site and again at export,
+// and four facts were exported under two names each.)
+TEST(ObsRuntimeTest, GovernorRegistryTotalsEqualRunMetrics) {
+  WorkflowSpec spec = table2_setup(Scheme::kUncoordinated);
+  spec.failures.count = 2;
+  spec.failures.seed = 1003;
+  spec.staging.memory_budget = 512ull << 20;
+  spec.obs.enabled = true;
+  WorkflowRunner runner(spec);
+  const RunMetrics m = runner.run();
+  ASSERT_GT(m.staging.spill_fetches, 0u);  // the repro really faults back
+  ASSERT_GT(m.staging.puts_rejected, 0u);
+
+  const JsonParse parsed =
+      parse_json(runner.runtime().obs()->metrics().to_json().str());
+  ASSERT_TRUE(parsed.ok);
+  const JsonValue* counters = parsed.value.member("counters");
+  ASSERT_NE(counters, nullptr);
+  std::map<std::string, std::uint64_t> totals;
+  for (const auto& [key, value] : counters->object) {
+    const std::string name = key.substr(0, key.find('{'));
+    if (name.rfind("governor.", 0) == 0) totals[name] += value.as_u64();
+  }
+  const std::map<std::string, std::uint64_t> expected = {
+      {"governor.spill_versions", m.staging.spilled_versions},
+      {"governor.spill_bytes", m.staging.spilled_bytes},
+      {"governor.spill_fetches", m.staging.spill_fetches},
+      {"governor.spill_fetch_bytes", m.staging.spill_fetch_bytes},
+      {"governor.spills_aborted", m.staging.spills_aborted},
+      {"governor.urgent_sweeps", m.staging.urgent_gc_sweeps},
+      {"governor.puts_rejected", m.staging.puts_rejected},
+      {"governor.fair_share_rejects", m.staging.fair_share_rejects},
+      {"governor.overruns", m.staging.governor_overruns},
+  };
+  for (const auto& [name, total] : totals) {
+    const auto it = expected.find(name);
+    if (it == expected.end()) {
+      ADD_FAILURE() << "registry counter " << name
+                    << " has no RunMetrics field";
+      continue;
+    }
+    EXPECT_EQ(total, it->second) << name;
+  }
+  EXPECT_EQ(totals.count("governor.spill_fetches"), 1u);
+}
+
 // Satellite acceptance: metrics collected under an N-thread sweep equal a
 // serial collection exactly — same runs, same aggregate, any thread count.
 TEST(ObsRuntimeTest, ParallelSweepAggregateEqualsSerial) {
-  if (!obs::compiled_in()) GTEST_SKIP() << "built with DSTAGE_OBS=OFF";
   auto make = [](std::uint64_t seed) {
     return small_spec(Scheme::kUncoordinated, 1, seed, true);
   };

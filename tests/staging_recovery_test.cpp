@@ -29,6 +29,7 @@ ServerParams params_with(resilience::Redundancy kind) {
 
 struct Rig {
   sim::Engine eng;
+  obs::Recorder recorder{eng};
   net::Fabric fabric{eng, {}};
   cluster::Cluster cluster{eng, fabric};
   Box domain = Box::from_dims(64, 64, 64);
@@ -55,7 +56,8 @@ struct Rig {
       servers[s]->start();
     }
     manager = std::make_unique<StagingRecoveryManager>(
-        cluster, &servers, server_vprocs, params, spares);
+        cluster, &servers, server_vprocs, params, spares,
+        recorder.track("recovery-manager"));
     manager->arm();
   }
 
@@ -288,8 +290,7 @@ TEST(StagingRecoveryTest, SpareExhaustionNotesDegradationOnFlightRecorder) {
   // kDegradation event and keep the verbatim note that makes the runtime
   // freeze a bundle.
   Rig rig(3, params_with(resilience::Redundancy::kErasureCode), /*spares=*/0);
-  obs::FlightRecorder recorder;
-  rig.manager->set_recorder(&recorder, recorder.track("recovery-manager"));
+  const obs::Recorder& recorder = rig.recorder;
   auto producer = rig.make_client(0);
   sim::spawn(rig.eng, [&]() -> sim::Task<void> {
     sim::Ctx ctx{&rig.eng, nullptr};

@@ -38,7 +38,7 @@ int usage() {
   return 2;
 }
 
-void print_event(const obs::FrDecoded& e, const char* marker) {
+void print_event(const obs::DecodedEvent& e, const char* marker) {
   std::printf("  %s[seq %llu] t=%.6fs %-14s %s",
               marker, static_cast<unsigned long long>(e.seq),
               static_cast<double>(e.at_ns) * 1e-9, e.kind.c_str(),
@@ -85,7 +85,7 @@ int analyze(const std::string& path, const check::ForensicBundle& b,
   print_event(b.events[div.index], "");
   std::printf("  %s\n", div.what.c_str());
   std::printf("causal chain (oldest first, '>' = the divergent event):\n");
-  for (const obs::FrDecoded& e : div.causal_chain) {
+  for (const obs::DecodedEvent& e : div.causal_chain) {
     print_event(e, e.seq == b.events[div.index].seq ? "> " : "  ");
   }
   return 0;

@@ -165,19 +165,10 @@ int run_report(int argc, char** argv) {
     return usage();
   }
 
-  if (!obs::compiled_in()) {
-    std::fprintf(stderr,
-                 "obs_report: built with DSTAGE_OBS=OFF; nothing to report\n");
-    return 1;
-  }
-
   core::WorkflowRunner runner(spec);
   const core::RunMetrics m = runner.run();
-  const obs::Observability* obs = runner.runtime().obs();
-  if (obs == nullptr) {
-    std::fprintf(stderr, "obs_report: observability layer did not attach\n");
-    return 1;
-  }
+  // spec.obs.enabled is forced on above, so the span/metrics sinks exist.
+  const obs::Observability& obs = *runner.runtime().obs();
 
   std::printf("scheme %s | %d ts | %d failure(s) injected | seed %llu | "
               "total %.2f s (virtual)\n",
@@ -185,15 +176,14 @@ int run_report(int argc, char** argv) {
               static_cast<unsigned long long>(spec.failures.seed),
               m.total_time_s);
 
-  const obs::Breakdown breakdown = obs::phase_breakdown(obs->tracer());
+  const obs::Breakdown breakdown = obs::phase_breakdown(obs.tracer());
   if (breakdown.tracks.empty()) {
     // An empty section is a trap to debug: say why it can be empty rather
     // than printing a headline over nothing.
     std::fprintf(stderr,
                  "obs_report: WARNING: no spans matched the breakdown — the "
                  "span stream is empty. Spans are only emitted when the obs "
-                 "gate is on (spec.obs.enabled, forced on by this tool) and "
-                 "the build has -DDSTAGE_OBS=ON.\n");
+                 "gate is on (spec.obs.enabled, forced on by this tool).\n");
   } else {
     std::printf("\nExecution-time breakdown (virtual seconds per phase):\n\n");
     print_breakdown(std::cout, breakdown);
@@ -228,7 +218,7 @@ int run_report(int argc, char** argv) {
     }
   }
 
-  const auto recoveries = obs::recovery_paths(obs->tracer());
+  const auto recoveries = obs::recovery_paths(obs.tracer());
   if (recoveries.empty()) {
     if (m.failures_injected > 0) {
       std::fprintf(stderr,
@@ -250,7 +240,7 @@ int run_report(int argc, char** argv) {
   }
 
   if (!trace_file.empty()) {
-    const Json doc = obs::chrome_trace_json(obs->tracer());
+    const Json doc = obs::chrome_trace_json(obs.tracer());
     const std::string text = doc.str();
     // Never ship a trace the independent validator rejects.
     const obs::TraceValidation v = obs::validate_chrome_trace(text);
@@ -278,7 +268,7 @@ int run_report(int argc, char** argv) {
     doc.set("phases", obs::breakdown_to_json(breakdown));
     if (by_tenant)
       doc.set("phases_by_tenant", obs::breakdown_to_json(tenant_rollup));
-    doc.set("metrics", obs->metrics().to_json());
+    doc.set("metrics", obs.metrics().to_json());
     std::ofstream out(json_file);
     if (!out) {
       std::fprintf(stderr, "cannot open %s\n", json_file.c_str());
