@@ -44,7 +44,7 @@ struct ResiliencePolicy {
   /// bandwidth) or redundancy with no peer to hold a second fragment
   /// (server_count < 2). A group merely smaller than fragments_total() is
   /// allowed — placement clamps with a loud warning and a metric, and
-  /// survivability degrades (see StagingServer::push_fragments) — because
+  /// survivability degrades (see PeerRedundancy::push_fragments) — because
   /// partial redundancy still beats none.
   void validate(int server_count) const;
 };

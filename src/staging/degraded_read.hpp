@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -47,6 +48,14 @@ struct DegradedReconstruction {
   /// Nominal bytes of the rebuilt chunks (decode-cost input).
   std::uint64_t nominal_bytes = 0;
 };
+
+/// Rebuild one owner chunk from fragments of one (var, version, region),
+/// duplicates allowed, verified against its content key: the first replica
+/// that verifies, or a Reed–Solomon decode. nullopt when none verifies.
+/// Shared by degraded reads and a replacement server's rebuild.
+std::optional<Chunk> reconstruct_chunk(
+    const std::vector<const FragmentPut*>& frags,
+    const resilience::ResiliencePolicy& policy);
 
 /// Reconstruct `desc.region` of (desc.var, desc.version) from `fragments`
 /// (the union of every surviving peer's holdings for the owner, possibly

@@ -1,0 +1,121 @@
+// Governed memory: the server half of the memory governor (the
+// MemoryGovernor policy object decides; this component owns the state and
+// the traffic). Admission, soft-watermark maintenance, and the spill index
+// that replay-path reads fault back in through.
+#pragma once
+
+#include <cstdint>
+#include <map>
+#include <string>
+#include <vector>
+
+#include "gc/garbage_collector.hpp"
+#include "staging/memory_governor.hpp"
+#include "staging/object_store.hpp"
+#include "sim/task.hpp"
+#include "staging/types.hpp"
+#include "wlog/data_log.hpp"
+#include "wlog/event_queue.hpp"
+
+namespace dstage::staging {
+
+struct ServerContext;  // staging/server.hpp
+
+/// Point-in-time memory report (nominal, i.e. paper-scale bytes).
+struct MemoryReport {
+  std::uint64_t store_bytes = 0;       // base object store
+  std::uint64_t log_payload_bytes = 0; // data-log retained payloads
+  std::uint64_t log_metadata_bytes = 0;
+  std::uint64_t redundancy_bytes = 0;  // parity / replica overhead
+  [[nodiscard]] std::uint64_t total() const {
+    return store_bytes + log_payload_bytes + log_metadata_bytes +
+           redundancy_bytes;
+  }
+  /// The memory governor's budgeted footprint: what this server holds for
+  /// its *own* objects. Redundancy fragments held on peers' behalf are
+  /// excluded — they are budgeted by their owners.
+  [[nodiscard]] std::uint64_t governed() const {
+    return store_bytes + log_payload_bytes + log_metadata_bytes;
+  }
+};
+
+class GovernedMemory {
+ public:
+  /// Spill index: var → version → nominal bytes parked on the gateway.
+  using SpillIndex = std::map<std::string, std::map<Version, std::uint64_t>>;
+
+  GovernedMemory(ServerContext& ctx, const ObjectStore& store,
+                 wlog::DataLog& dlog,
+                 const std::map<AppId, wlog::EventQueue>& queues,
+                 const gc::GarbageCollector& gc);
+
+  void set_spill_endpoint(net::EndpointId ep) { spill_endpoint_ = ep; }
+  [[nodiscard]] auto spill_endpoint() const { return spill_endpoint_; }
+  [[nodiscard]] const MemoryGovernor& governor() const { return governor_; }
+  [[nodiscard]] const SpillIndex& spilled() const { return spilled_; }
+
+  /// Store, log payload and event-queue metadata; no redundancy bytes.
+  [[nodiscard]] MemoryReport footprint() const;
+  [[nodiscard]] std::uint64_t governed() const {
+    return footprint().governed();
+  }
+
+  /// Admission for a put adding `incoming` governed bytes: the pooled hard
+  /// watermark, then (weighted fair share) the chunk's tenant share. Counts
+  /// overruns and rejects. True when admitted.
+  bool admit(const Chunk& chunk, std::uint64_t incoming);
+  /// Kick maintenance if the governor is over its soft watermark — pooled,
+  /// or any tenant over its fair share — and no pass is already in flight.
+  void poke();
+
+  /// One GC sweep of the data log behind the watermark: count what it
+  /// reclaimed and pay the index walk (durable checkpoints and maintenance).
+  sim::Task<gc::SweepResult> sweep_log();
+  /// Fault a spilled (var, version) back into the data log before a
+  /// replay-path read (no-op when it is not spilled).
+  sim::Task<void> ensure_resident(std::string var, Version version);
+  /// Fault every spilled version back in (a hand-off's new owner cannot
+  /// read this server's spill files).
+  sim::Task<void> fault_in_all();
+  /// Replacement server: rebuild the spill index from the gateway's
+  /// inventory (it outlived the failed incarnation).
+  sim::Task<void> restore_inventory();
+  /// Retire spill-index entries (and files) the GC watermark has passed.
+  void prune_to_watermark();
+  /// Rollback: spilled versions newer than `version` go with the log —
+  /// of `tenant`'s variables only, or of every variable when tenant < 0.
+  void rollback_above(Version version, net::TenantId tenant);
+
+  [[nodiscard]] bool spill_covers(const std::string& var,
+                                  Version version) const;
+  /// Versions of `var` the log retains, resident or spilled, ascending.
+  [[nodiscard]] std::vector<Version> retained_versions(
+      const std::string& var) const;
+
+ private:
+  /// Soft-watermark maintenance (detached, single-flight).
+  sim::Task<void> maintain();
+  /// One tenant's governed footprint: its store + retained log payloads
+  /// (event-queue metadata is unattributed — it is bounded by truncation
+  /// and negligible next to payloads).
+  [[nodiscard]] std::uint64_t governed_bytes(net::TenantId tenant) const {
+    return store_->nominal_bytes(tenant) + dlog_->nominal_bytes(tenant);
+  }
+  /// True when weighted fair-share is armed and some tenant's governed
+  /// footprint exceeds its soft share (always false single-tenant, so the
+  /// pooled paths are byte-identical with tenancy off).
+  [[nodiscard]] bool any_tenant_over_share() const;
+
+  ServerContext* ctx_;
+  const ObjectStore* store_;
+  wlog::DataLog* dlog_;
+  const std::map<AppId, wlog::EventQueue>* queues_;
+  const gc::GarbageCollector* gc_;
+  MemoryGovernor governor_;
+  net::EndpointId spill_endpoint_ = -1;  // -1 = no gateway
+  SpillIndex spilled_;
+  bool maintenance_inflight_ = false;  // single-flight latch for maintain()
+  bool budget_warned_ = false;
+};
+
+}  // namespace dstage::staging

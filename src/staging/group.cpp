@@ -195,7 +195,7 @@ sim::Task<void> GroupManager::handle_retire(RetireServer req) {
   }
   std::vector<StagingServer::DrainDest> dests;
   for (auto& [to, regions] : successor_regions) {
-    dests.push_back({to, server_endpoint(to), std::move(regions)});
+    dests.push_back({server_endpoint(to), std::move(regions)});
   }
   int sweeps = 0;
   while (!retiree->drained() && sweeps < kMaxDrainSweeps) {

@@ -56,15 +56,13 @@ sim::Task<void> StagingRecoveryManager::recover(int index) {
   cluster_->revive(vp);
 
   // Fresh server instance on the same vproc/endpoint: the mailbox (and any
-  // backlog that accumulated during the outage) is preserved.
-  auto replacement =
-      std::make_unique<StagingServer>(*cluster_, vp, params_);
-  std::vector<net::EndpointId> endpoints;
-  endpoints.reserve(server_vprocs_.size());
-  for (auto v : server_vprocs_)
-    endpoints.push_back(cluster_->vproc(v).endpoint);
-  replacement->set_peers(index, std::move(endpoints));
-  if (spill_endpoint_ >= 0) replacement->set_spill_endpoint(spill_endpoint_);
+  // backlog that accumulated during the outage) is preserved. It records on
+  // its predecessor's track.
+  const StagingServer& predecessor =
+      *(*servers_)[static_cast<std::size_t>(index)];
+  auto replacement = std::make_unique<StagingServer>(*cluster_, vp, params_,
+                                                     predecessor.track());
+  replacement->take_over(predecessor);
   (*servers_)[static_cast<std::size_t>(index)] = std::move(replacement);
   (*servers_)[static_cast<std::size_t>(index)]->start_with_recovery();
   ++stats_.servers_recovered;

@@ -52,8 +52,6 @@ class StagingRecoveryManager {
   void arm();
 
   [[nodiscard]] const RecoveryManagerStats& stats() const { return stats_; }
-  /// Recovery latency model: spare join + service re-registration.
-  void set_respawn_cost(sim::Duration d) { respawn_cost_ = d; }
 
   /// True while server `index` is failed with no replacement coming (the
   /// spare pool was exhausted when it died). Wire this into
@@ -70,9 +68,6 @@ class StagingRecoveryManager {
   void set_on_degraded(std::function<void(int)> cb) {
     on_degraded_ = std::move(cb);
   }
-  /// Spill-gateway endpoint replacement servers should be wired to
-  /// (memory-governed runs only; -1 = none).
-  void set_spill_endpoint(net::EndpointId ep) { spill_endpoint_ = ep; }
 
  private:
   void on_failure(cluster::VprocId vproc);
@@ -86,6 +81,7 @@ class StagingRecoveryManager {
   std::vector<cluster::VprocId> server_vprocs_;
   ServerParams params_;
   cluster::SparePool spares_;
+  /// Recovery latency model: spare join + service re-registration.
   sim::Duration respawn_cost_ = sim::seconds(2);
   RecoveryManagerStats stats_;
   /// Per-index recovery-in-flight guard: a second failure of the same
@@ -99,7 +95,6 @@ class StagingRecoveryManager {
   std::set<int> degraded_;
   std::function<void(int)> on_degraded_;
   obs::Track track_;
-  net::EndpointId spill_endpoint_ = -1;
 };
 
 }  // namespace dstage::staging

@@ -3,6 +3,10 @@
 // server-side contribution to write response time). Integrates the four
 // components Figure 8 adds to the staging runtime: data logging, garbage
 // collection, the global user interface events, and data resilience.
+// It keeps the data plane, durability and the resilver hand-off of its own
+// holdings, dispatches every message, and holds two components as plain
+// members: PeerRedundancy and GovernedMemory (DESIGN.md, "Staging server
+// structure").
 #pragma once
 
 #include <cstdint>
@@ -17,8 +21,11 @@
 #include "net/rpc.hpp"
 #include "obs/recorder.hpp"
 #include "resilience/policy.hpp"
+#include "sim/spawn.hpp"
+#include "staging/governed_memory.hpp"
 #include "staging/memory_governor.hpp"
 #include "staging/object_store.hpp"
+#include "staging/redundancy.hpp"
 #include "staging/types.hpp"
 #include "wlog/data_log.hpp"
 #include "wlog/event_queue.hpp"
@@ -57,7 +64,6 @@ struct ServerStats {
   std::uint64_t puts = 0;
   std::uint64_t batch_puts = 0;  // coalesced put messages unpacked
   std::uint64_t fragments_held = 0;     // fragments stored for peers
-  std::uint64_t fragments_pushed = 0;   // fragments sent to peers
   std::uint64_t mirrored_events = 0;    // queue records mirrored here
   std::uint64_t chunks_rebuilt = 0;     // objects restored after recovery
   std::uint64_t rebuild_failures = 0;   // unrecoverable objects
@@ -66,7 +72,6 @@ struct ServerStats {
   std::uint64_t puts_suppressed = 0;
   std::uint64_t gets_from_log = 0;
   std::uint64_t checkpoints = 0;
-  std::uint64_t recoveries = 0;
   std::uint64_t replay_mismatches = 0;
   std::uint64_t gc_versions_dropped = 0;
   std::uint64_t gc_nominal_freed = 0;
@@ -100,22 +105,31 @@ struct ServerStats {
   std::uint64_t drain_promotions = 0;
 };
 
-/// Point-in-time memory report (nominal, i.e. paper-scale bytes).
-struct MemoryReport {
-  std::uint64_t store_bytes = 0;       // base object store
-  std::uint64_t log_payload_bytes = 0; // data-log retained payloads
-  std::uint64_t log_metadata_bytes = 0;
-  std::uint64_t redundancy_bytes = 0;  // parity / replica overhead
-  [[nodiscard]] std::uint64_t total() const {
-    return store_bytes + log_payload_bytes + log_metadata_bytes +
-           redundancy_bytes;
+/// What a server shares with its components (PeerRedundancy,
+/// GovernedMemory): configuration, identity, the one stats block, and the
+/// ctx/RPC/track handles. Components hold a reference; they are plain
+/// members of the same server, so none outlives it.
+struct ServerContext {
+  [[nodiscard]] sim::Ctx ctx() const { return cluster->ctx_for(vproc); }
+  void spawn(sim::Task<void> task) const {
+    sim::spawn(cluster->engine(), std::move(task));
   }
-  /// The memory governor's budgeted footprint: what this server holds for
-  /// its *own* objects. Redundancy fragments held on peers' behalf are
-  /// excluded — they are budgeted by their owners.
-  [[nodiscard]] std::uint64_t governed() const {
-    return store_bytes + log_payload_bytes + log_metadata_bytes;
+  [[nodiscard]] sim::Duration copy_time(std::uint64_t bytes) const {
+    return sim::from_seconds(static_cast<double>(bytes) / params.mem_bw);
   }
+
+  cluster::Cluster* cluster;
+  cluster::VprocId vproc;
+  ServerParams params;
+  net::Rpc rpc;
+  obs::Track track;
+  ServerStats stats{};
+  int self_index = 0;  // this server's index in the staging group
+  /// Elastic membership: the live placement index (null = fixed group).
+  const dht::SpatialIndex* group_index = nullptr;
+  /// Requests are handled one at a time, so one "current request" span id
+  /// suffices for parenting child spans.
+  obs::SpanId request_span = 0;
 };
 
 class StagingServer {
@@ -124,6 +138,9 @@ class StagingServer {
   /// (default) track records nothing.
   StagingServer(cluster::Cluster& cluster, cluster::VprocId vproc,
                 ServerParams params, obs::Track track = {});
+  // Components hold references into the server.
+  StagingServer(const StagingServer&) = delete;
+  StagingServer& operator=(const StagingServer&) = delete;
 
   /// Spawn the request-processing loop.
   void start();
@@ -136,7 +153,7 @@ class StagingServer {
   void set_peers(int self_index,
                  std::shared_ptr<const std::vector<net::EndpointId>> endpoints,
                  std::shared_ptr<const std::vector<int>> initial_view = {});
-  /// Convenience overload for tests and recovery: wraps the vector.
+  /// Convenience overload for tests and examples: wraps the vector.
   void set_peers(int self_index, std::vector<net::EndpointId> endpoints) {
     set_peers(self_index,
               std::make_shared<const std::vector<net::EndpointId>>(
@@ -153,6 +170,15 @@ class StagingServer {
   void register_var(const std::string& var,
                     std::vector<std::pair<AppId, bool>> consumers) {
     gc_.register_var(var, std::move(consumers));
+  }
+  /// Recovery: wire a replacement as its failed predecessor was — index,
+  /// peers (every server active), spill gateway, and the variables the
+  /// workflow registered. The checkpoint records died with the
+  /// predecessor: retention stays conservative until consumers checkpoint.
+  void take_over(const StagingServer& predecessor) {
+    set_peers(predecessor.ctx_.self_index, predecessor.redundancy_.endpoints());
+    memory_.set_spill_endpoint(predecessor.memory_.spill_endpoint());
+    gc_.adopt_registry(predecessor.gc_);
   }
 
   /// Consistency-oracle instrumentation: one bundle of observation hooks
@@ -182,23 +208,25 @@ class StagingServer {
   /// Wire the memory governor to the PFS spill gateway. Without a gateway
   /// the governor still enforces admission (backpressure), but has nowhere
   /// to evict cold log versions.
-  void set_spill_endpoint(net::EndpointId ep) { spill_endpoint_ = ep; }
+  void set_spill_endpoint(net::EndpointId ep) {
+    memory_.set_spill_endpoint(ep);
+  }
 
   /// Elastic membership: point this server at the live placement index so
   /// it verifies ownership of every put/get against the current epoch.
   /// Non-null enables elastic mode — requests for cells this server no
   /// longer owns bounce with a typed wrong_epoch instead of being applied.
   void set_group_index(const dht::SpatialIndex* group) {
-    group_index_ = group;
+    ctx_.group_index = group;
   }
-  [[nodiscard]] bool elastic() const { return group_index_ != nullptr; }
 
   /// Install a membership view (epoch + active server ids, ascending).
   /// Also delivered at runtime via MembershipUpdate messages; redundancy
   /// (mirror successor, fragment round-robin, prune fan-out) follows the
   /// active set only.
-  void apply_membership(std::uint64_t epoch, std::vector<int> active);
-  [[nodiscard]] std::uint64_t membership_epoch() const { return view_epoch_; }
+  void apply_membership(std::uint64_t epoch, std::vector<int> active) {
+    redundancy_.apply_membership(epoch, std::move(active));
+  }
 
   /// Outcome of one resilver sweep (see resilver_out).
   struct ResilverOutcome {
@@ -219,7 +247,6 @@ class StagingServer {
 
   /// One successor of a retiring server: the new owner of `regions`.
   struct DrainDest {
-    int server = -1;
     net::EndpointId endpoint = 0;
     std::vector<Box> regions;
   };
@@ -230,13 +257,13 @@ class StagingServer {
   /// every successor whose regions intersect it — sequentially, so every
   /// new owner holds the data before the local copy is dropped.
   sim::Task<ResilverOutcome> drain_out(std::vector<DrainDest> dests) {
-    return drain_out_impl(std::move(dests));
+    return hand_off(std::move(dests), Release::kAcked);
   }
 
   /// Retirement: re-home fragments held for other owners and forward
   /// mirrored queue events onto the active set, so redundancy survives
   /// this server leaving the group.
-  sim::Task<void> handoff_redundancy() { return handoff_redundancy_impl(); }
+  sim::Task<void> handoff_redundancy() { return redundancy_.handoff(); }
 
   /// True when this server holds no primary data (retirement is complete).
   [[nodiscard]] bool drained() const {
@@ -245,34 +272,21 @@ class StagingServer {
 
   /// Spilled log versions per variable (version → nominal bytes) — the
   /// read-through index that replay-path gets consult.
-  [[nodiscard]] const std::map<std::string, std::map<Version, std::uint64_t>>&
-  spilled() const {
-    return spilled_;
+  [[nodiscard]] const GovernedMemory::SpillIndex& spilled() const {
+    return memory_.spilled();
   }
 
-  [[nodiscard]] cluster::VprocId vproc() const { return vproc_; }
   [[nodiscard]] net::EndpointId endpoint() const;
   [[nodiscard]] const ObjectStore& store() const { return store_; }
   [[nodiscard]] const wlog::DataLog& data_log() const { return dlog_; }
-  [[nodiscard]] const gc::GarbageCollector& gc() const { return gc_; }
-  [[nodiscard]] const ServerStats& stats() const { return stats_; }
-  [[nodiscard]] const obs::Track& track() const { return track_; }
+  [[nodiscard]] const ServerStats& stats() const { return ctx_.stats; }
+  [[nodiscard]] const obs::Track& track() const { return ctx_.track; }
   [[nodiscard]] MemoryReport memory() const;
-  /// One tenant's governed footprint: its store + retained log payloads
-  /// (event-queue metadata is unattributed — it is bounded by truncation
-  /// and negligible next to payloads).
-  [[nodiscard]] std::uint64_t governed_bytes(net::TenantId tenant) const {
-    return store_.nominal_bytes(tenant) + dlog_.nominal_bytes(tenant);
-  }
   /// Peak total nominal bytes observed at request boundaries.
   [[nodiscard]] std::uint64_t peak_total_bytes() const { return peak_total_; }
   /// Time-averaged total nominal bytes (sampled at request boundaries,
   /// weighted by virtual time between samples).
   [[nodiscard]] double mean_total_bytes() const;
-  [[nodiscard]] std::size_t pending_get_count() const {
-    return pending_.size();
-  }
-  [[nodiscard]] const ServerParams& params() const { return params_; }
 
  private:
   sim::Task<void> run();
@@ -283,41 +297,9 @@ class StagingServer {
   sim::Task<void> handle_checkpoint(CheckpointEvent ev);
   sim::Task<void> handle_recovery(RecoveryEvent ev);
   sim::Task<void> handle_rollback(RollbackRequest req);
-  sim::Task<void> handle_fragment_put(FragmentPut frag);
-  sim::Task<void> handle_fragment_prune(FragmentPrune prune);
-  sim::Task<void> handle_queue_backup(QueueBackup backup);
-  sim::Task<void> handle_recovery_pull(RecoveryPull pull);
   sim::Task<void> handle_query(QueryRequest query);
-  sim::Task<void> handle_membership_update(MembershipUpdate update);
-  sim::Task<void> handle_fragment_fetch(FragmentFetch fetch);
   sim::Task<void> handle_resilver_put(ResilverPut put);
   sim::Task<void> handle_ckpt_drain_ack(CkptDrainAck ack);
-  /// The durable-checkpoint GC path shared by handle_checkpoint and the
-  /// drain agent's CkptDrainAck promotion: sweep the data log behind the
-  /// advanced watermark, retire passed spill files, and tell peers to
-  /// reclaim fragments below the retention floor. Caller guards on
-  /// params_.logging.
-  sim::Task<void> sweep_after_durable();
-  /// Every registered variable's GC watermark, for diffing around a
-  /// checkpoint.
-  [[nodiscard]] std::vector<std::pair<std::string, Version>> watermarks()
-      const;
-  /// Emit kGcWatermark for every variable whose watermark moved past its
-  /// `before` value.
-  void emit_watermark_advances(
-      const std::vector<std::pair<std::string, Version>>& before);
-  sim::Task<ResilverOutcome> resilver_out_impl(int dest,
-                                               net::EndpointId dest_ep,
-                                               std::vector<Box> regions);
-  sim::Task<ResilverOutcome> drain_out_impl(std::vector<DrainDest> dests);
-  sim::Task<void> handoff_redundancy_impl();
-  /// Position of this server in the active view, or -1 when retired.
-  /// O(1): cached by refresh_view_pos() whenever the view changes.
-  [[nodiscard]] int active_pos() const { return view_pos_; }
-  void refresh_view_pos();
-  /// True in elastic mode when the current epoch maps any cell of
-  /// `region` to a different owner.
-  [[nodiscard]] bool not_owner(const Box& region) const;
   /// No-op arm for messages this endpoint does not speak (spill traffic
   /// belongs to the gateway); keeps the Message visit exhaustive.
   sim::Task<void> ignore_message();
@@ -329,52 +311,52 @@ class StagingServer {
   /// the caller).
   sim::Task<PutResponse> apply_put(AppId app, bool logged, Chunk chunk);
 
-  /// Push redundancy fragments of a freshly applied chunk to peers and
-  /// notify them of reclaimable older versions (detached).
-  sim::Task<void> push_fragments(Chunk chunk, bool logged);
-  sim::Task<void> mirror_event(wlog::LogEvent event);
+  /// Record `event` in `app`'s queue and mirror it onto the successor
+  /// (one detached send). Returns the queue.
+  wlog::EventQueue& log_event(AppId app, wlog::LogEvent event);
+  void log_get(const GetRequest& req);
+
+  /// Advance `app`'s durable checkpoint to `version` and emit kGcWatermark
+  /// for every variable whose watermark moved.
+  void advance_watermark(AppId app, Version version);
+  /// The durable-checkpoint GC path shared by handle_checkpoint and the
+  /// drain agent's CkptDrainAck promotion: sweep the data log behind the
+  /// advanced watermark, retire passed spill files, and tell peers to
+  /// reclaim fragments below the retention floor. Caller guards on
+  /// params.logging.
+  sim::Task<void> sweep_after_durable();
+
   /// Rebuild state from peers (runs before the replacement serves traffic).
   sim::Task<void> rebuild_from_peers();
-  /// The fragment-pull/decode/re-push half of rebuild_from_peers.
-  sim::Task<void> rebuild_objects_from_peers();
   sim::Task<void> run_after_recovery();
 
-  /// Soft-watermark maintenance (detached, single-flight): urgent GC sweep,
-  /// then spill the coldest reclaim-ineligible log versions to the gateway
-  /// until the governed footprint is back under the soft watermark.
-  sim::Task<void> maintain_memory();
-  /// Fault a spilled (var, version) back into the data log before a
-  /// replay-path read (no-op when it is not spilled).
-  sim::Task<void> ensure_log_resident(std::string var, Version version);
-  [[nodiscard]] bool spill_covers(const std::string& var,
-                                  Version version) const;
-  /// Kick maintain_memory() if the governor is over its soft watermark —
-  /// pooled, or any tenant over its fair share — and no maintenance pass
-  /// is already in flight.
-  void poke_governor();
-  /// True when weighted fair-share is armed and some tenant's governed
-  /// footprint exceeds its soft share (always false single-tenant, so the
-  /// pooled paths are byte-identical with tenancy off).
-  [[nodiscard]] bool any_tenant_over_share() const;
-  /// Drop spilled-index entries the GC watermark has passed and tell the
-  /// gateway to reclaim the corresponding spill files.
-  void prune_spilled_upto_watermark();
+  /// True in elastic mode when the current epoch maps any cell of
+  /// `region` to a different owner.
+  [[nodiscard]] bool not_owner(const Box& region) const;
 
   /// Serve a get whose data is present; pays response transport.
   sim::Task<void> respond_get(GetRequest req, std::vector<Chunk> pieces,
                               bool from_log);
-  /// Re-check pending gets after a put made (var, version) more complete.
-  void poke_pending(const std::string& var, Version version);
+  /// Serve parked gets that (var, version) now satisfies, from the base
+  /// store or (a log-only resilver landed) from the data log.
+  void wake_pending(const std::string& var, Version version, bool from_log);
 
-  [[nodiscard]] sim::Ctx ctx() { return cluster_->ctx_for(vproc_); }
-  [[nodiscard]] sim::Duration copy_time(std::uint64_t bytes) const;
+  sim::Task<ResilverOutcome> resilver_out_impl(int dest,
+                                               net::EndpointId dest_ep,
+                                               std::vector<Box> regions);
+  /// How a hand-off releases the local copy of a version's pieces: once
+  /// any was acked, those the (single) destination's regions cover
+  /// (resilver); or those every intersecting destination acked (drain).
+  enum class Release { kCovered, kAcked };
+  /// The one walk over this server's holdings: each (var, version) of the
+  /// store/log union in ascending order, each piece to every destination
+  /// whose regions intersect it, then release per `release`.
+  sim::Task<ResilverOutcome> hand_off(std::vector<DrainDest> dests,
+                                      Release release);
+
   void sample_memory();
 
-  cluster::Cluster* cluster_;
-  cluster::VprocId vproc_;
-  ServerParams params_;
-  net::Rpc rpc_;
-  MemoryGovernor governor_;
+  ServerContext ctx_;
   ObjectStore store_;
   wlog::DataLog dlog_;
   std::map<AppId, wlog::EventQueue> queues_;
@@ -384,48 +366,13 @@ class StagingServer {
   gc::GarbageCollector gc_;
   std::vector<GetRequest> pending_;
   std::uint64_t next_chk_id_ = 1;
-  ServerStats stats_;
-  // Resilience state. The endpoint list and membership view are shared
-  // across the whole group (copy-on-write: apply_membership installs a
-  // fresh vector rather than mutating in place).
-  int self_index_ = 0;
-  std::shared_ptr<const std::vector<net::EndpointId>> peer_endpoints_ =
-      std::make_shared<std::vector<net::EndpointId>>();
-  [[nodiscard]] const std::vector<net::EndpointId>& peers() const {
-    return *peer_endpoints_;
-  }
-  // Elastic membership: the live placement index (null = elastic off) and
-  // the last membership view applied. Redundancy fan-out follows the
-  // active view; peer_endpoints_ keeps every server (standbys included)
-  // addressable for recovery pulls.
-  const dht::SpatialIndex* group_index_ = nullptr;
-  std::uint64_t view_epoch_ = 0;
-  std::shared_ptr<const std::vector<int>> active_view_ =
-      std::make_shared<std::vector<int>>();  // ascending server ids
-  [[nodiscard]] const std::vector<int>& view() const { return *active_view_; }
-  int view_pos_ = -1;  // this server's index in *active_view_, or -1
-  // owner → fragments held on that owner's behalf.
-  std::map<int, std::vector<FragmentPut>> fragments_;
-  std::uint64_t fragment_bytes_ = 0;
-  // owner → app → mirrored event queue.
-  std::map<int, std::map<AppId, wlog::EventQueue>> mirrors_;
-  // Memory-governor state: gateway endpoint (-1 = none), the spill index
-  // (var → version → nominal bytes evicted), and the single-flight latch
-  // for the maintenance coroutine.
-  net::EndpointId spill_endpoint_ = -1;
-  std::map<std::string, std::map<Version, std::uint64_t>> spilled_;
-  bool maintenance_inflight_ = false;
-  bool placement_warned_ = false;
-  bool budget_warned_ = false;
+  PeerRedundancy redundancy_;
+  GovernedMemory memory_;
   // Memory sampling for peak / time-averaged usage.
   std::uint64_t peak_total_ = 0;
   double byte_seconds_ = 0;
   sim::TimePoint last_sample_{};
   std::uint64_t last_total_ = 0;
-  // Event track. Requests are handled sequentially, so one "current
-  // request" span id suffices for parenting child spans.
-  obs::Track track_;
-  obs::SpanId current_request_span_ = 0;
 };
 
 }  // namespace dstage::staging

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 
+#include "check/schedule.hpp"
 #include "core/executor.hpp"
 #include "core/setups.hpp"
 
@@ -116,6 +117,49 @@ TEST(GoldenTraceTest, AdaptiveIntervalDigestIsStable) {
   WorkflowRunner runner(spec);
   runner.run();
   EXPECT_EQ(runner.trace().digest(), 0x4d9d6b87eaefab43ull);
+}
+
+// The memory-governed path: a 512 MB/server budget (the tightest feasible
+// Table-II budget) drives admission backpressure, victim spills and
+// replay-path fault-ins, raw and under the delta+LZ log codec.
+TEST(GoldenTraceTest, GovernedDigestsAreStable) {
+  struct Case {
+    wlog::codec::Scheme codec;
+    std::uint64_t digest;
+  };
+  const Case cases[] = {
+      {wlog::codec::Scheme::kNone, 0xd87079535bf00353ull},
+      {wlog::codec::Scheme::kDeltaLz, 0xf7b597808f5b97f9ull},
+  };
+  for (const Case& c : cases) {
+    WorkflowSpec spec = golden_spec(Scheme::kUncoordinated, 2, 1003);
+    spec.staging.memory_budget = std::uint64_t{512} << 20;
+    spec.wlog.codec = c.codec;
+    WorkflowRunner runner(spec);
+    runner.run();
+    EXPECT_EQ(runner.trace().digest(), c.digest)
+        << "codec=" << static_cast<int>(c.codec);
+  }
+}
+
+// Fixed-group peer redundancy: fragment placement and queue mirroring over
+// the identity view, under replication (res=1) and RS(2, 1) (res=2).
+TEST(GoldenTraceTest, FixedGroupRedundancyDigestsAreStable) {
+  struct Case {
+    const char* repro;
+    std::uint64_t digest;
+  };
+  const Case cases[] = {
+      {"cc1;id=4;sch=un;ts=12;sp=3;ap=4;lp=0;res=1;mtbf=0;f=0:5:0.5:",
+       0xaaccdb957bbab48aull},
+      {"cc1;id=4;sch=un;ts=12;sp=3;ap=4;lp=0;res=2;mtbf=0;f=0:5:0.5:",
+       0xd54976e1273880c9ull},
+  };
+  for (const Case& c : cases) {
+    WorkflowRunner runner(check::Schedule::parse(c.repro).to_spec());
+    runner.run();
+    EXPECT_EQ(runner.trace().digest(), c.digest) << c.repro;
+  }
 }
 
 }  // namespace

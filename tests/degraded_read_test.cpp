@@ -40,7 +40,7 @@ FragmentPut fragment_of(const Chunk& chunk, int frag_index,
 }
 
 /// The full RS fragment set for one owner chunk, index 0 .. k+m-1, shaped
-/// exactly like StagingServer::push_fragments shapes them.
+/// exactly like PeerRedundancy::push_fragments shapes them.
 std::vector<FragmentPut> rs_fragments(const Chunk& chunk,
                                       const resilience::ResiliencePolicy& p) {
   const resilience::ReedSolomon rs(p.rs_k, p.rs_m);

@@ -38,14 +38,17 @@ struct Rig {
   std::vector<std::unique_ptr<StagingServer>> servers;
   std::unique_ptr<StagingRecoveryManager> manager;
 
-  explicit Rig(int nservers, ServerParams params, int spares = 4)
+  /// `traced` gives every server an event track named after its vproc.
+  explicit Rig(int nservers, ServerParams params, int spares = 4,
+               bool traced = false)
       : index(domain, nservers, 8) {
     for (int s = 0; s < nservers; ++s) {
-      auto vp =
-          cluster.add_vproc("srv" + std::to_string(s), cluster.add_node());
+      const std::string name = "srv" + std::to_string(s);
+      auto vp = cluster.add_vproc(name, cluster.add_node());
       server_vprocs.push_back(vp);
-      servers.push_back(
-          std::make_unique<StagingServer>(cluster, vp, params));
+      servers.push_back(std::make_unique<StagingServer>(
+          cluster, vp, params,
+          traced ? recorder.track(name) : obs::Track{}));
       servers.back()->register_var("f", {{1, true}});
     }
     std::vector<net::EndpointId> endpoints;
@@ -182,6 +185,95 @@ TEST(StagingRecoveryTest, QueueMirrorPreservesReplayAcrossServerLoss) {
   });
   rig.run();
   EXPECT_GT(suppressed, 0u);
+}
+
+TEST(StagingRecoveryTest, ReplacementInheritsGcRegistryAndTrack) {
+  // The replacement takes over its predecessor's variable registrations:
+  // with an empty registry every watermark reads "reclaim all", and the
+  // producer's checkpoint would sweep logged versions the rollback-capable
+  // consumer (no checkpoint yet) may still replay. It also keeps recording
+  // on the predecessor's event track.
+  Rig rig(3, params_with(resilience::Redundancy::kErasureCode), /*spares=*/4,
+          /*traced=*/true);
+  auto producer = rig.make_client(0);
+  auto consumer = rig.make_client(1);
+  sim::spawn(rig.eng, [&]() -> sim::Task<void> {
+    sim::Ctx ctx{&rig.eng, nullptr};
+    for (Version v = 1; v <= 4; ++v) {
+      co_await producer->put(ctx, "f", v, rig.domain);
+      co_await consumer->get(ctx, "f", v, rig.domain);
+    }
+    co_await ctx.delay(sim::seconds(2));
+    rig.cluster.kill(rig.server_vprocs[0]);
+    co_await ctx.delay(sim::seconds(10));
+    co_await producer->workflow_check(ctx, 4);
+    co_await ctx.delay(sim::seconds(2));
+  });
+  rig.run();
+  ASSERT_EQ(rig.manager->stats().servers_recovered, 1);
+  const std::vector<Version> all{1, 2, 3, 4};
+  for (const auto& s : rig.servers) {
+    EXPECT_EQ(s->data_log().versions_of("f"), all);
+    EXPECT_EQ(s->stats().gc_versions_dropped, 0u);
+  }
+  std::size_t replacement_sweeps = 0;
+  for (const obs::DecodedEvent& e : rig.recorder.dump()) {
+    replacement_sweeps += e.track == "srv0" && e.kind == "gc-sweep";
+  }
+  EXPECT_EQ(replacement_sweeps, 1u);
+}
+
+TEST(StagingRecoveryTest, RebuildSkipsCorruptReplica) {
+  // A corrupt replica held ahead of the genuine one must not be restored:
+  // rebuild verifies each replica against its content key and falls
+  // through to the next, exactly as a degraded read does.
+  Rig rig(3, params_with(resilience::Redundancy::kReplication));
+  auto producer = rig.make_client(0);
+  const cluster::VprocId forger =
+      rig.cluster.add_vproc("forger", rig.cluster.add_node());
+  net::Rpc rpc(rig.fabric, rig.cluster.vproc(forger).endpoint);
+  const net::EndpointId holder =
+      rig.cluster.vproc(rig.server_vprocs[1]).endpoint;
+  sim::spawn(rig.eng, [&]() -> sim::Task<void> {
+    sim::Ctx ctx{&rig.eng, nullptr};
+    // Server 1 holds server 0's replicas (its successor); plant a
+    // byte-flipped copy of each of server 0's v1 pieces there first.
+    for (const dht::Placement& placement : rig.index.place(rig.domain)) {
+      if (placement.server != 0) continue;
+      for (const Box& piece : placement.pieces) {
+        const Chunk genuine = make_chunk("f", 1, piece, 8, 4096);
+        auto bytes = *genuine.data;
+        bytes[0] ^= 0xff;
+        FragmentPut forged;
+        forged.owner = 0;
+        forged.var = "f";
+        forged.version = 1;
+        forged.region = piece;
+        forged.frag_index = 1;
+        forged.nominal_bytes = genuine.nominal_bytes;
+        forged.original_physical = bytes.size();
+        forged.content_key = genuine.content_key;
+        forged.logged = true;
+        forged.data =
+            std::make_shared<const std::vector<std::uint8_t>>(std::move(bytes));
+        net::Message msg{std::move(forged)};
+        co_await rpc.send(ctx, holder, std::move(msg));
+      }
+    }
+    co_await producer->put(ctx, "f", 1, rig.domain);
+    co_await ctx.delay(sim::seconds(2));
+    rig.cluster.kill(rig.server_vprocs[0]);
+    co_await ctx.delay(sim::seconds(10));
+  });
+  rig.run();
+  const StagingServer& rebuilt = *rig.servers[0];
+  const std::vector<Chunk> chunks = rebuilt.store().chunks_of("f", 1);
+  ASSERT_FALSE(chunks.empty());
+  EXPECT_EQ(rebuilt.stats().chunks_rebuilt, chunks.size());
+  EXPECT_EQ(rebuilt.stats().rebuild_failures, 0u);
+  std::size_t corrupt = 0;
+  for (const Chunk& c : chunks) corrupt += check_chunk(c, "f", 1) != ChunkCheck::kOk;
+  EXPECT_EQ(corrupt, 0u);
 }
 
 TEST(StagingRecoveryTest, FragmentsPrunedAtCheckpoints) {
