@@ -1,10 +1,10 @@
 #include "check/campaign.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <exception>
-#include <thread>
 #include <utility>
+
+#include "check/counters.hpp"
+#include "util/parallel.hpp"
 
 namespace dstage::check {
 
@@ -13,61 +13,18 @@ CampaignResult run_campaign(const CampaignOptions& opts) {
 
   CampaignResult result;
   result.schedules = static_cast<int>(schedules.size());
-  if (schedules.empty()) return result;
 
   ReferenceCache cache;
   std::vector<OracleReport> reports(schedules.size());
+  parallel_for(schedules.size(), opts.threads, [&](std::size_t i) {
+    reports[i] = check_schedule(schedules[i], cache, opts.sabotage);
+  });
 
-  const int jobs = static_cast<int>(schedules.size());
-  int threads = opts.threads;
-  if (threads <= 0) {
-    threads =
-        static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+  for (const Counter& counter : counters()) {
+    std::uint64_t& total = result.totals[std::string(counter.name)];
+    for (const OracleReport& report : reports) total += counter.read(report);
   }
-  threads = std::min(threads, jobs);
-
-  std::atomic<int> next{0};
-  std::vector<std::exception_ptr> errors(schedules.size());
-  {
-    std::vector<std::jthread> pool;
-    pool.reserve(static_cast<std::size_t>(threads));
-    for (int t = 0; t < threads; ++t) {
-      pool.emplace_back([&] {
-        for (int i = next.fetch_add(1); i < jobs; i = next.fetch_add(1)) {
-          const auto idx = static_cast<std::size_t>(i);
-          try {
-            reports[idx] = check_schedule(schedules[idx], cache,
-                                          opts.sabotage);
-          } catch (...) {
-            errors[idx] = std::current_exception();
-          }
-        }
-      });
-    }
-  }  // jthread joins here
-  for (auto& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
-
   for (std::size_t i = 0; i < schedules.size(); ++i) {
-    result.total_failures_injected += reports[i].failures_injected;
-    result.spilled_versions += reports[i].spilled_versions;
-    result.spill_fetches += reports[i].spill_fetches;
-    result.puts_rejected += reports[i].puts_rejected;
-    result.backpressure_waits += reports[i].backpressure_waits;
-    result.resilver_chunks_moved += reports[i].resilver_chunks_moved;
-    result.resilver_drops += reports[i].resilver_drops;
-    result.wrong_epoch_rejects += reports[i].wrong_epoch_rejects;
-    result.degraded_reads += reports[i].degraded_reads;
-    result.ckpt_drains_completed += reports[i].ckpt_drains_completed;
-    result.ckpt_cache_restarts += reports[i].ckpt_cache_restarts;
-    result.ckpt_partner_rebuilds += reports[i].ckpt_partner_rebuilds;
-    result.ckpt_pfs_restarts += reports[i].ckpt_pfs_restarts;
-    result.isolation_reads_checked += reports[i].isolation_reads_checked;
-    result.codec_reads_checked += reports[i].codec_reads_checked;
-    result.codec_blocks_encoded += reports[i].codec_blocks_encoded;
-    result.codec_raw_bytes += reports[i].codec_raw_bytes;
-    result.codec_stored_bytes += reports[i].codec_stored_bytes;
     if (reports[i].ok()) {
       ++result.passed;
       continue;

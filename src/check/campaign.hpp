@@ -5,6 +5,9 @@
 // ctest `campaign` label.
 #pragma once
 
+#include <cstdint>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "check/oracle.hpp"
@@ -36,47 +39,11 @@ struct CampaignFailure {
 struct CampaignResult {
   int schedules = 0;
   int passed = 0;
-  int total_failures_injected = 0;
   std::vector<CampaignFailure> failures;
-  /// Aggregated memory-governor activity across all schedules (zero when
-  /// gen.memory_budget_mb == 0). A memory-governed campaign should assert
-  /// these are nonzero: a budget loose enough that neither spill nor
-  /// backpressure ever fires has verified nothing.
-  std::uint64_t spilled_versions = 0;
-  std::uint64_t spill_fetches = 0;
-  std::uint64_t puts_rejected = 0;
-  std::uint64_t backpressure_waits = 0;
-  /// Aggregated elastic-membership activity (zero when
-  /// gen.elastic_probability == 0). An elastic campaign should assert
-  /// resilver_chunks_moved and resilver_drops are nonzero: membership
-  /// changes that moved no data have verified nothing.
-  std::uint64_t resilver_chunks_moved = 0;
-  std::uint64_t resilver_drops = 0;
-  std::uint64_t wrong_epoch_rejects = 0;
-  std::uint64_t degraded_reads = 0;
-  /// Aggregated multi-level checkpoint activity (zero when
-  /// gen.ckpt_probability == 0). A hierarchy campaign should assert
-  /// ckpt_cache_restarts and ckpt_partner_rebuilds are nonzero: a run
-  /// where every restart fell through to the PFS has not verified the
-  /// cache or partner levels at all.
-  std::uint64_t ckpt_drains_completed = 0;
-  std::uint64_t ckpt_cache_restarts = 0;
-  std::uint64_t ckpt_partner_rebuilds = 0;
-  std::uint64_t ckpt_pfs_restarts = 0;
-  /// Aggregated bystander read occurrences the isolation invariant
-  /// compared against solo references (zero when gen.tenants <= 1). A
-  /// multi-tenant campaign should assert this is nonzero: an isolation
-  /// invariant that never inspected a cross-tenant read has verified
-  /// nothing.
-  std::uint64_t isolation_reads_checked = 0;
-  /// Aggregated codec activity (zero when gen.codec == kNone). A --codec
-  /// campaign should assert codec_blocks_encoded and codec_reads_checked
-  /// are nonzero: a codec run that never encoded a block or never compared
-  /// a read against the codec-off reference has verified nothing.
-  std::uint64_t codec_reads_checked = 0;
-  std::uint64_t codec_blocks_encoded = 0;
-  std::uint64_t codec_raw_bytes = 0;
-  std::uint64_t codec_stored_bytes = 0;
+  /// Every counters() row summed over all schedules, keyed by its name.
+  /// A feature campaign requires its counters nonzero: a budget that never
+  /// spilled, or an episode that never moved data, has verified nothing.
+  std::map<std::string, std::uint64_t> totals;
 
   [[nodiscard]] bool ok() const { return failures.empty(); }
 };

@@ -365,23 +365,7 @@ OracleReport check_schedule(const Schedule& s, ReferenceCache& cache,
 
   bool deadlocked = false;
   try {
-    const core::RunMetrics metrics = runner.run();
-    report.spilled_versions = metrics.staging.spilled_versions;
-    report.spill_fetches = metrics.staging.spill_fetches;
-    report.puts_rejected = metrics.staging.puts_rejected;
-    report.backpressure_waits = metrics.rpc_backpressure_waits;
-    report.membership_epoch = metrics.staging.membership_epoch;
-    report.resilver_chunks_moved = metrics.staging.resilver_chunks_moved;
-    report.resilver_bytes_moved = metrics.staging.resilver_bytes_moved;
-    report.wrong_epoch_rejects = metrics.staging.wrong_epoch_rejects;
-    report.degraded_reads = metrics.staging.degraded_reads;
-    report.ckpt_drains_completed = metrics.ckpt.drains_completed;
-    report.ckpt_cache_restarts = metrics.ckpt.cache_restarts;
-    report.ckpt_partner_rebuilds = metrics.ckpt.partner_rebuilds;
-    report.ckpt_pfs_restarts = metrics.ckpt.pfs_restarts;
-    report.codec_blocks_encoded = metrics.staging.codec_blocks;
-    report.codec_raw_bytes = metrics.staging.codec_raw_bytes;
-    report.codec_stored_bytes = metrics.staging.codec_stored_bytes;
+    report.metrics = runner.run();
   } catch (const std::runtime_error& e) {
     deadlocked = true;
     add_violation(report.violations, 4,

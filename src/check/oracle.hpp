@@ -57,6 +57,7 @@
 #include <vector>
 
 #include "check/schedule.hpp"
+#include "core/workflow.hpp"
 #include "obs/recorder.hpp"
 #include "obs/trace.hpp"
 
@@ -90,43 +91,15 @@ struct OracleReport {
   int alarms_fired = 0;       // false-alarm entries that perturbed the run
   std::uint64_t trace_digest = 0;
   std::uint64_t reference_digest = 0;
-  // Memory-governor activity observed during the run (all zero when the
-  // schedule carries no memory budget). Campaigns aggregate these to
-  // assert that a tight budget really exercised spill and backpressure.
-  std::uint64_t spilled_versions = 0;
-  std::uint64_t spill_fetches = 0;
-  std::uint64_t puts_rejected = 0;
-  std::uint64_t backpressure_waits = 0;
-  // Elastic-membership activity (all zero for fixed-group schedules).
-  // resilver_drops counts kResilver hand-off releases the oracle audited:
-  // each one was only legal because another server already held the data.
-  std::uint64_t membership_epoch = 0;
-  std::uint64_t resilver_chunks_moved = 0;
-  std::uint64_t resilver_bytes_moved = 0;
-  std::uint64_t wrong_epoch_rejects = 0;
-  std::uint64_t degraded_reads = 0;
-  std::uint64_t resilver_drops = 0;
-  // Multi-level checkpoint activity (all zero for hierarchy-off
-  // schedules). Campaigns aggregate these to assert the hierarchy really
-  // exercised cache restarts and partner rebuilds.
-  std::uint64_t ckpt_drains_completed = 0;
-  std::uint64_t ckpt_cache_restarts = 0;
-  std::uint64_t ckpt_partner_rebuilds = 0;
-  std::uint64_t ckpt_pfs_restarts = 0;
-  // Tenant-isolation activity (zero for single-tenant schedules): bystander
-  // read occurrences rebased onto the solo reference and compared exact.
-  // Campaigns aggregate this to assert --require-isolation really checked
-  // cross-tenant reads rather than vacuously passing.
-  std::uint64_t isolation_reads_checked = 0;
-  // Codec activity (zero for codec-off schedules): reads the transparency
-  // invariant compared against the codec-off reference, and blocks the
-  // run's data logs actually encoded. Campaigns aggregate these to assert
-  // a --codec campaign really exercised the codec rather than vacuously
-  // passing.
-  std::uint64_t codec_reads_checked = 0;
-  std::uint64_t codec_blocks_encoded = 0;
-  std::uint64_t codec_raw_bytes = 0;
-  std::uint64_t codec_stored_bytes = 0;
+  /// The run's own totals (governor, elastic, hierarchy, codec, ...);
+  /// zeroed when the run deadlocked. check/counters.hpp names the ones a
+  /// campaign sums and requires.
+  core::RunMetrics metrics;
+  // The oracle's own audit counts: what a passing verdict inspected, so a
+  // campaign can tell a checked pass from a vacuous one.
+  std::uint64_t resilver_drops = 0;           // hand-offs audited (elastic)
+  std::uint64_t isolation_reads_checked = 0;  // bystander reads (tenants)
+  std::uint64_t codec_reads_checked = 0;      // reads vs codec-off (codec)
 
   /// Forensic post-mortem captured from the flight recorder. Non-null when
   /// the run violated an invariant, the recorder noted a loud degradation,

@@ -1,6 +1,5 @@
 #include "ckpt/drain.hpp"
 
-#include <algorithm>
 #include <utility>
 #include <variant>
 
@@ -12,6 +11,14 @@ namespace dstage::ckpt {
 using net::CkptDrainAck;
 using net::CkptStoreLocal;
 using net::CkptXorShard;
+
+namespace {
+
+/// The last pressure stall before a drain: at most seven stalls, 127 ms in
+/// all, per drained set.
+constexpr int kMaxBackoffMs = 64;
+
+}  // namespace
 
 DrainAgent::DrainAgent(cluster::Cluster& cluster, cluster::VprocId vproc,
                        cluster::Pfs& pfs, CheckpointHierarchy& hierarchy,
@@ -68,19 +75,20 @@ sim::Task<void> DrainAgent::drain_loop() {
   sim::Ctx c = ctx();
   while (auto next = hierarchy_->next_drain()) {
     // Yield to staging memory pressure: durability is background work, and
-    // the governor's foreground puts win the PFS channel. Escalating
-    // backoff, capped so a permanently loaded governor still drains.
+    // the governor's foreground puts win the PFS channel. The backoff
+    // doubles from 1 ms and gives up after the 64 ms stall: only a
+    // drain's ack advances the GC watermark and frees the log, so a
+    // governor that stays loaded would otherwise stall the drain forever.
     int backoff = 1;
-    while (pressure_ && pressure_() > 1.0) {
+    while (backoff <= kMaxBackoffMs && pressure_ && pressure_() > 1.0) {
       ++stats_.pressure_stalls;
       co_await c.delay(sim::milliseconds(backoff));
-      backoff = std::min(backoff * 2, 64);
+      backoff *= 2;
     }
     hierarchy_->begin_drain(next->app, next->ts);
     const obs::SpanId span = track_.begin("drain", obs::Phase::kDrain);
     co_await pfs_->write(c, next->nominal_bytes);
     hierarchy_->complete_drain(next->app, next->ts);
-    ++stats_.drains_completed;
     stats_.drain_bytes += next->nominal_bytes;
     track_.emit(obs::Kind::kCkptDrain, std::to_string(next->app),
                 static_cast<std::int64_t>(next->ts),
@@ -94,7 +102,6 @@ sim::Task<void> DrainAgent::drain_loop() {
           c, server,
           net::Message{
               CkptDrainAck{next->app, static_cast<net::Version>(next->ts)}});
-      ++stats_.acks_sent;
     }
   }
   draining_ = false;

@@ -22,13 +22,13 @@
 
 namespace dstage::ckpt {
 
+/// Agent-side counters. Completed drains are counted once, by the
+/// hierarchy (CkptStats::drains_completed).
 struct DrainAgentStats {
   std::uint64_t store_notices = 0;   // CkptStoreLocal messages seen
   std::uint64_t shards_encoded = 0;  // CkptXorShard messages applied
-  std::uint64_t drains_completed = 0;
   std::uint64_t drain_bytes = 0;      // nominal bytes flushed to the PFS
   std::uint64_t pressure_stalls = 0;  // backoffs taken under governor load
-  std::uint64_t acks_sent = 0;        // CkptDrainAck broadcasts (per server)
 };
 
 class DrainAgent {
@@ -49,8 +49,8 @@ class DrainAgent {
     server_endpoints_ = std::move(endpoints);
   }
   /// Memory-governor pressure probe (max over servers of governed bytes /
-  /// soft watermark); the drain backs off while it reads above 1.0. Null or
-  /// unset means no pressure.
+  /// soft watermark); each drain backs off 1, 2, 4, ... 64 ms while it
+  /// reads above 1.0, then drains anyway. Null or unset means no pressure.
   void set_pressure(std::function<double()> pressure) {
     pressure_ = std::move(pressure);
   }

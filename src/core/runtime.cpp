@@ -406,7 +406,6 @@ RunMetrics Runtime::collect(int failures_injected) const {
     m.staging.urgent_gc_sweeps += st.urgent_gc_sweeps;
     m.staging.puts_rejected += st.puts_rejected;
     m.staging.governor_overruns += st.governor_overruns;
-    m.staging.placement_clamped += st.placement_clamped;
     m.staging.wrong_epoch_rejects += st.wrong_epoch_rejects;
     m.staging.fair_share_rejects += st.fair_share_rejects;
     for (net::TenantId t : server->store().tenants()) {
@@ -423,7 +422,6 @@ RunMetrics Runtime::collect(int failures_injected) const {
     m.staging.codec_stored_bytes += cs.stored_bytes;
     m.staging.codec_blocks += cs.blocks_encoded;
     m.staging.codec_delta_blocks += cs.delta_blocks;
-    m.staging.codec_rebases += cs.rebases;
   }
   m.pfs_bytes_written = pfs_.bytes_written();
   m.pfs_bytes_read = pfs_.bytes_read();
@@ -552,11 +550,11 @@ void Runtime::finalize_obs() {
     count_nonzero(t, "ckpt.cache_restarts", cs.cache_restarts);
     count_nonzero(t, "ckpt.partner_rebuilds", cs.partner_rebuilds);
     count_nonzero(t, "ckpt.pfs_restarts", cs.pfs_restarts);
+    count_nonzero(t, "ckpt.drains", cs.drains_completed);
     const ckpt::DrainAgentStats& ds = drain_agent_->stats();
     count_nonzero(t, "ckpt.store_notices", ds.store_notices);
     count_nonzero(t, "ckpt.shards_encoded", ds.shards_encoded);
     count_nonzero(t, "ckpt.pressure_stalls", ds.pressure_stalls);
-    count_nonzero(t, "ckpt.drains", ds.drains_completed);
     count_nonzero(t, "ckpt.drain_bytes", ds.drain_bytes);
   }
 }

@@ -1,63 +1,33 @@
 #include "core/sweep.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
-#include <exception>
-#include <thread>
 #include <utility>
 
 #include "core/executor.hpp"
 #include "obs/report.hpp"
+#include "util/parallel.hpp"
 
 namespace dstage::core {
 
 std::vector<SweepRun> run_sweep(std::vector<WorkflowSpec> specs,
                                 const SweepOptions& opts) {
   std::vector<SweepRun> out(specs.size());
-  if (specs.empty()) return out;
-  const int jobs = static_cast<int>(specs.size());
-  int threads = opts.threads;
-  if (threads <= 0) {
-    threads = static_cast<int>(
-        std::max(1u, std::thread::hardware_concurrency()));
-  }
-  threads = std::min(threads, jobs);
-
-  std::atomic<int> next{0};
-  std::vector<std::exception_ptr> errors(specs.size());
-  {
-    std::vector<std::jthread> pool;
-    pool.reserve(static_cast<std::size_t>(threads));
-    for (int t = 0; t < threads; ++t) {
-      pool.emplace_back([&] {
-        for (int i = next.fetch_add(1); i < jobs; i = next.fetch_add(1)) {
-          const auto idx = static_cast<std::size_t>(i);
-          try {
-            WorkflowSpec spec = std::move(specs[idx]);
-            out[idx].seed = spec.failures.seed;
-            WorkflowRunner runner(std::move(spec));
-            out[idx].metrics = runner.run();
-            out[idx].trace_digest = runner.trace().digest();
-            if (const obs::Observability* o = runner.runtime().obs()) {
-              Json oj = Json::object();
-              oj.set("metrics", o->metrics().to_json());
-              oj.set("phases",
-                     obs::breakdown_to_json(obs::phase_breakdown(o->tracer())));
-              out[idx].obs = std::move(oj);
-              if (opts.metrics != nullptr) opts.metrics->merge(o->metrics());
-            }
-          } catch (...) {
-            errors[idx] = std::current_exception();
-          }
-        }
-      });
+  parallel_for(specs.size(), opts.threads, [&](std::size_t idx) {
+    WorkflowSpec spec = std::move(specs[idx]);
+    out[idx].seed = spec.failures.seed;
+    WorkflowRunner runner(std::move(spec));
+    out[idx].metrics = runner.run();
+    out[idx].trace_digest = runner.trace().digest();
+    if (const obs::Observability* o = runner.runtime().obs()) {
+      Json oj = Json::object();
+      oj.set("metrics", o->metrics().to_json());
+      oj.set("phases",
+             obs::breakdown_to_json(obs::phase_breakdown(o->tracer())));
+      out[idx].obs = std::move(oj);
+      if (opts.metrics != nullptr) opts.metrics->merge(o->metrics());
     }
-  }  // jthread joins here
-
-  for (auto& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
+  });
   return out;
 }
 

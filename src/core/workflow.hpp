@@ -307,7 +307,6 @@ struct StagingMetrics {
   std::uint64_t urgent_gc_sweeps = 0;    // soft-watermark sweeps
   std::uint64_t puts_rejected = 0;       // hard-watermark RetryLater bounces
   std::uint64_t governor_overruns = 0;   // single puts larger than the budget
-  std::uint64_t placement_clamped = 0;   // fragment placements that wrapped
   // Elastic-membership counters (all zero with elasticity off).
   std::uint64_t membership_epoch = 0;     // final epoch of the run
   std::uint64_t membership_joins = 0;     // servers admitted mid-run
@@ -323,7 +322,6 @@ struct StagingMetrics {
   std::uint64_t codec_stored_bytes = 0;  // nominal-scale bytes after encode
   std::uint64_t codec_blocks = 0;        // payload blocks encoded
   std::uint64_t codec_delta_blocks = 0;  // encoded against a prior version
-  std::uint64_t codec_rebases = 0;       // deltas re-encoded full pre-drop
   // Multi-tenant counters.
   std::uint64_t fair_share_rejects = 0;   // puts bounced by a tenant share
   /// Per-tenant peak nominal store bytes, summed over servers — what the

@@ -62,14 +62,12 @@ void ObjectStore::put(Chunk chunk) {
       account(existing, -1);
       account(chunk, +1);
       existing = std::move(chunk);
-      if (put_probe_) put_probe_(existing);
       return;
     }
   }
   account(chunk, +1);
   const std::string var = chunk.var;
   chunks.push_back(std::move(chunk));
-  if (put_probe_) put_probe_(chunks.back());
   // Rotate versions that fell out of the retention window.
   while (static_cast<int>(versions.size()) > version_window_) {
     auto oldest = versions.begin();

@@ -108,16 +108,12 @@ class ObjectStore {
   [[nodiscard]] std::size_t object_count() const;
   [[nodiscard]] int version_window() const { return version_window_; }
 
-  /// Consistency-oracle instrumentation. The probes observe every applied
-  /// chunk and every dropped (var, version) without touching virtual time
-  /// or store behavior; null probes (the default) cost one branch.
-  using PutProbe = std::function<void(const Chunk&)>;
+  /// Consistency-oracle instrumentation. The probe observes every dropped
+  /// (var, version) without touching virtual time or store behavior; a
+  /// null probe (the default) costs one branch.
   using DropProbe =
       std::function<void(const std::string& var, Version, DropReason)>;
-  void set_probes(PutProbe on_put, DropProbe on_drop) {
-    put_probe_ = std::move(on_put);
-    drop_probe_ = std::move(on_drop);
-  }
+  void set_drop_probe(DropProbe on_drop) { drop_probe_ = std::move(on_drop); }
 
  private:
   void account(const Chunk& c, int sign);
@@ -133,7 +129,6 @@ class ObjectStore {
     std::uint64_t peak = 0;
   };
   std::map<net::TenantId, TenantUsage> tenant_usage_;
-  PutProbe put_probe_;
   DropProbe drop_probe_;
 };
 

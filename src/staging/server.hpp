@@ -186,17 +186,14 @@ class StagingServer {
   /// Probes observe state transitions without touching virtual time; any
   /// member may be null.
   struct ProbeSet {
-    ObjectStore::PutProbe store_put;
     ObjectStore::DropProbe store_drop;
-    ObjectStore::PutProbe log_put;
     ObjectStore::DropProbe log_drop;
     gc::GarbageCollector::CheckpointProbe gc_checkpoint;
     gc::GarbageCollector::SweepProbe gc_sweep;
   };
   void install_probes(ProbeSet probes) {
-    store_.set_probes(std::move(probes.store_put),
-                      std::move(probes.store_drop));
-    dlog_.set_probes(std::move(probes.log_put), std::move(probes.log_drop));
+    store_.set_drop_probe(std::move(probes.store_drop));
+    dlog_.set_drop_probe(std::move(probes.log_drop));
     gc_.set_probes(std::move(probes.gc_checkpoint),
                    std::move(probes.gc_sweep));
   }

@@ -135,11 +135,9 @@ class DataLog {
   }
 
   /// Consistency-oracle instrumentation, forwarded to the backing store:
-  /// observes retained payloads and reclaimed versions without perturbing
-  /// the simulation.
-  void set_probes(staging::ObjectStore::PutProbe on_put,
-                  staging::ObjectStore::DropProbe on_drop) {
-    store_.set_probes(std::move(on_put), std::move(on_drop));
+  /// observes reclaimed versions without perturbing the simulation.
+  void set_drop_probe(staging::ObjectStore::DropProbe on_drop) {
+    store_.set_drop_probe(std::move(on_drop));
   }
 
  private:

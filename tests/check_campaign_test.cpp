@@ -32,7 +32,7 @@ TEST(CampaignTest, VerdictIndependentOfThreadCount) {
   opts.threads = 4;
   const CampaignResult parallel = run_campaign(opts);
   EXPECT_EQ(serial.passed, parallel.passed);
-  EXPECT_EQ(serial.total_failures_injected, parallel.total_failures_injected);
+  EXPECT_EQ(serial.totals, parallel.totals);
   ASSERT_EQ(serial.failures.size(), parallel.failures.size());
   for (std::size_t i = 0; i < serial.failures.size(); ++i) {
     EXPECT_EQ(serial.failures[i].schedule, parallel.failures[i].schedule);
@@ -57,9 +57,9 @@ TEST(CampaignTest, MemoryGovernedCampaignExercisesSpillAndBackpressure) {
   for (const CampaignFailure& f : result.failures) {
     ADD_FAILURE() << f.schedule.repro() << "\n" << f.report.summary();
   }
-  EXPECT_GT(result.spilled_versions, 0u);
-  EXPECT_GT(result.puts_rejected, 0u);
-  EXPECT_GT(result.backpressure_waits, 0u);
+  EXPECT_GT(result.totals.at("governor.spill_versions"), 0u);
+  EXPECT_GT(result.totals.at("governor.puts_rejected"), 0u);
+  EXPECT_GT(result.totals.at("rpc.backpressure_waits"), 0u);
 }
 
 TEST(CampaignTest, SkipReplaySabotageFailsAndShrinks) {

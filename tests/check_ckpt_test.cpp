@@ -85,9 +85,9 @@ TEST(CheckCkptTest, CacheAndPartnerRestartScenarioPassesAllInvariants) {
   const OracleReport report = check_schedule(s, cache);
   EXPECT_TRUE(report.ok()) << report.summary();
   EXPECT_EQ(report.failures_injected, 2);
-  EXPECT_GT(report.ckpt_drains_completed, 0u);
-  EXPECT_GT(report.ckpt_cache_restarts, 0u);
-  EXPECT_GT(report.ckpt_partner_rebuilds, 0u);
+  EXPECT_GT(report.metrics.ckpt.drains_completed, 0u);
+  EXPECT_GT(report.metrics.ckpt.cache_restarts, 0u);
+  EXPECT_GT(report.metrics.ckpt.partner_rebuilds, 0u);
 }
 
 TEST(CheckCkptTest, HierarchyCampaignPassesWithFastRestartsExercised) {
@@ -105,9 +105,9 @@ TEST(CheckCkptTest, HierarchyCampaignPassesWithFastRestartsExercised) {
   }
   // The hierarchy must really have been exercised: sets drained durable in
   // the background and restarts were served by the fast levels.
-  EXPECT_GT(result.ckpt_drains_completed, 0u);
-  EXPECT_GT(result.ckpt_cache_restarts, 0u);
-  EXPECT_GT(result.ckpt_partner_rebuilds, 0u);
+  EXPECT_GT(result.totals.at("ckpt.drains"), 0u);
+  EXPECT_GT(result.totals.at("ckpt.cache_restarts"), 0u);
+  EXPECT_GT(result.totals.at("ckpt.partner_rebuilds"), 0u);
 }
 
 TEST(CheckCkptTest, ShrinkerPreservesCkptField) {

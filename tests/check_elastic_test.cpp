@@ -108,8 +108,8 @@ TEST(CheckElasticTest, GrowShrinkScenarioPassesAllInvariants) {
   const OracleReport report = check_schedule(s, cache);
   EXPECT_TRUE(report.ok()) << report.summary();
   EXPECT_EQ(report.failures_injected, 1);
-  EXPECT_EQ(report.membership_epoch, 4u);
-  EXPECT_GT(report.resilver_chunks_moved, 0u);
+  EXPECT_EQ(report.metrics.staging.membership_epoch, 4u);
+  EXPECT_GT(report.metrics.staging.resilver_chunks_moved, 0u);
   EXPECT_GT(report.resilver_drops, 0u);
 }
 
@@ -128,8 +128,8 @@ TEST(CheckElasticTest, ElasticCampaignPassesWithDataInMotion) {
   }
   // The episodes must have really exercised elasticity: fragments moved
   // and every hand-off release passed the durability audit.
-  EXPECT_GT(result.resilver_chunks_moved, 0u);
-  EXPECT_GT(result.resilver_drops, 0u);
+  EXPECT_GT(result.totals.at("elastic.resilver_chunks"), 0u);
+  EXPECT_GT(result.totals.at("check.resilver_drops"), 0u);
 }
 
 TEST(CheckElasticTest, ShrinkerPreservesElasticField) {

@@ -91,9 +91,9 @@ TEST(OracleTenantTest, MultiTenantCampaignChecksIsolationAndPasses) {
   }
   // The isolation invariant must have actually compared bystander reads —
   // a vacuous pass (zero comparisons) is a checker bug, and tools/campaign
-  // --require-isolation gates on exactly this counter.
-  EXPECT_GT(result.isolation_reads_checked, 0u);
-  EXPECT_GT(result.total_failures_injected, 0u);
+  // --require=check.isolation_reads gates on exactly this counter.
+  EXPECT_GT(result.totals.at("check.isolation_reads"), 0u);
+  EXPECT_GT(result.totals.at("core.failures_injected"), 0u);
 }
 
 TEST(OracleTenantTest, SabotageIsCaughtUnderMultiTenancy) {

@@ -229,13 +229,12 @@ TEST(DataLogTest, DropUptoFiresExplicitDropProbe) {
   for (Version v = 1; v <= 4; ++v)
     log.add(make_chunk("f", v, r, 8.0, 1024));
   std::vector<Version> dropped;
-  log.set_probes(nullptr,
-                 [&](const std::string& var, Version v,
-                     staging::DropReason reason) {
-                   EXPECT_EQ(var, "f");
-                   EXPECT_EQ(reason, staging::DropReason::kExplicit);
-                   dropped.push_back(v);
-                 });
+  log.set_drop_probe([&](const std::string& var, Version v,
+                         staging::DropReason reason) {
+    EXPECT_EQ(var, "f");
+    EXPECT_EQ(reason, staging::DropReason::kExplicit);
+    dropped.push_back(v);
+  });
   EXPECT_EQ(log.drop_upto("f", 3), 3u);
   EXPECT_EQ(dropped, (std::vector<Version>{1, 2, 3}));
 }

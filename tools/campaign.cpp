@@ -1,11 +1,13 @@
 // campaign — randomized crash-consistency campaigns over the staging
 // runtime. Generates failure schedules, runs each under the consistency
-// oracle (four machine-checked recovery invariants against a failure-free
+// oracle (seven machine-checked invariants against a failure-free
 // reference run), and shrinks anything that fails into a minimal
-// reproducer printed as a re-runnable --repro flag.
+// reproducer printed as a re-runnable --repro flag. --require names
+// counters from check/counters.hpp that must end the campaign nonzero.
 //
 //   campaign --schedules=500 --all-schemes            # the acceptance run
 //   campaign --schedules=50 --schemes=un,hy --seed=7
+//   campaign --memory-budget=512 --require=governor.spill_versions
 //   campaign --break=skip-replay --expect-fail        # oracle self-test
 //   campaign --repro='cc1;id=3;sch=un;ts=12;...'      # replay one schedule
 #include <cstdio>
@@ -15,6 +17,7 @@
 #include <vector>
 
 #include "check/campaign.hpp"
+#include "check/counters.hpp"
 #include "check/forensics.hpp"
 #include "check/oracle.hpp"
 #include "check/schedule.hpp"
@@ -37,29 +40,21 @@ int usage() {
       "  --max-failures=N    failures per schedule, at most     [3]\n"
       "  --threads=N         worker threads                     [auto]\n"
       "  --memory-budget=MB  per-server staging memory budget   [0 = off]\n"
-      "  --require-pressure  fail unless spill AND backpressure both fired\n"
       "  --elastic=P         fraction of schedules with a join/retire\n"
       "                      episode (first failure aimed into the\n"
       "                      resilver window)                    [0 = off]\n"
-      "  --require-elastic   fail unless resilver moved data and a\n"
-      "                      hand-off release was audited\n"
       "  --ckpt-levels=P     fraction of schedules running the multi-level\n"
       "                      checkpoint hierarchy (XOR group from {2,3,4})\n"
       "                                                         [0 = off]\n"
-      "  --require-ckpt      fail unless >= 1 cache restart and >= 1 partner\n"
-      "                      rebuild were exercised\n"
       "  --tenants=N         co-located tenants per schedule; failures\n"
       "                      target tenant 0, the rest are bystanders\n"
       "                      checked bit-for-bit vs solo runs     [1]\n"
-      "  --require-isolation fail unless failures were injected AND the\n"
-      "                      isolation invariant compared >= 1 bystander\n"
-      "                      read against its solo reference\n"
       "  --codec=MODE        write-log payload codec armed on every\n"
       "                      schedule: none|lz|delta|delta_lz, or mix to\n"
       "                      cycle schedules through all three     [none]\n"
-      "  --require-codec     fail unless blocks were encoded AND the\n"
-      "                      transparency invariant compared >= 1 read\n"
-      "                      against its codec-off reference\n"
+      "  --require=a,b,..    fail unless every named campaign counter\n"
+      "                      (e.g. ckpt.cache_restarts) totals > 0; an\n"
+      "                      unknown name lists them all\n"
       "  --break=MODE        none|skip-replay|gc-overcollect    [none]\n"
       "  --expect-fail       exit 0 iff >= 1 schedule violated an invariant\n"
       "  --forensics=DIR     write a forensic bundle (JSON) per failing\n"
@@ -72,15 +67,15 @@ int usage() {
   return 2;
 }
 
-std::vector<core::Scheme> parse_scheme_list(const std::string& csv) {
-  std::vector<core::Scheme> out;
+std::vector<std::string> split_csv(const std::string& csv) {
+  std::vector<std::string> out;
   std::size_t start = 0;
   while (start <= csv.size()) {
     const std::size_t end = csv.find(',', start);
     const std::string token =
         end == std::string::npos ? csv.substr(start)
                                  : csv.substr(start, end - start);
-    if (!token.empty()) out.push_back(check::parse_scheme_token(token));
+    if (!token.empty()) out.push_back(token);
     if (end == std::string::npos) break;
     start = end + 1;
   }
@@ -180,15 +175,23 @@ int run_cli(int argc, char** argv) {
   opts.shrink = !flags.get_bool("no-shrink", false);
   opts.shrink_budget = flags.get_int("shrink-budget", 120);
   (void)flags.get_bool("all-schemes", true);  // the default; accepted for clarity
-  if (flags.has("schemes")) {
-    opts.gen.schemes = parse_scheme_list(flags.get("schemes", ""));
+  for (const std::string& token : split_csv(flags.get("schemes", ""))) {
+    opts.gen.schemes.push_back(check::parse_scheme_token(token));
   }
   const bool expect_fail = flags.get_bool("expect-fail", false);
-  const bool require_pressure = flags.get_bool("require-pressure", false);
-  const bool require_elastic = flags.get_bool("require-elastic", false);
-  const bool require_ckpt = flags.get_bool("require-ckpt", false);
-  const bool require_isolation = flags.get_bool("require-isolation", false);
-  const bool require_codec = flags.get_bool("require-codec", false);
+  const std::vector<std::string> required =
+      split_csv(flags.get("require", ""));
+  for (const std::string& name : required) {
+    if (check::find_counter(name) != nullptr) continue;
+    std::string valid;
+    for (const check::Counter& counter : check::counters()) {
+      if (!valid.empty()) valid += ", ";
+      valid += counter.name;
+    }
+    std::fprintf(stderr, "--require: unknown counter '%s' (valid: %s)\n",
+                 name.c_str(), valid.c_str());
+    return usage();
+  }
   const std::string repro = flags.get("repro", "");
   const std::string forensics_dir = flags.get("forensics", "");
 
@@ -200,65 +203,59 @@ int run_cli(int argc, char** argv) {
   if (!repro.empty()) return run_repro(repro, opts.sabotage, forensics_dir);
 
   const check::CampaignResult result = check::run_campaign(opts);
+  const auto total = [&result](const std::string& name) {
+    return static_cast<unsigned long long>(result.totals.at(name));
+  };
   std::printf("campaign: %d/%d schedules passed, %d invariant violation%s "
-              "(%d failures injected, sabotage=%s)\n",
+              "(%llu failures injected, sabotage=%s)\n",
               result.passed, result.schedules,
               static_cast<int>(result.failures.size()),
               result.failures.size() == 1 ? "" : "s",
-              result.total_failures_injected,
+              total("core.failures_injected"),
               check::sabotage_name(opts.sabotage));
   if (opts.gen.memory_budget_mb > 0) {
     std::printf("memory governor (%d MB/server): %llu versions spilled, "
                 "%llu faulted back, %llu puts bounced, %llu backpressure "
                 "waits\n",
-                opts.gen.memory_budget_mb,
-                static_cast<unsigned long long>(result.spilled_versions),
-                static_cast<unsigned long long>(result.spill_fetches),
-                static_cast<unsigned long long>(result.puts_rejected),
-                static_cast<unsigned long long>(result.backpressure_waits));
+                opts.gen.memory_budget_mb, total("governor.spill_versions"),
+                total("governor.spill_fetches"),
+                total("governor.puts_rejected"),
+                total("rpc.backpressure_waits"));
   }
   if (opts.gen.elastic_probability > 0) {
     std::printf("elastic membership: %llu chunks resilvered, %llu hand-off "
                 "releases audited, %llu wrong-epoch bounces, %llu degraded "
                 "reads\n",
-                static_cast<unsigned long long>(result.resilver_chunks_moved),
-                static_cast<unsigned long long>(result.resilver_drops),
-                static_cast<unsigned long long>(result.wrong_epoch_rejects),
-                static_cast<unsigned long long>(result.degraded_reads));
+                total("elastic.resilver_chunks"),
+                total("check.resilver_drops"), total("elastic.wrong_epoch"),
+                total("staging.degraded_reads"));
   }
 
   if (opts.gen.ckpt_probability > 0) {
     std::printf("ckpt hierarchy: %llu drains completed, %llu cache restarts, "
                 "%llu partner rebuilds, %llu PFS restarts\n",
-                static_cast<unsigned long long>(result.ckpt_drains_completed),
-                static_cast<unsigned long long>(result.ckpt_cache_restarts),
-                static_cast<unsigned long long>(result.ckpt_partner_rebuilds),
-                static_cast<unsigned long long>(result.ckpt_pfs_restarts));
+                total("ckpt.drains"), total("ckpt.cache_restarts"),
+                total("ckpt.partner_rebuilds"), total("ckpt.pfs_restarts"));
   }
 
   if (opts.gen.tenants > 1) {
     std::printf("tenant isolation (%d tenants): %llu bystander reads "
                 "compared bit-for-bit against solo references\n",
-                opts.gen.tenants,
-                static_cast<unsigned long long>(
-                    result.isolation_reads_checked));
+                opts.gen.tenants, total("check.isolation_reads"));
   }
 
   if (opts.gen.codec_mix ||
       opts.gen.codec != wlog::codec::Scheme::kNone) {
+    const unsigned long long raw = total("wlog.codec_raw_bytes");
+    const unsigned long long stored = total("wlog.codec_stored_bytes");
     const double ratio =
-        result.codec_stored_bytes > 0
-            ? static_cast<double>(result.codec_raw_bytes) /
-                  static_cast<double>(result.codec_stored_bytes)
-            : 0.0;
+        stored > 0 ? static_cast<double>(raw) / static_cast<double>(stored)
+                   : 0.0;
     std::printf("payload codec (%s): %llu blocks encoded (%.2fx over "
                 "%llu MB raw), %llu reads compared against codec-off "
                 "references\n",
-                codec_mode.c_str(),
-                static_cast<unsigned long long>(result.codec_blocks_encoded),
-                ratio,
-                static_cast<unsigned long long>(result.codec_raw_bytes >> 20),
-                static_cast<unsigned long long>(result.codec_reads_checked));
+                codec_mode.c_str(), total("wlog.codec_blocks"), ratio,
+                raw >> 20, total("check.codec_reads"));
   }
 
   for (const check::CampaignFailure& failure : result.failures) {
@@ -300,43 +297,12 @@ int run_cli(int argc, char** argv) {
       }
     }
   }
-  if (require_pressure &&
-      (result.spilled_versions == 0 || result.backpressure_waits == 0)) {
-    std::fputs("--require-pressure: budget too loose — spill and "
-               "backpressure must both fire for the run to prove anything\n",
-               stdout);
-    ok = false;
-  }
-  if (require_elastic &&
-      (result.resilver_chunks_moved == 0 || result.resilver_drops == 0)) {
-    std::fputs("--require-elastic: no resilver data motion observed — "
-               "membership changes that moved nothing verified nothing\n",
-               stdout);
-    ok = false;
-  }
-  if (require_ckpt &&
-      (result.ckpt_cache_restarts == 0 || result.ckpt_partner_rebuilds == 0)) {
-    std::fputs("--require-ckpt: cache restart and partner rebuild must both "
-               "be exercised — a campaign where every restart fell through "
-               "to the PFS verified neither fast level\n",
-               stdout);
-    ok = false;
-  }
-  if (require_isolation && (result.isolation_reads_checked == 0 ||
-                            result.total_failures_injected == 0)) {
-    std::fputs("--require-isolation: need injected failures AND compared "
-               "bystander reads — a campaign where tenant 0 never crashed "
-               "or no co-tenant read was checked verified no isolation\n",
-               stdout);
-    ok = false;
-  }
-  if (require_codec && (result.codec_blocks_encoded == 0 ||
-                        result.codec_reads_checked == 0)) {
-    std::fputs("--require-codec: need encoded blocks AND compared reads — "
-               "a campaign where the codec never encoded a block or no "
-               "read was checked against a codec-off reference verified "
-               "no transparency\n",
-               stdout);
+  // Non-vacuity: a feature campaign whose counters stayed zero never
+  // exercised the feature, so its clean verdict proves nothing.
+  for (const std::string& name : required) {
+    if (total(name) > 0) continue;
+    std::printf("--require: %s is 0 — the campaign never exercised it\n",
+                name.c_str());
     ok = false;
   }
   return ok ? 0 : 1;
