@@ -77,7 +77,7 @@ DegradedPoint run_degraded(staging::Version versions) {
   for (std::size_t s = 0; s < servers.size(); ++s) {
     servers[s]->set_peers(static_cast<int>(s), endpoints);
     servers[s]->set_group_index(&index);
-    servers[s]->apply_membership(index.epoch(), index.active_servers());
+    servers[s]->apply_membership(index.active_servers());
     servers[s]->start();
     raw.push_back(servers[s].get());
   }

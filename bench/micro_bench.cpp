@@ -167,9 +167,13 @@ BENCHMARK(BM_FabricSendRemote);
 // kind (put-admit) — the per-request flight-recorder cost. Arg 1: a
 // digest-visible kind (read-done), which appends to the digest trace
 // instead; the trace grows with every call, so the run length is fixed.
+// Arg 2: a subscriber-only kind (store-drop) with no subscriber installed —
+// what each such event costs a plain run.
 void BM_TrackEmit(benchmark::State& state) {
   constexpr int kTracks = 10000;
-  const bool digest = state.range(0) != 0;
+  constexpr obs::Kind kKinds[] = {obs::Kind::kPutAdmit, obs::Kind::kReadDone,
+                                  obs::Kind::kStoreDrop};
+  const obs::Kind kind = kKinds[state.range(0)];
   sim::Engine eng;
   obs::Recorder rec(eng);
   std::vector<obs::Track> tracks;
@@ -177,7 +181,6 @@ void BM_TrackEmit(benchmark::State& state) {
   for (int t = 0; t < kTracks; ++t) {
     tracks.push_back(rec.track("staging-" + std::to_string(t)));
   }
-  const obs::Kind kind = digest ? obs::Kind::kReadDone : obs::Kind::kPutAdmit;
   const std::string var = "field";
   std::size_t t = 0;
   std::int64_t n = 0;
@@ -191,6 +194,7 @@ void BM_TrackEmit(benchmark::State& state) {
 }
 BENCHMARK(BM_TrackEmit)->Arg(0);
 BENCHMARK(BM_TrackEmit)->Arg(1)->Iterations(1 << 19);
+BENCHMARK(BM_TrackEmit)->Arg(2);
 
 void BM_PayloadEnvelopeTyped(benchmark::State& state) {
   for (auto _ : state) {

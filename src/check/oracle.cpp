@@ -5,6 +5,7 @@
 #include <limits>
 #include <set>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "check/forensics.hpp"
@@ -106,25 +107,42 @@ ConsumerMap rollback_consumers(const core::WorkflowSpec& spec,
   return out;
 }
 
-/// Everything the probes accumulate during one instrumented run.
-struct Observation {
-  std::map<std::string, std::vector<ReferenceCache::ReadObs>> reads;
-  /// Per staging server: app -> highest checkpoint version it announced.
-  std::vector<std::map<AppId, Version>> server_ckpts;
-  int recovery_starts = 0;
-  int recovery_dones = 0;
+/// One consumer get, assembled from the events its component's track emits
+/// for it back to back (core/executor.cpp): get-serve (var, ts, checksum),
+/// read-anomaly (only when nonzero), read-done (bytes). Nothing can be
+/// emitted between them, so one pending read suffices.
+struct PendingRead {
+  std::string var;
+  ReferenceCache::ReadObs got;
+
+  /// True when `e` completed the read; key(e) then names it.
+  bool feed(const obs::Event& e, std::string_view detail) {
+    if (e.kind == obs::Kind::kGetServe) {
+      var = detail;
+      got = {static_cast<std::uint64_t>(e.b), 0, 0};
+    } else if (e.kind == obs::Kind::kReadAnomaly) {
+      got.anomalies = static_cast<int>(e.b);
+    } else if (e.kind == obs::Kind::kReadDone) {
+      got.bytes = static_cast<std::uint64_t>(e.b);
+      return true;
+    }
+    return false;
+  }
+  std::string key(const obs::Recorder& rec, const obs::Event& e) const {
+    return read_key(rec.track_name(e.track), var, static_cast<int>(e.a));
+  }
 };
 
-/// The retention watermark server `si` is *entitled* to believe, rebuilt
-/// from the checkpoints the oracle watched arrive — mirroring
-/// gc::GarbageCollector::watermark() exactly, minus any sabotage bias.
-Version true_watermark(const Observation& obs, std::size_t si,
+/// The retention watermark a server is *entitled* to believe, rebuilt from
+/// the checkpoints (app -> highest version) the oracle watched it announce
+/// — mirroring gc::GarbageCollector::watermark() exactly, minus any
+/// sabotage bias.
+Version true_watermark(const std::map<AppId, Version>& ckpts,
                        const std::string& var, const ConsumerMap& consumers) {
   auto it = consumers.find(var);
   Version mark = std::numeric_limits<Version>::max();
   if (it == consumers.end()) return mark;
   for (AppId app : it->second) {
-    const auto& ckpts = obs.server_ckpts[si];
     auto f = ckpts.find(app);
     mark = std::min(mark, f == ckpts.end() ? Version{0} : f->second);
   }
@@ -147,18 +165,16 @@ std::string describe(const obs::TraceEvent& e) {
 std::shared_ptr<const ReferenceCache::Entry> run_reference(
     const Schedule& base) {
   auto entry = std::make_shared<ReferenceCache::Entry>();
+  PendingRead read;  // outlives the runner, whose teardown may still emit
   core::WorkflowRunner runner(base.to_spec());
-  runner.services().read_probe =
-      [&entry](const core::Comp& c, int ts, const std::string& var,
-               std::uint64_t checksum, std::uint64_t bytes, int wrong_version,
-               int corrupt) {
-        entry->reads[read_key(c.spec.name, var, ts)] =
-            ReferenceCache::ReadObs{checksum, bytes, wrong_version + corrupt};
-      };
+  obs::Recorder& rec = runner.runtime().recorder();
+  rec.subscribe([&](const obs::Event& e, std::string_view detail) {
+    if (read.feed(e, detail)) entry->reads[read.key(rec, e)] = read.got;
+  });
   runner.run();
   entry->trace = runner.trace().events();
   entry->digest = runner.trace().digest();
-  entry->recorder_events = runner.runtime().recorder().dump();
+  entry->recorder_events = rec.dump();
   return entry;
 }
 
@@ -240,9 +256,18 @@ OracleReport check_schedule(const Schedule& s, ReferenceCache& cache,
   core::WorkflowRunner runner(std::move(spec), std::move(run_policy));
   const core::WorkflowSpec& rspec = runner.runtime().spec();
 
-  Observation obs;
+  // Filled by the subscriber: reads, and each server's app checkpoints.
+  std::map<std::string, std::vector<ReferenceCache::ReadObs>> reads;
   auto& servers = runner.runtime().servers();
-  obs.server_ckpts.resize(servers.size());
+  std::vector<std::map<AppId, Version>> server_ckpts(servers.size());
+  obs::Recorder& rec = runner.runtime().recorder();
+  std::vector<int> server_of_track(rec.track_count(), -1);
+  for (std::size_t si = 0; si < servers.size(); ++si) {
+    server_of_track[servers[si]->track().id()] = static_cast<int>(si);
+    if (sabotage == Sabotage::kGcOvercollect) {
+      servers[si]->set_gc_watermark_bias(2);
+    }
+  }
 
   // Elastic invariant: a resilver hand-off may release a local copy only
   // when some *other* server already holds (var, version) — durability
@@ -266,102 +291,99 @@ OracleReport check_schedule(const Schedule& s, ReferenceCache& cache,
                       " with no other server holding it");
   };
 
-  for (std::size_t si = 0; si < servers.size(); ++si) {
-    staging::StagingServer* srv = servers[si].get();
-    if (sabotage == Sabotage::kGcOvercollect) srv->set_gc_watermark_bias(2);
+  // Invariant 3, at reclaim time: a log drop is legal only at or below the
+  // watermark this server could honestly have derived from the checkpoints
+  // it has seen.
+  const auto audit_log_drop = [&](std::size_t si, const std::string& var,
+                                  Version version, staging::DropReason why) {
+    if (why == staging::DropReason::kRollback) return;
+    if (why == staging::DropReason::kResilver) {
+      audit_resilver_drop(si, var, version, "data log");
+      return;
+    }
+    if (why == staging::DropReason::kSpill) {
+      // A spill eviction is legal at any version — but only if the PFS
+      // gateway really holds the evicted version at the instant the log
+      // lets go of it (the server must ack-then-drop, never drop-then-
+      // spill).
+      const staging::SpillGateway* gw = runner.runtime().spill_gateway();
+      bool covered = false;
+      if (gw != nullptr) {
+        for (Version v : gw->versions_of(var)) covered |= v == version;
+      }
+      if (!covered) {
+        add_violation(report.violations, 1,
+                      "server " + std::to_string(si) + " spilled " + var +
+                          " v" + std::to_string(version) +
+                          " out of its log with no PFS copy at the "
+                          "gateway");
+      }
+      return;
+    }
+    if (why == staging::DropReason::kRotation) {
+      add_violation(report.violations, 3,
+                    "data log rotated out " + var + " v" +
+                        std::to_string(version) + " on server " +
+                        std::to_string(si) +
+                        " (log retention must be unbounded)");
+      return;
+    }
+    const Version mark = true_watermark(server_ckpts[si], var, consumers);
+    if (version > mark) {
+      add_violation(report.violations, 3,
+                    "GC reclaimed " + var + " v" + std::to_string(version) +
+                        " on server " + std::to_string(si) +
+                        " above the true watermark v" + std::to_string(mark));
+    }
+  };
 
-    staging::StagingServer::ProbeSet probes;
-    // Base-store drops are otherwise free-form (window rotation), but a
-    // resilver release must pass the same hand-off audit as the log's.
-    probes.store_drop = [&audit_resilver_drop, si](const std::string& var,
-                                                   Version version,
-                                                   staging::DropReason why) {
-      if (why == staging::DropReason::kResilver) {
-        audit_resilver_drop(si, var, version, "store");
+  // The one subscriber: reads from the components' tracks; checkpoints,
+  // drops and sweeps from the servers'. Delivery is synchronous, so every
+  // audit inspects live state at the instant of the event.
+  PendingRead read;
+  rec.subscribe([&](const obs::Event& e, std::string_view detail) {
+    if (read.feed(e, detail)) reads[read.key(rec, e)].push_back(read.got);
+    if (e.track >= server_of_track.size() || server_of_track[e.track] < 0) {
+      return;
+    }
+    const auto si = static_cast<std::size_t>(server_of_track[e.track]);
+    const auto version = static_cast<Version>(e.a);
+    const auto why = static_cast<staging::DropReason>(e.b);
+    switch (e.kind) {
+      case obs::Kind::kGcCheckpoint: {
+        Version& mark = server_ckpts[si][static_cast<AppId>(e.a)];
+        mark = std::max(mark, static_cast<Version>(e.b));
+        break;
       }
-    };
-    probes.gc_checkpoint = [&obs, si](AppId app, Version version) {
-      auto& mark = obs.server_ckpts[si][app];
-      mark = std::max(mark, version);
-    };
-    // Invariant 3, at reclaim time: a log drop is legal only at or below
-    // the watermark this server could honestly have derived from the
-    // checkpoints it has seen.
-    probes.log_drop = [&obs, &consumers, &report, &runner,
-                       &audit_resilver_drop, si](
-                          const std::string& var, Version version,
-                          staging::DropReason why) {
-      if (why == staging::DropReason::kRollback) return;
-      if (why == staging::DropReason::kResilver) {
-        audit_resilver_drop(si, var, version, "data log");
-        return;
-      }
-      if (why == staging::DropReason::kSpill) {
-        // A spill eviction is legal at any version — but only if the PFS
-        // gateway really holds the evicted version at the instant the log
-        // lets go of it (the server must ack-then-drop, never drop-then-
-        // spill).
-        const staging::SpillGateway* gw = runner.runtime().spill_gateway();
-        bool covered = false;
-        if (gw != nullptr) {
-          for (Version v : gw->versions_of(var)) covered |= v == version;
+      case obs::Kind::kStoreDrop:
+        // Base-store drops are otherwise free-form (window rotation), but
+        // a resilver release must pass the same hand-off audit as the
+        // log's.
+        if (why == staging::DropReason::kResilver) {
+          audit_resilver_drop(si, std::string(detail), version, "store");
         }
-        if (!covered) {
-          add_violation(report.violations, 1,
-                        "server " + std::to_string(si) + " spilled " + var +
-                            " v" + std::to_string(version) +
-                            " out of its log with no PFS copy at the "
-                            "gateway");
-        }
-        return;
-      }
-      if (why == staging::DropReason::kRotation) {
-        add_violation(report.violations, 3,
-                      "data log rotated out " + var + " v" +
-                          std::to_string(version) + " on server " +
-                          std::to_string(si) +
-                          " (log retention must be unbounded)");
-        return;
-      }
-      const Version mark = true_watermark(obs, si, var, consumers);
-      if (version > mark) {
-        add_violation(
-            report.violations, 3,
-            "GC reclaimed " + var + " v" + std::to_string(version) +
-                " on server " + std::to_string(si) +
-                " above the true watermark v" + std::to_string(mark));
-      }
-    };
-    // Invariant 3, after each sweep: nothing the sweep proved unreachable
-    // may remain retained.
-    probes.gc_sweep = [&report, si, srv](const std::string& var,
-                                         Version /*watermark*/, Version upto,
-                                         std::size_t /*dropped*/) {
-      for (Version v : srv->data_log().versions_of(var)) {
-        if (v <= upto) {
+        break;
+      case obs::Kind::kLogDrop:
+        audit_log_drop(si, std::string(detail), version, why);
+        break;
+      case obs::Kind::kGcReclaim: {
+        // Invariant 3, after each variable's sweep: nothing the sweep
+        // proved unreachable (a = its bound) may remain retained.
+        const std::string var(detail);
+        for (Version v : servers[si]->data_log().versions_of(var)) {
+          if (v > version) continue;
           add_violation(report.violations, 3,
                         "sweep left unreachable " + var + " v" +
                             std::to_string(v) + " retained on server " +
                             std::to_string(si) + " (swept up to v" +
-                            std::to_string(upto) + ")");
+                            std::to_string(version) + ")");
         }
+        break;
       }
-    };
-    srv->install_probes(std::move(probes));
-  }
-  runner.services().read_probe =
-      [&obs](const core::Comp& c, int ts, const std::string& var,
-             std::uint64_t checksum, std::uint64_t bytes, int wrong_version,
-             int corrupt) {
-        obs.reads[read_key(c.spec.name, var, ts)].push_back(
-            ReferenceCache::ReadObs{checksum, bytes,
-                                    wrong_version + corrupt});
-      };
-  runner.services().recovery_probe = [&obs](obs::Kind stage,
-                                            const core::Comp*, int) {
-    if (stage == obs::Kind::kRecoveryStart) ++obs.recovery_starts;
-    if (stage == obs::Kind::kRecoveryDone) ++obs.recovery_dones;
-  };
+      default:
+        break;
+    }
+  });
 
   bool deadlocked = false;
   try {
@@ -371,6 +393,9 @@ OracleReport check_schedule(const Schedule& s, ReferenceCache& cache,
     add_violation(report.violations, 4,
                   std::string("recovery did not terminate: ") + e.what());
   }
+  // The subscriber's state dies before the runner, whose teardown may
+  // still emit while it unwinds the actors.
+  rec.subscribe(nullptr);
   report.trace_digest = runner.trace().digest();
 
   // Forensic capture: freeze the flight recorder's surviving events into a
@@ -423,11 +448,17 @@ OracleReport check_schedule(const Schedule& s, ReferenceCache& cache,
   const auto& ftrace = runner.trace().events();
 
   // ---- Invariant 4: recovery bookkeeping and prefix consistency. ----
-  if (obs.recovery_starts != obs.recovery_dones) {
+  // Every recovery path — checkpoint/restart, failover, coordinated —
+  // traces one start/done pair.
+  const std::size_t recovery_starts =
+      runner.trace().of_kind(obs::Kind::kRecoveryStart).size();
+  const std::size_t recovery_dones =
+      runner.trace().of_kind(obs::Kind::kRecoveryDone).size();
+  if (recovery_starts != recovery_dones) {
     add_violation(report.violations, 4,
                   "unbalanced recovery pipeline: " +
-                      std::to_string(obs.recovery_starts) + " starts vs " +
-                      std::to_string(obs.recovery_dones) + " completions");
+                      std::to_string(recovery_starts) + " starts vs " +
+                      std::to_string(recovery_dones) + " completions");
   }
   if (!any_fired) {
     if (report.trace_digest != ref->digest) {
@@ -543,7 +574,7 @@ OracleReport check_schedule(const Schedule& s, ReferenceCache& cache,
   // schedules fall back to content completeness (byte totals + anomaly
   // flags), which is the paper-level read guarantee.
   const bool chunking_stable = s.elastic.empty();
-  for (const auto& [key, occurrences] : obs.reads) {
+  for (const auto& [key, occurrences] : reads) {
     const auto it = ref->reads.find(key);
     if (it == ref->reads.end()) {
       add_violation(report.violations, 2,
@@ -586,7 +617,7 @@ OracleReport check_schedule(const Schedule& s, ReferenceCache& cache,
     Schedule solo = s;
     solo.tenants = 1;
     const auto solo_ref = cache.reference_for(solo);
-    for (const auto& [key, occurrences] : obs.reads) {
+    for (const auto& [key, occurrences] : reads) {
       const std::size_t bar = key.find('|');
       const std::size_t at = key.rfind("@t", bar);
       if (at == std::string::npos) continue;  // tenant 0: not a bystander
@@ -730,7 +761,8 @@ OracleReport check_schedule(const Schedule& s, ReferenceCache& cache,
       Version required_above = 0;
       for (std::size_t si = 0; si < servers.size(); ++si) {
         required_above =
-            std::max(required_above, true_watermark(obs, si, var, consumers));
+            std::max(required_above,
+                     true_watermark(server_ckpts[si], var, consumers));
       }
       const Box& region = write_region.at(var);
       for (Version v : versions) {

@@ -1,9 +1,8 @@
 // The crash-consistency oracle. check_schedule() executes one failure
-// schedule through the real runtime with probe instrumentation installed
-// (staging store/log drops, GC checkpoints and sweeps, consumer read
-// checksums, recovery-pipeline milestones) and asserts seven machine-checked
-// invariants against a failure-free reference run of the same
-// configuration:
+// schedule through the real runtime, subscribed to the run's event stream
+// (reads, staging store/log drops, GC checkpoints and sweeps, recovery
+// milestones), and asserts seven machine-checked invariants against a
+// failure-free reference run of the same configuration:
 //
 //   1. Durability — no committed staged version a rolled-back consumer may
 //      still need is lost, and every retained chunk is byte-exact for its
@@ -12,15 +11,15 @@
 //      the reference run; non-logged schemes may diverge only with the
 //      anomaly (wrong-version / corrupt) flags raised, never silently.
 //   3. GC safety — the data log drops nothing above the true retention
-//      watermark (computed independently from observed checkpoints, so a
-//      sabotaged collector cannot vouch for itself), never rotates logged
-//      payloads out, and retains nothing a completed sweep proved
+//      watermark (computed independently from the gc-checkpoint events,
+//      so a sabotaged collector cannot vouch for itself), never rotates
+//      logged payloads out, and retains nothing a completed sweep proved
 //      unreachable.
 //   4. Recovery liveness and prefix consistency — recovery terminates
-//      (every start has a matching done, no deadlock), the trace never
-//      diverges from the reference before the first injected failure
-//      strikes, and every recovered logged component passes through log
-//      replay before resuming timesteps.
+//      (on every recovery path each start has a done, no deadlock), the
+//      trace never diverges from the reference before the first injected
+//      failure strikes, and every recovered logged component passes
+//      through log replay before resuming timesteps.
 //   5. Restart-level equivalence (multi-level hierarchy only) — every
 //      restart served from the checkpoint cache or a partner rebuild is
 //      byte-verified against the checksum taken at write time and is never

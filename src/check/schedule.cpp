@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <stdexcept>
 
 #include "core/setups.hpp"
@@ -54,16 +55,22 @@ std::vector<std::string> split(const std::string& s, char sep) {
   return out;
 }
 
-int parse_int(const std::string& s, const char* field) {
+/// `min` guards the fields to_spec() applies only when set: a value below
+/// it would otherwise run the default configuration silently.
+int parse_int(const std::string& s, const char* field,
+              int min = std::numeric_limits<int>::min()) {
+  int v = 0;
   try {
     std::size_t used = 0;
-    const int v = std::stoi(s, &used);
+    v = std::stoi(s, &used);
     if (used != s.size()) throw std::invalid_argument(s);
-    return v;
   } catch (const std::exception&) {
     throw std::invalid_argument(std::string("repro: bad integer for ") +
                                 field + ": '" + s + "'");
   }
+  if (v >= min) return v;
+  throw std::invalid_argument(std::string("repro: ") + field + " must be >= " +
+                              std::to_string(min) + ", got '" + s + "'");
 }
 
 double parse_double(const std::string& s, const char* field) {
@@ -229,13 +236,13 @@ Schedule Schedule::parse(const std::string& repro) {
     } else if (key == "mtbf") {
       s.mtbf = parse_int(val, "mtbf") != 0;
     } else if (key == "mb") {
-      s.memory_budget_mb = parse_int(val, "mb");
+      s.memory_budget_mb = parse_int(val, "mb", 0);
     } else if (key == "ss") {
-      s.staging_servers = parse_int(val, "ss");
+      s.staging_servers = parse_int(val, "ss", 0);
     } else if (key == "ckpt") {
-      s.ckpt_group = parse_int(val, "ckpt");
+      s.ckpt_group = parse_int(val, "ckpt", 0);
     } else if (key == "tenants") {
-      s.tenants = parse_int(val, "tenants");
+      s.tenants = parse_int(val, "tenants", 1);
     } else if (key == "codec") {
       const auto scheme = wlog::codec::parse_scheme(val);
       if (!scheme) {

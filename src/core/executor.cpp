@@ -120,14 +120,14 @@ sim::Task<void> WorkflowRunner::run_component(Comp* comp, int start_ts) {
       track.observe("get_response_s", result.response_time.seconds());
       // The order-independent payload fingerprint is the forensic anchor
       // for replay-equivalence diffs: a replayed read that serves different
-      // bytes than the reference run diverges here.
+      // bytes than the reference run diverges here. The three read events
+      // are emitted back to back (no co_await between them), so a
+      // subscriber assembles one read observation per track from them.
       const std::uint64_t checksum = pieces_checksum(result.pieces);
       track.emit(obs::Kind::kGetServe, read.var, ts,
                  static_cast<std::int64_t>(checksum));
-      if (services_.read_probe) {
-        services_.read_probe(*comp, ts, read.var, checksum,
-                             result.nominal_bytes, result.wrong_version,
-                             result.corrupt);
+      if (const int anomalies = result.wrong_version + result.corrupt) {
+        track.emit(obs::Kind::kReadAnomaly, read.var, ts, anomalies);
       }
       track.emit(obs::Kind::kReadDone, ts,
                  static_cast<std::int64_t>(result.nominal_bytes));
@@ -172,7 +172,7 @@ sim::Task<void> WorkflowRunner::run_component(Comp* comp, int start_ts) {
 sim::Task<void> WorkflowRunner::run_component_recovered(Comp* comp) {
   sim::Ctx ctx = runtime_->cluster().ctx_for(comp->vproc);
   const bool replay = policy_->replay_on_restart(comp->spec);
-  co_await stage_reattach_and_replay(services_, *comp, replay, ctx);
+  co_await stage_reattach_and_replay(*comp, replay, ctx);
   // The recovery root opened at the failure instant closes once the
   // component is back in its timestep loop.
   comp->track.end(comp->obs_recovery_span);

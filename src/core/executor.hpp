@@ -32,21 +32,14 @@ class WorkflowRunner {
   /// drained before every component finished).
   RunMetrics run();
 
-  /// Post-run introspection.
-  [[nodiscard]] const staging::StagingServer& server(int i) const {
-    return runtime_->server(i);
-  }
-  [[nodiscard]] int server_count() const { return runtime_->server_count(); }
-  [[nodiscard]] sim::Engine& engine() { return runtime_->engine(); }
   /// Structured execution timeline (populated during run()).
   [[nodiscard]] const obs::Trace& trace() const { return runtime_->trace(); }
   /// The scheme policy driving this run.
   [[nodiscard]] const SchemePolicy& policy() const { return *policy_; }
-  /// The assembled runtime (engine, cluster, staging, components).
+  /// The assembled runtime (engine, cluster, staging, components). A
+  /// harness watches a run by subscribing to runtime().recorder() before
+  /// run() (src/check does).
   [[nodiscard]] Runtime& runtime() { return *runtime_; }
-  /// The services view this runner drives; the consistency oracle installs
-  /// its read/recovery probes here before run().
-  [[nodiscard]] RuntimeServices& services() { return services_; }
 
  private:
   sim::Task<void> run_component(Comp* comp, int start_ts);

@@ -11,9 +11,6 @@ namespace dstage::core {
 sim::Task<void> stage_process_recovery(RuntimeServices& rt, Comp& comp,
                                        sim::Ctx sys) {
   comp.track.emit(obs::Kind::kRecoveryStart, comp.current_ts);
-  if (rt.recovery_probe) {
-    rt.recovery_probe(obs::Kind::kRecoveryStart, &comp, comp.current_ts);
-  }
   comp.track.end(comp.obs_detect_span);
   comp.obs_detect_span = 0;
   const obs::SpanId ulfm = comp.track.begin("ulfm", obs::Phase::kRestart,
@@ -83,8 +80,8 @@ sim::Task<void> stage_data_recovery(RuntimeServices& rt, Comp& comp,
   comp.metrics.timesteps_reworked += comp.current_ts - comp.last_ckpt_ts;
 }
 
-sim::Task<void> stage_reattach_and_replay(RuntimeServices& rt, Comp& comp,
-                                          bool logged, sim::Ctx ctx) {
+sim::Task<void> stage_reattach_and_replay(Comp& comp, bool logged,
+                                          sim::Ctx ctx) {
   const obs::SpanId reattach = comp.track.begin(
       logged ? "replay" : "reattach",
       logged ? obs::Phase::kReplay : obs::Phase::kRestart,
@@ -96,9 +93,6 @@ sim::Task<void> stage_reattach_and_replay(RuntimeServices& rt, Comp& comp,
         ctx, static_cast<staging::Version>(comp.last_ckpt_ts));
     comp.track.emit(obs::Kind::kReplayDone, comp.spec.name, comp.last_ckpt_ts,
                     static_cast<std::int64_t>(replay));
-    if (rt.recovery_probe) {
-      rt.recovery_probe(obs::Kind::kReplayDone, &comp, comp.last_ckpt_ts);
-    }
   } else {
     co_await ctx.delay(comp.client->params().reconnect_cost);
   }
@@ -114,17 +108,12 @@ sim::Task<void> run_checkpoint_restart_recovery(RuntimeServices& rt,
   rt.cluster->revive(comp.vproc);
   comp.recovering = false;
   comp.track.emit(obs::Kind::kRecoveryDone, comp.last_ckpt_ts);
-  if (rt.recovery_probe) {
-    rt.recovery_probe(obs::Kind::kRecoveryDone, &comp, comp.last_ckpt_ts);
-  }
   rt.resume_recovered(&comp);
 }
 
 sim::Task<void> run_failover_recovery(RuntimeServices& rt, Comp& comp) {
   sim::Ctx sys = rt.system_ctx();
-  if (rt.recovery_probe) {
-    rt.recovery_probe(obs::Kind::kRecoveryStart, &comp, comp.current_ts);
-  }
+  comp.track.emit(obs::Kind::kRecoveryStart, comp.current_ts);
   comp.track.end(comp.obs_detect_span);
   comp.obs_detect_span = 0;
   const obs::SpanId failover = comp.track.begin(
@@ -135,9 +124,7 @@ sim::Task<void> run_failover_recovery(RuntimeServices& rt, Comp& comp) {
   rt.cluster->revive(comp.vproc);
   comp.recovering = false;
   const int resume_from = comp.current_ts;
-  if (rt.recovery_probe) {
-    rt.recovery_probe(obs::Kind::kRecoveryDone, &comp, resume_from);
-  }
+  comp.track.emit(obs::Kind::kRecoveryDone, resume_from);
   comp.track.end(failover);
   comp.track.end(comp.obs_recovery_span);
   comp.obs_recovery_span = 0;
@@ -158,9 +145,7 @@ sim::Task<void> run_coordinated_recovery(RuntimeServices& rt,
   };
   const int scope_cores =
       tenant < 0 ? rt.total_app_cores() : rt.tenant_app_cores(tenant);
-  if (rt.recovery_probe) {
-    rt.recovery_probe(obs::Kind::kRecoveryStart, nullptr, global_ckpt_ts);
-  }
+  rt.workflow.emit(obs::Kind::kRecoveryStart, global_ckpt_ts);
   // Everyone in scope rolls back: kill the surviving components.
   for (auto& c : *rt.comps) {
     if (!in_scope(c)) continue;
@@ -224,9 +209,7 @@ sim::Task<void> run_coordinated_recovery(RuntimeServices& rt,
     rt.cluster->revive(c->vproc);
   }
   if (on_restarted) on_restarted();
-  if (rt.recovery_probe) {
-    rt.recovery_probe(obs::Kind::kRecoveryDone, nullptr, global_ckpt_ts);
-  }
+  rt.workflow.emit(obs::Kind::kRecoveryDone, global_ckpt_ts);
   rt.workflow.end(coord);
   for (auto& c : *rt.comps) {
     if (!in_scope(c)) continue;

@@ -7,9 +7,10 @@
 // policy's recover() runs. The remaining stages are coroutines over
 // RuntimeServices that scheme policies compose: the per-component
 // checkpoint/restart pipeline (Un/In/Hy and plain staging), replication
-// failover (Fig. 6), and the global coordinated rollback. Stages emit the
-// Trace events (kRecoveryStart, kRecoveryDone, kReplayDone) that tests and
-// run fingerprints rely on.
+// failover (Fig. 6), and the global coordinated rollback. Each traces its
+// recovery as one kRecoveryStart/kRecoveryDone pair (a coordinated one on
+// the "workflow" track), plus kReplayDone for logged restarts: the events
+// tests, run fingerprints and the oracle's liveness check rely on.
 #pragma once
 
 #include <functional>
@@ -37,8 +38,8 @@ sim::Task<void> stage_data_recovery(RuntimeServices& rt, Comp& comp,
 /// and, for logged components, emit the recovery event that switches the
 /// servers' queues into replay mode (kReplayDone records the replayed event
 /// count). Runs inside the revived component's own process context.
-sim::Task<void> stage_reattach_and_replay(RuntimeServices& rt, Comp& comp,
-                                          bool logged, sim::Ctx ctx);
+sim::Task<void> stage_reattach_and_replay(Comp& comp, bool logged,
+                                          sim::Ctx ctx);
 
 // --- composed pipelines ----------------------------------------------------
 

@@ -172,7 +172,7 @@ void Runtime::build(const SchemePolicy& policy) {
         recorder_.track("group-mgr"));
     for (auto& server : servers_) {
       server->set_group_index(index_.get());
-      server->apply_membership(index_->epoch(), index_->active_servers());
+      server->apply_membership(index_->active_servers());
     }
     const auto gep = group_manager_->endpoint();
     for (auto& comp : comps_) {
@@ -362,11 +362,9 @@ RuntimeServices Runtime::services() {
   RuntimeServices rt;
   rt.spec = &spec_;
   rt.engine = &engine_;
-  rt.fabric = &fabric_;
   rt.cluster = &cluster_;
   rt.pfs = &pfs_;
   rt.index = index_.get();
-  rt.servers = &servers_;
   rt.comps = &comps_;
   rt.control_client = control_client_.get();
   rt.barrier = barrier_.get();

@@ -71,11 +71,9 @@ struct PlannedFailure {
 struct RuntimeServices {
   const WorkflowSpec* spec = nullptr;
   sim::Engine* engine = nullptr;
-  net::Fabric* fabric = nullptr;
   cluster::Cluster* cluster = nullptr;
   cluster::Pfs* pfs = nullptr;
   dht::SpatialIndex* index = nullptr;
-  std::vector<std::unique_ptr<staging::StagingServer>>* servers = nullptr;
   std::vector<std::unique_ptr<Comp>>* comps = nullptr;
   staging::StagingClient* control_client = nullptr;
   sim::Barrier* barrier = nullptr;  // coordinated checkpoint barrier
@@ -86,8 +84,8 @@ struct RuntimeServices {
   std::vector<sim::Barrier*> tenant_barriers;
   sim::CancelToken* sys_token = nullptr;
   Runtime* runtime = nullptr;
-  /// Run-wide event track ("workflow"): the coordinated restart's spans.
-  /// Per-component events go through Comp::track.
+  /// Run-wide event track ("workflow"): the coordinated restart's events
+  /// and spans. Per-component events go through Comp::track.
   obs::Track workflow;
   /// Multi-level checkpoint hierarchy; null unless
   /// spec.ckpt.hierarchy_enabled(). Schemes route checkpoints through it
@@ -102,20 +100,6 @@ struct RuntimeServices {
   /// Run the Fig. 7(b) re-attach (+ replay) stage in the component's own
   /// process context, then resume its loop from its restored checkpoint.
   std::function<void(Comp*)> resume_recovered;
-
-  // Consistency-oracle probes (null by default; installed by src/check).
-  // Probes observe without consuming virtual time or touching the trace,
-  // so installing them never changes a run's digest.
-  /// Fires after every completed consumer get: order-independent payload
-  /// checksum, nominal bytes, and the anomaly counts the client detected.
-  std::function<void(const Comp&, int ts, const std::string& var,
-                     std::uint64_t checksum, std::uint64_t bytes,
-                     int wrong_version, int corrupt)>
-      read_probe;
-  /// Fires at recovery-pipeline milestones (kRecoveryStart, kRecoveryDone,
-  /// kReplayDone). `comp` is null for whole-workflow (coordinated) stages.
-  std::function<void(obs::Kind stage, const Comp* comp, int ts)>
-      recovery_probe;
 
   /// Context for system activities that survive component kills.
   [[nodiscard]] sim::Ctx system_ctx() const { return {engine, sys_token}; }
@@ -152,9 +136,6 @@ class Runtime {
   [[nodiscard]] std::vector<std::unique_ptr<staging::StagingServer>>&
   servers() {
     return servers_;
-  }
-  [[nodiscard]] const staging::StagingServer& server(int i) const {
-    return *servers_[static_cast<std::size_t>(i)];
   }
   [[nodiscard]] int server_count() const {
     return static_cast<int>(servers_.size());

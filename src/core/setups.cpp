@@ -6,7 +6,7 @@ namespace dstage::core {
 
 WorkflowSpec table2_setup(Scheme scheme, double subset_fraction,
                           int sim_period, int analytic_period) {
-  if (subset_fraction <= 0 || subset_fraction > 1.0)
+  if (!(subset_fraction > 0) || !(subset_fraction <= 1.0))
     throw std::invalid_argument("subset fraction must be in (0, 1]");
   WorkflowSpec spec;
   spec.domain = Box::from_dims(512, 512, 256);

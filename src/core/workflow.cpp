@@ -81,12 +81,14 @@ void WorkflowSpec::validate() const {
     }
   }
   if (failures.count < 0) reject("failures.count must be >= 0");
-  if (failures.mtbf_s < 0) reject("failures.mtbf_s must be >= 0");
-  if (failures.node_failure_fraction < 0 ||
-      failures.node_failure_fraction > 1) {
+  // Float checks are negated: NaN fails every comparison, so it fails them.
+  if (!(failures.mtbf_s >= 0)) reject("failures.mtbf_s must be >= 0");
+  if (!(failures.node_failure_fraction >= 0) ||
+      !(failures.node_failure_fraction <= 1)) {
     reject("failures.node_failure_fraction must be in [0, 1]");
   }
-  if (failures.predictor_recall < 0 || failures.predictor_recall > 1) {
+  if (!(failures.predictor_recall >= 0) ||
+      !(failures.predictor_recall <= 1)) {
     reject("failures.predictor_recall must be in [0, 1]");
   }
   if (failures.predictor_false_alarms < 0) {
@@ -106,13 +108,15 @@ void WorkflowSpec::validate() const {
     if (e.ts < 1 || e.ts > total_ts) {
       reject("explicit failure ts must be in [1, total_ts]");
     }
-    if (e.phase > 1) reject("explicit failure phase must be <= 1");
+    if (!(e.phase <= 1)) reject("explicit failure phase must be <= 1");
   }
   for (const auto& c : components) {
     if (c.name.empty()) reject("component name must be non-empty");
     const std::string who = "component '" + c.name + "': ";
     if (c.cores < 1) reject(who + "cores must be >= 1");
-    if (c.compute_per_ts_s < 0) reject(who + "compute_per_ts_s must be >= 0");
+    if (!(c.compute_per_ts_s >= 0)) {
+      reject(who + "compute_per_ts_s must be >= 0");
+    }
     if (c.ckpt_period < 1) reject(who + "ckpt_period must be >= 1");
     if (c.local_ckpt_period < 0) {
       reject(who + "local_ckpt_period must be >= 0 (0 disables)");

@@ -12,7 +12,6 @@ void GarbageCollector::register_var(
 void GarbageCollector::on_checkpoint(AppId app, Version version) {
   auto& v = last_ckpt_[app];
   v = std::max(v, version);
-  if (checkpoint_probe_) checkpoint_probe_(app, version);
 }
 
 Version GarbageCollector::last_checkpoint(AppId app) const {
@@ -35,7 +34,8 @@ Version GarbageCollector::watermark(const std::string& var) const {
   return mark;
 }
 
-SweepResult GarbageCollector::sweep(wlog::DataLog& log) const {
+SweepResult GarbageCollector::sweep(wlog::DataLog& log,
+                                    const obs::Track& track) const {
   SweepResult result;
   for (const std::string& var : log.variables()) {
     const Version mark = watermark(var);
@@ -51,7 +51,8 @@ SweepResult GarbageCollector::sweep(wlog::DataLog& log) const {
     const std::size_t dropped = log.drop_upto(var, upto);
     result.versions_dropped += dropped;
     result.nominal_freed += before - log.nominal_bytes();
-    if (sweep_probe_) sweep_probe_(var, mark, upto, dropped);
+    track.emit(obs::Kind::kGcReclaim, var, static_cast<std::int64_t>(upto),
+               static_cast<std::int64_t>(dropped));
   }
   return result;
 }

@@ -6,13 +6,13 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "obs/recorder.hpp"
 #include "staging/types.hpp"
 #include "wlog/data_log.hpp"
 #include "wlog/event_queue.hpp"
@@ -48,8 +48,9 @@ class GarbageCollector {
   /// Version when none exist — everything reclaimable but the latest).
   [[nodiscard]] Version watermark(const std::string& var) const;
 
-  /// Reclaim every reclaimable non-latest version in the log.
-  SweepResult sweep(wlog::DataLog& log) const;
+  /// Reclaim every reclaimable non-latest version in the log, emitting
+  /// kGcReclaim on `track` right after each variable's drops.
+  SweepResult sweep(wlog::DataLog& log, const obs::Track& track = {}) const;
 
   [[nodiscard]] Version last_checkpoint(AppId app) const;
 
@@ -62,18 +63,6 @@ class GarbageCollector {
     return out;
   }
 
-  /// Consistency-oracle instrumentation. The checkpoint probe observes
-  /// every on_checkpoint(); the sweep probe fires once per swept variable
-  /// with the watermark used, the reclaim bound, and the drop count.
-  using CheckpointProbe = std::function<void(AppId, Version)>;
-  using SweepProbe = std::function<void(const std::string& var,
-                                        Version watermark, Version upto,
-                                        std::size_t dropped)>;
-  void set_probes(CheckpointProbe on_checkpoint, SweepProbe on_sweep) {
-    checkpoint_probe_ = std::move(on_checkpoint);
-    sweep_probe_ = std::move(on_sweep);
-  }
-
   /// Fault-injection seam for the consistency campaign: saturating offset
   /// added to every computed watermark, making the GC overcollect (drop
   /// payloads a rolled-back consumer could still replay). Production code
@@ -83,8 +72,6 @@ class GarbageCollector {
  private:
   std::map<std::string, std::vector<std::pair<AppId, bool>>> consumers_;
   std::map<AppId, Version> last_ckpt_;
-  CheckpointProbe checkpoint_probe_;
-  SweepProbe sweep_probe_;
   Version watermark_bias_ = 0;
 };
 

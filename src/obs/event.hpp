@@ -7,7 +7,8 @@
 //     ObsConfig::enabled, so uninstrumented digests never hash it) or
 //     `never`;
 //   - the per-track flight-recorder rings that forensic bundles freeze;
-//   - the span tracer, as a point instant (obs on only).
+//   - the span tracer, as a point instant (obs on only);
+//   - a Recorder subscriber, which sees every kind (obs/recorder.hpp).
 //
 // Field layout per kind: `detail` is an interned string, `a`/`b` two int64
 // payloads. For digest-visible kinds the trace records (track name, a, b)
@@ -63,6 +64,13 @@ enum class Kind : std::uint8_t {
   kRestartLevel,  // detail=component, a=level (0 cache/1 partner/2 pfs),
                   // b=restart ts
   kDegradation,  // detail=what went loudly wrong
+  // Subscriber-only kinds (no digest, ring or instant): a store rotates a
+  // version out on every put, so as ring kinds they would flood its ring.
+  kStoreDrop,     // detail=var, a=version, b=staging::DropReason
+  kLogDrop,       // detail=var, a=version, b=staging::DropReason
+  kGcCheckpoint,  // durable checkpoint seen by the GC: a=app, b=version
+  kGcReclaim,     // one variable swept: detail=var, a=bound, b=dropped
+  kReadAnomaly,   // detail=var, a=ts, b=wrong-version + corrupt (if > 0)
 };
 
 /// Which runs hash a kind into Trace::digest().
@@ -118,10 +126,15 @@ inline constexpr KindInfo kKindTable[] = {
     {"epoch-change", Digest::kNever, true, false},
     {"restart-level", Digest::kNever, true, false},
     {"degradation", Digest::kNever, true, false},
+    {"store-drop", Digest::kNever, false, false},
+    {"log-drop", Digest::kNever, false, false},
+    {"gc-checkpoint", Digest::kNever, false, false},
+    {"gc-reclaim", Digest::kNever, false, false},
+    {"read-anomaly", Digest::kNever, false, false},
 };
 
 inline constexpr std::size_t kKindCount = std::size(kKindTable);
-static_assert(kKindCount == static_cast<std::size_t>(Kind::kDegradation) + 1,
+static_assert(kKindCount == static_cast<std::size_t>(Kind::kReadAnomaly) + 1,
               "one kKindTable row per obs::Kind");
 static_assert(static_cast<int>(Kind::kCkptRestore) == 18,
               "digest kinds keep their historical ordinals");

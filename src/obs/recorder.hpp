@@ -13,6 +13,8 @@
 //     run to name the first divergent event.
 //   - With ObsConfig::enabled, the span tracer (spans plus the kinds'
 //     point instants) and the metrics registry.
+//   - One optional synchronous subscriber that sees every event, obs on or
+//     off: how the consistency oracle (src/check) watches a run.
 //
 // A site calls its Track once per fact; the kind table decides which sinks
 // see it. A default-constructed Track is detached and every method on it
@@ -21,6 +23,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -39,6 +42,7 @@ namespace dstage::obs {
 /// One ring record. `track` and `detail` are intern-table ids; `seq` is a
 /// recorder-global monotone counter so a merged dump interleaves tracks in
 /// true record order even though each track truncates independently.
+/// A subscriber sees ring-less kinds with `seq` and `detail` 0.
 struct Event {
   std::uint64_t seq = 0;
   std::int64_t at_ns = 0;
@@ -103,6 +107,9 @@ class Track {
   void gauge(std::string_view name, double value) const;
   void observe(std::string_view name, double sample) const;
 
+  /// This track's id in its recorder: the Event::track of what it emits.
+  [[nodiscard]] std::uint32_t id() const { return id_; }
+
   /// A loud degradation (spare-pool exhaustion, double XOR loss, ...):
   /// recorded as a kDegradation event AND kept verbatim so a forensic
   /// bundle is dumped even when no invariant check is watching.
@@ -132,9 +139,17 @@ class Recorder {
   /// ring events store 4-byte ids instead of strings).
   [[nodiscard]] std::uint32_t intern(std::string_view s);
 
-  /// Route one event to the sinks its kind's table row names.
-  void emit(std::uint32_t track, Kind kind, std::uint32_t detail,
+  /// Route one event to the sinks its kind's table row names, then to the
+  /// subscriber. `detail` is interned only for ring kinds.
+  void emit(std::uint32_t track, Kind kind, std::string_view detail,
             std::int64_t a, std::int64_t b);
+
+  /// Called inside emit() for every event, with its detail string. It only
+  /// observes (no virtual time, no mutation), so it never moves a digest
+  /// or a ring. Installing another replaces it.
+  using Subscriber =
+      std::function<void(const Event& event, std::string_view detail)>;
+  void subscribe(Subscriber fn) { subscriber_ = std::move(fn); }
 
   [[nodiscard]] Trace& trace() { return trace_; }
   [[nodiscard]] const Trace& trace() const { return trace_; }
@@ -173,8 +188,6 @@ class Recorder {
     std::uint64_t total = 0;  // events ever recorded on this track
   };
 
-  void push(std::uint32_t track, sim::TimePoint at, Kind kind,
-            std::uint32_t detail, std::int64_t a, std::int64_t b);
   void record_instant(std::uint32_t track, sim::TimePoint at, Kind kind,
                       std::int64_t value);
   [[nodiscard]] const std::string& detail_name(std::uint32_t id) const;
@@ -194,46 +207,45 @@ class Recorder {
   std::vector<std::string> strings_;
   std::unordered_map<std::string, std::uint32_t> string_ids_;
   std::vector<std::string> degradations_;
+  Subscriber subscriber_;
 };
 
-inline void Recorder::push(std::uint32_t track, sim::TimePoint at, Kind kind,
-                           std::uint32_t detail, std::int64_t a,
-                           std::int64_t b) {
-  Ring& ring = rings_[track];
-  if (ring.buf.size() < cfg_.ring_capacity) {
-    ring.buf.emplace_back();
-    ring.next = ring.buf.size() - 1;
-  } else {
-    ++dropped_;
-  }
-  ring.buf[ring.next] = Event{++seq_, at.ns, kind, track, detail, a, b};
-  ring.next = (ring.next + 1) % cfg_.ring_capacity;
-  ++ring.total;
-  ++recorded_;
-}
-
 inline void Recorder::emit(std::uint32_t track, Kind kind,
-                           std::uint32_t detail, std::int64_t a,
+                           std::string_view detail, std::int64_t a,
                            std::int64_t b) {
   const KindInfo& info = kind_info(kind);
   const sim::TimePoint now = engine_->now();
-  if (info.ring) push(track, now, kind, detail, a, b);
+  Event event{0, now.ns, kind, track, 0, a, b};
+  if (info.ring) {
+    if (!detail.empty()) event.detail = intern(detail);
+    event.seq = ++seq_;
+    Ring& ring = rings_[track];
+    if (ring.buf.size() < cfg_.ring_capacity) {
+      ring.buf.emplace_back();
+      ring.next = ring.buf.size() - 1;
+    } else {
+      ++dropped_;
+    }
+    ring.buf[ring.next] = event;
+    ring.next = (ring.next + 1) % cfg_.ring_capacity;
+    ++ring.total;
+    ++recorded_;
+  }
   if (info.digest == Digest::kAlways ||
       (info.digest == Digest::kObsOnly && obs_ != nullptr)) {
     trace_.record(now, kind, track_names_[track], static_cast<int>(a), b);
   }
   if (info.instant && obs_ != nullptr) record_instant(track, now, kind, b);
+  if (subscriber_) subscriber_(event, detail);
 }
 
 inline void Track::emit(Kind kind, std::int64_t a, std::int64_t b) const {
-  if (rec_ != nullptr) rec_->emit(id_, kind, 0, a, b);
+  if (rec_ != nullptr) rec_->emit(id_, kind, {}, a, b);
 }
 
 inline void Track::emit(Kind kind, std::string_view detail, std::int64_t a,
                         std::int64_t b) const {
-  if (rec_ == nullptr) return;
-  rec_->emit(id_, kind, kind_info(kind).ring ? rec_->intern(detail) : 0, a,
-             b);
+  if (rec_ != nullptr) rec_->emit(id_, kind, detail, a, b);
 }
 
 // The span and metric methods are inline so that, with ObsConfig off, a

@@ -73,7 +73,7 @@ void GovernedMemory::poke() {
 }
 
 sim::Task<gc::SweepResult> GovernedMemory::sweep_log() {
-  const gc::SweepResult sweep = gc_->sweep(*dlog_);
+  const gc::SweepResult sweep = gc_->sweep(*dlog_, ctx_->track);
   ctx_->stats.gc_versions_dropped += sweep.versions_dropped;
   ctx_->stats.gc_nominal_freed += sweep.nominal_freed;
   co_await ctx_->ctx().delay(

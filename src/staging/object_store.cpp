@@ -6,8 +6,9 @@
 
 namespace dstage::staging {
 
-ObjectStore::ObjectStore(int version_window)
-    : version_window_(version_window) {
+ObjectStore::ObjectStore(int version_window, obs::Track track,
+                         obs::Kind drop_kind)
+    : version_window_(version_window), track_(track), drop_kind_(drop_kind) {
   if (version_window < 1)
     throw std::invalid_argument("version window must be >= 1");
 }
@@ -74,7 +75,7 @@ void ObjectStore::put(Chunk chunk) {
     // Never rotate out a version newer than the one just written.
     if (oldest->first >= versions.rbegin()->first) break;
     for (const Chunk& c : oldest->second) account(c, -1);
-    if (drop_probe_) drop_probe_(var, oldest->first, DropReason::kRotation);
+    emit_drop(var, oldest->first, DropReason::kRotation);
     versions.erase(oldest);
   }
 }
@@ -169,7 +170,7 @@ std::size_t ObjectStore::drop_versions_above(
     if (!var_pred(var)) continue;
     for (auto it = versions.upper_bound(version); it != versions.end();) {
       for (const Chunk& c : it->second) account(c, -1);
-      if (drop_probe_) drop_probe_(var, it->first, DropReason::kRollback);
+      emit_drop(var, it->first, DropReason::kRollback);
       it = versions.erase(it);
       ++dropped;
     }
@@ -184,7 +185,7 @@ bool ObjectStore::drop_version(const std::string& var, Version version,
   auto it = vit->second.find(version);
   if (it == vit->second.end()) return false;
   for (const Chunk& c : it->second) account(c, -1);
-  if (drop_probe_) drop_probe_(var, version, reason);
+  emit_drop(var, version, reason);
   vit->second.erase(it);
   return true;
 }
@@ -204,7 +205,7 @@ std::size_t ObjectStore::drop_pieces(
     return true;
   });
   if (it->second.empty()) {
-    if (drop_probe_) drop_probe_(var, version, reason);
+    emit_drop(var, version, reason);
     vit->second.erase(it);
   }
   return dropped;
@@ -221,8 +222,8 @@ bool ObjectStore::rewrite_payload(
   for (Chunk& c : it->second) {
     if (!(c.region == region)) continue;
     // Representation change only (codec rebase): identity, nominal size and
-    // content key are untouched, so no probe fires — the oracle's view of
-    // which (var, version) is held does not change.
+    // content key are untouched, so no drop is emitted — the set of held
+    // (var, version) pairs does not change.
     account(c, -1);
     c.data = std::move(data);
     c.stored_bytes = stored_bytes;

@@ -12,12 +12,13 @@
 #include <string>
 #include <vector>
 
+#include "obs/recorder.hpp"
 #include "staging/types.hpp"
 #include "util/stats.hpp"
 
 namespace dstage::staging {
 
-/// Why a version left the store (consistency-oracle probe classification).
+/// Why a version left the store: the `b` payload of its drop event.
 enum class DropReason {
   kRotation,  // rotated out of the base store's version window
   kExplicit,  // dropped deliberately (GC reclaim)
@@ -30,7 +31,11 @@ class ObjectStore {
  public:
   /// @param version_window how many most-recent versions of each variable
   ///        the base store retains (older ones rotate out on put).
-  explicit ObjectStore(int version_window = 1);
+  /// @param track, drop_kind every (var, version) that leaves the store is
+  ///        emitted on `track` as `drop_kind` (detail=var, a=version,
+  ///        b=DropReason); the default detached track records nothing.
+  explicit ObjectStore(int version_window = 1, obs::Track track = {},
+                       obs::Kind drop_kind = obs::Kind::kStoreDrop);
 
   /// Insert a chunk; rotates versions older than the window out.
   void put(Chunk chunk);
@@ -61,9 +66,9 @@ class ObjectStore {
   std::size_t drop_versions_above(
       Version version, const std::function<bool(const std::string&)>& var_pred);
 
-  /// Explicitly drop one version of a variable (GC helper). The reason is
-  /// reported to the drop probe: kExplicit for GC reclaim, kSpill when the
-  /// memory governor evicted the version to the PFS.
+  /// Explicitly drop one version of a variable (GC helper). The drop event
+  /// carries `reason`: kExplicit for GC reclaim, kSpill when the memory
+  /// governor evicted the version to the PFS.
   bool drop_version(const std::string& var, Version version,
                     DropReason reason = DropReason::kExplicit);
 
@@ -74,7 +79,8 @@ class ObjectStore {
   /// Replace the payload representation of the piece at (var, version,
   /// region) in place — codec support (delta rebase / re-encode). Identity
   /// and nominal size are unchanged; footprint accounting moves to the new
-  /// stored size. No probes fire: the held (var, version) set is unchanged.
+  /// stored size. No drop is emitted: the held (var, version) set is
+  /// unchanged.
   /// Returns false when no such piece exists.
   bool rewrite_payload(const std::string& var, Version version,
                        const Box& region,
@@ -83,7 +89,7 @@ class ObjectStore {
 
   /// Drop the individual pieces of (var, version) for which `pred` returns
   /// true (resilver hand-off helper: a chunk leaves only once the new cell
-  /// owner holds it). The drop probe fires — with `reason` — only when the
+  /// owner holds it). The drop is emitted — with `reason` — only when the
   /// version's last piece leaves. Returns the number of pieces dropped.
   std::size_t drop_pieces(const std::string& var, Version version,
                           const std::function<bool(const Chunk&)>& pred,
@@ -108,15 +114,13 @@ class ObjectStore {
   [[nodiscard]] std::size_t object_count() const;
   [[nodiscard]] int version_window() const { return version_window_; }
 
-  /// Consistency-oracle instrumentation. The probe observes every dropped
-  /// (var, version) without touching virtual time or store behavior; a
-  /// null probe (the default) costs one branch.
-  using DropProbe =
-      std::function<void(const std::string& var, Version, DropReason)>;
-  void set_drop_probe(DropProbe on_drop) { drop_probe_ = std::move(on_drop); }
-
  private:
   void account(const Chunk& c, int sign);
+  void emit_drop(const std::string& var, Version version,
+                 DropReason reason) const {
+    track_.emit(drop_kind_, var, static_cast<std::int64_t>(version),
+                static_cast<std::int64_t>(reason));
+  }
 
   int version_window_;
   // var → version → pieces
@@ -129,7 +133,8 @@ class ObjectStore {
     std::uint64_t peak = 0;
   };
   std::map<net::TenantId, TenantUsage> tenant_usage_;
-  DropProbe drop_probe_;
+  obs::Track track_;
+  obs::Kind drop_kind_;
 };
 
 }  // namespace dstage::staging

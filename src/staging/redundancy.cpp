@@ -30,9 +30,7 @@ void PeerRedundancy::set_peers(
   refresh_view_pos();
 }
 
-void PeerRedundancy::apply_membership(std::uint64_t epoch,
-                                      std::vector<int> active) {
-  view_epoch_ = epoch;
+void PeerRedundancy::apply_membership(std::vector<int> active) {
   active_view_ = std::make_shared<const std::vector<int>>(std::move(active));
   refresh_view_pos();
 }
@@ -138,7 +136,7 @@ sim::Task<void> PeerRedundancy::handle(RecoveryPull pull) {
 sim::Task<void> PeerRedundancy::handle(MembershipUpdate update) {
   sim::Ctx c = ctx_->ctx();
   co_await c.delay(ctx_->params.request_overhead);
-  apply_membership(update.epoch, std::move(update.active));
+  apply_membership(std::move(update.active));
 }
 
 sim::Task<void> PeerRedundancy::mirror(wlog::LogEvent event) {

@@ -30,7 +30,7 @@ class PeerRedundancy {
   /// Null `initial_view`: every server is active.
   void set_peers(std::shared_ptr<const std::vector<net::EndpointId>> endpoints,
                  std::shared_ptr<const std::vector<int>> initial_view);
-  void apply_membership(std::uint64_t epoch, std::vector<int> active);
+  void apply_membership(std::vector<int> active);
 
   // The messages this component serves (the server dispatches them).
   sim::Task<void> handle(MembershipUpdate update);
@@ -81,7 +81,6 @@ class PeerRedundancy {
   // fresh vector rather than mutating in place).
   std::shared_ptr<const std::vector<net::EndpointId>> peer_endpoints_ =
       std::make_shared<std::vector<net::EndpointId>>();
-  std::uint64_t view_epoch_ = 0;
   std::shared_ptr<const std::vector<int>> active_view_ =
       std::make_shared<std::vector<int>>();  // ascending server ids
   int view_pos_ = -1;  // this server's index in *active_view_, or -1

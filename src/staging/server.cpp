@@ -33,7 +33,8 @@ StagingServer::StagingServer(cluster::Cluster& cluster,
            .params = std::move(params),
            .rpc = net::Rpc(cluster.fabric(), cluster.vproc(vproc).endpoint),
            .track = track},
-      store_(ctx_.params.version_window),
+      store_(ctx_.params.version_window, ctx_.track),
+      dlog_(ctx_.track),
       redundancy_(ctx_),
       memory_(ctx_, store_, dlog_, queues_, gc_) {
   dlog_.set_codec(ctx_.params.log_codec);
@@ -471,6 +472,8 @@ void StagingServer::advance_watermark(AppId app, Version version) {
     before.emplace_back(std::move(var), mark);
   }
   gc_.on_checkpoint(app, version);
+  ctx_.track.emit(obs::Kind::kGcCheckpoint, app,
+                  static_cast<std::int64_t>(version));
   for (const auto& [var, from] : before) {
     const Version to = gc_.watermark(var);
     if (to <= from) continue;

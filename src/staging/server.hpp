@@ -135,7 +135,8 @@ struct ServerContext {
 class StagingServer {
  public:
   /// `track` is this server's event track ("staging-N"); a detached
-  /// (default) track records nothing.
+  /// (default) track records nothing. The base store, the data log and the
+  /// GC emit their drops, checkpoints and sweeps on it too.
   StagingServer(cluster::Cluster& cluster, cluster::VprocId vproc,
                 ServerParams params, obs::Track track = {});
   // Components hold references into the server.
@@ -181,23 +182,6 @@ class StagingServer {
     gc_.adopt_registry(predecessor.gc_);
   }
 
-  /// Consistency-oracle instrumentation: one bundle of observation hooks
-  /// covering the base store, the data log, and the garbage collector.
-  /// Probes observe state transitions without touching virtual time; any
-  /// member may be null.
-  struct ProbeSet {
-    ObjectStore::DropProbe store_drop;
-    ObjectStore::DropProbe log_drop;
-    gc::GarbageCollector::CheckpointProbe gc_checkpoint;
-    gc::GarbageCollector::SweepProbe gc_sweep;
-  };
-  void install_probes(ProbeSet probes) {
-    store_.set_drop_probe(std::move(probes.store_drop));
-    dlog_.set_drop_probe(std::move(probes.log_drop));
-    gc_.set_probes(std::move(probes.gc_checkpoint),
-                   std::move(probes.gc_sweep));
-  }
-
   /// Fault-injection seam for the consistency campaign (see
   /// gc::GarbageCollector::set_watermark_bias).
   void set_gc_watermark_bias(Version bias) { gc_.set_watermark_bias(bias); }
@@ -217,12 +201,12 @@ class StagingServer {
     ctx_.group_index = group;
   }
 
-  /// Install a membership view (epoch + active server ids, ascending).
-  /// Also delivered at runtime via MembershipUpdate messages; redundancy
+  /// Install a membership view (active server ids, ascending). Also
+  /// delivered at runtime via MembershipUpdate messages; redundancy
   /// (mirror successor, fragment round-robin, prune fan-out) follows the
   /// active set only.
-  void apply_membership(std::uint64_t epoch, std::vector<int> active) {
-    redundancy_.apply_membership(epoch, std::move(active));
+  void apply_membership(std::vector<int> active) {
+    redundancy_.apply_membership(std::move(active));
   }
 
   /// Outcome of one resilver sweep (see resilver_out).
@@ -313,8 +297,8 @@ class StagingServer {
   wlog::EventQueue& log_event(AppId app, wlog::LogEvent event);
   void log_get(const GetRequest& req);
 
-  /// Advance `app`'s durable checkpoint to `version` and emit kGcWatermark
-  /// for every variable whose watermark moved.
+  /// Advance `app`'s durable checkpoint to `version`: emit kGcCheckpoint,
+  /// then kGcWatermark for every variable whose watermark moved.
   void advance_watermark(AppId app, Version version);
   /// The durable-checkpoint GC path shared by handle_checkpoint and the
   /// drain agent's CkptDrainAck promotion: sweep the data log behind the

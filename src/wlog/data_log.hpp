@@ -37,7 +37,10 @@ struct CodecStats {
 
 class DataLog {
  public:
-  DataLog() : store_(1 << 30) {}  // effectively unbounded window
+  /// Every (var, version) the log releases is emitted on `track` as
+  /// obs::Kind::kLogDrop (detail=var, a=version, b=staging::DropReason).
+  explicit DataLog(obs::Track track = {})
+      : store_(1 << 30, track, obs::Kind::kLogDrop) {}  // unbounded window
 
   /// Arm the payload codec; kNone (the default) retains raw buffers and
   /// leaves every path byte-identical to the pre-codec log.
@@ -129,15 +132,6 @@ class DataLog {
   }
   [[nodiscard]] std::uint64_t physical_bytes() const {
     return store_.physical_bytes();
-  }
-  [[nodiscard]] std::size_t entry_count() const {
-    return store_.object_count();
-  }
-
-  /// Consistency-oracle instrumentation, forwarded to the backing store:
-  /// observes reclaimed versions without perturbing the simulation.
-  void set_drop_probe(staging::ObjectStore::DropProbe on_drop) {
-    store_.set_drop_probe(std::move(on_drop));
   }
 
  private:

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "check/oracle.hpp"
 #include "check/schedule.hpp"
@@ -133,6 +136,19 @@ TEST(ScheduleTest, ParseRejectsMalformedInput) {
   EXPECT_THROW(Schedule::parse("cc1;ts=abc"), std::invalid_argument);
   EXPECT_THROW(Schedule::parse("cc1;f=1:2:0.5"), std::invalid_argument);
   EXPECT_THROW(Schedule::parse("cc1;f=1:2:0.5:z"), std::invalid_argument);
+  // Fields to_spec() applies only when set must not fall back to the
+  // default configuration silently: the error names the field.
+  for (const auto& [repro, field] :
+       {std::pair{"cc1;tenants=0", "tenants"}, std::pair{"cc1;mb=-5", "mb"},
+        std::pair{"cc1;ss=-2", "ss"}, std::pair{"cc1;ckpt=-1", "ckpt"}}) {
+    try {
+      (void)Schedule::parse(repro);
+      ADD_FAILURE() << repro << " parsed";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(ScheduleTest, ValidateRejectsOutOfRangeExplicitFailures) {
@@ -141,6 +157,11 @@ TEST(ScheduleTest, ValidateRejectsOutOfRangeExplicitFailures) {
   EXPECT_THROW(s.to_spec().validate(), std::invalid_argument);
   s.failures.clear();
   s.failures.push_back({.comp = 0, .ts = 99});
+  EXPECT_THROW(s.to_spec().validate(), std::invalid_argument);
+  // A NaN phase (repro "f=0:3:nan:") is an input error, not a run.
+  s.failures.clear();
+  s.failures.push_back(
+      {.comp = 0, .ts = 3, .phase = std::numeric_limits<double>::quiet_NaN()});
   EXPECT_THROW(s.to_spec().validate(), std::invalid_argument);
 }
 

@@ -23,10 +23,18 @@ struct Golden {
   std::uint64_t digest;
 };
 
+// The three Co failure digests updated (were 0xba25ef72a474a18b,
+// 0xe405ac115efeeab2, 0xab68c19fd7602e2b) for an intentional change:
+// failover and coordinated restarts now trace their recovery. A
+// coordinated rollback emits recovery-start/recovery-done on the
+// "workflow" track, so the consistency oracle checks their balance from
+// the trace instead of from a probe of its own; nothing else in the run
+// moved. Hy's failovers strike only its checkpointed simulation here, so
+// its digests hold.
 constexpr Golden kGolden[] = {
-    {Scheme::kCoordinated, 2, 1, 0xba25ef72a474a18bull},
-    {Scheme::kCoordinated, 2, 2, 0xe405ac115efeeab2ull},
-    {Scheme::kCoordinated, 2, 3, 0xab68c19fd7602e2bull},
+    {Scheme::kCoordinated, 2, 1, 0x4073f2de068e38b1ull},
+    {Scheme::kCoordinated, 2, 2, 0xa2c7be200368d4d2ull},
+    {Scheme::kCoordinated, 2, 3, 0x6047366c660882e9ull},
     {Scheme::kUncoordinated, 2, 1, 0x9f4f954ecec58cfbull},
     {Scheme::kUncoordinated, 2, 2, 0x56fc10ffb64783b9ull},
     {Scheme::kUncoordinated, 2, 3, 0x3728dcd7bfe64794ull},

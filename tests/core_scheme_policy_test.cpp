@@ -103,11 +103,22 @@ TEST(SchemePolicyTest, HybridAnalyticFailoverTriggersNoReplay) {
   EXPECT_EQ(analytic.checkpoints, 0);
   EXPECT_EQ(analytic.timesteps_done, 12);
   EXPECT_EQ(m.total_anomalies(), 0);
-  // Failover is not a checkpoint/restart: the recovery pipeline's restart
-  // stages never run, so no recovery or replay milestones are traced.
-  EXPECT_TRUE(runner.trace().of_kind(obs::Kind::kRecoveryStart).empty());
-  EXPECT_TRUE(runner.trace().of_kind(obs::Kind::kReplayDone).empty());
-  EXPECT_EQ(runner.trace().of_kind(obs::Kind::kFailure).size(), 1u);
+  // Failover traces its recovery as one start/done pair on the analytic's
+  // own track, and nothing else: it is not a checkpoint/restart, so no
+  // checkpoint is restored and no log is replayed.
+  const auto& t = runner.trace();
+  const auto failures = t.of_kind(obs::Kind::kFailure);
+  const auto starts = t.of_kind(obs::Kind::kRecoveryStart);
+  const auto dones = t.of_kind(obs::Kind::kRecoveryDone);
+  ASSERT_EQ(failures.size(), 1u);
+  ASSERT_EQ(starts.size(), 1u);
+  ASSERT_EQ(dones.size(), 1u);
+  EXPECT_EQ(starts.front().component, "analytic");
+  EXPECT_EQ(dones.front().component, "analytic");
+  EXPECT_LT(failures.front().at, starts.front().at);
+  EXPECT_LT(starts.front().at, dones.front().at);
+  EXPECT_TRUE(t.of_kind(obs::Kind::kReplayDone).empty());
+  EXPECT_TRUE(t.of_kind(obs::Kind::kCkptRestore).empty());
 }
 
 // Fig. 2: without logging, an individually-restarted component re-reads

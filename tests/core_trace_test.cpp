@@ -130,6 +130,29 @@ TEST(TraceIntegrationTest, FailureRunRecordsRecoverySequence) {
   EXPECT_GT(replay[0].value, 0);  // events were queued for replay
 }
 
+// A coordinated rollback is a whole-workflow recovery: it traces its one
+// start/done pair on the "workflow" track, after the failure it answers.
+TEST(TraceIntegrationTest, CoordinatedRestartTracesOnePairOnWorkflowTrack) {
+  WorkflowSpec spec = spec_for_trace(1, 6);
+  spec.scheme = Scheme::kCoordinated;
+  WorkflowRunner runner(std::move(spec));
+  runner.run();
+  const Trace& t = runner.trace();
+  auto failures = t.of_kind(Kind::kFailure);
+  auto rec_start = t.of_kind(Kind::kRecoveryStart);
+  auto rec_done = t.of_kind(Kind::kRecoveryDone);
+  ASSERT_EQ(failures.size(), 1u);
+  ASSERT_EQ(rec_start.size(), 1u);
+  ASSERT_EQ(rec_done.size(), 1u);
+  EXPECT_EQ(rec_start[0].component, "workflow");
+  EXPECT_EQ(rec_done[0].component, "workflow");
+  EXPECT_LT(failures[0].at.ns, rec_start[0].at.ns);
+  EXPECT_LT(rec_start[0].at.ns, rec_done[0].at.ns);
+  // Both carry the global checkpoint the workflow rolled back to.
+  EXPECT_EQ(rec_start[0].timestep, rec_done[0].timestep);
+  EXPECT_TRUE(t.of_kind(Kind::kReplayDone).empty());  // Co logs nothing
+}
+
 TEST(TraceIntegrationTest, DigestIsARunFingerprint) {
   WorkflowRunner a(spec_for_trace(2, 7));
   WorkflowRunner b(spec_for_trace(2, 7));

@@ -3,6 +3,7 @@
 // shipped presets pass untouched.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -84,6 +85,20 @@ TEST(ValidateTest, FailurePlanFields) {
   bad = spec;
   bad.failures.predictor_false_alarms = -1;
   expect_rejected(bad, "predictor_false_alarms");
+
+  // NaN fails every comparison, so it must fail every range check too.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  bad = spec;
+  bad.failures.mtbf_s = nan;
+  expect_rejected(bad, "failures.mtbf_s");
+
+  bad = spec;
+  bad.failures.node_failure_fraction = nan;
+  expect_rejected(bad, "node_failure_fraction");
+
+  bad = spec;
+  bad.failures.predictor_recall = nan;
+  expect_rejected(bad, "predictor_recall");
 }
 
 TEST(ValidateTest, ComponentFieldsAreNamedInMessages) {
@@ -107,6 +122,11 @@ TEST(ValidateTest, ComponentFieldsAreNamedInMessages) {
 
   bad = spec;
   bad.components[0].compute_per_ts_s = -1;
+  expect_rejected(bad, "compute_per_ts_s");
+
+  bad = spec;
+  bad.components[0].compute_per_ts_s =
+      std::numeric_limits<double>::quiet_NaN();
   expect_rejected(bad, "compute_per_ts_s");
 }
 

@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "gc/garbage_collector.hpp"
+#include "obs/recorder.hpp"
+#include "sim/engine.hpp"
 #include "staging/types.hpp"
 
 namespace dstage::gc {
@@ -145,26 +151,41 @@ TEST(GarbageCollectorTest, RepeatedSweepsConvergeAsConsumersAdvance) {
   EXPECT_EQ(log.versions_of("f"), (std::vector<Version>{8}));
 }
 
-TEST(GarbageCollectorTest, SweepProbeReportsWatermarkAndBound) {
+TEST(GarbageCollectorTest, SweepEmitsReclaimBoundAndCountPerVariable) {
   GarbageCollector gc;
   gc.register_var("f", {{1, true}});
+  gc.register_var("g", {});  // no rollback consumer: all but the latest
   gc.on_checkpoint(1, 5);
   auto log = log_with_versions("f", 9);
-  std::string probed_var;
-  Version probed_mark = 0, probed_upto = 0;
-  std::size_t probed_dropped = 0;
-  gc.set_probes(nullptr, [&](const std::string& var, Version mark,
-                             Version upto, std::size_t dropped) {
-    probed_var = var;
-    probed_mark = mark;
-    probed_upto = upto;
-    probed_dropped = dropped;
+  log.add(make_chunk("g", 1, Box::from_dims(8, 8, 8), 8.0, 1024));
+  log.add(make_chunk("g", 2, Box::from_dims(8, 8, 8), 8.0, 1024));
+  sim::Engine eng;
+  obs::Recorder rec(eng);
+  struct Reclaim {
+    std::string var;
+    std::int64_t upto;
+    std::int64_t dropped;
+  };
+  std::vector<Reclaim> got;
+  rec.subscribe([&](const obs::Event& e, std::string_view detail) {
+    if (e.kind == obs::Kind::kGcReclaim) {
+      got.push_back({std::string(detail), e.a, e.b});
+    }
   });
-  gc.sweep(log);
-  EXPECT_EQ(probed_var, "f");
-  EXPECT_EQ(probed_mark, 5u);
-  EXPECT_EQ(probed_upto, 5u);
-  EXPECT_EQ(probed_dropped, 5u);
+  gc.sweep(log, rec.track("staging-0"));
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[0].var, "f");
+  EXPECT_EQ(got[0].upto, 5);  // the watermark, below the latest (v9)
+  EXPECT_EQ(got[0].dropped, 5);
+  EXPECT_EQ(got[1].var, "g");
+  EXPECT_EQ(got[1].upto, 1);  // unpinned: capped one below the latest
+  EXPECT_EQ(got[1].dropped, 1);
+  // A sweep with nothing left to reclaim still reports each variable.
+  got.clear();
+  gc.sweep(log, rec.track("staging-0"));
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[0].dropped, 0);
+  EXPECT_EQ(got[1].dropped, 0);
 }
 
 TEST(GarbageCollectorTest, WatermarkBiasSeamOvercollects) {

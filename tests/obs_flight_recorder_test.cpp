@@ -3,6 +3,8 @@
 #include <cstdint>
 #include <set>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "check/forensics.hpp"
@@ -175,6 +177,111 @@ TEST(FlightRecorderTest, KindTableNamesAndDigestVisibility) {
           << kind_name(kind);
     }
   }
+}
+
+// The one subscriber sees every emit — every kind, `always`, `obs_only`
+// and `never`, ring and ring-less, obs on and off — synchronously, in
+// emission order, with the site's detail string; and watching changes
+// neither the digest nor the rings.
+TEST(FlightRecorderTest, SubscriberSeesEveryEmitInOrderWithItsDetail) {
+  struct Seen {
+    Kind kind;
+    std::string track;
+    std::string detail;
+    std::int64_t a;
+    std::int64_t b;
+    bool has_seq;
+  };
+  for (const bool obs_on : {false, true}) {
+    sim::Engine eng;
+    ObsConfig cfg;
+    cfg.enabled = obs_on;
+    Recorder plain(eng, {}, cfg);
+    Recorder watched(eng, {}, cfg);
+    std::vector<Seen> seen;
+    watched.subscribe([&](const Event& e, std::string_view detail) {
+      seen.push_back({e.kind, watched.track_name(e.track),
+                      std::string(detail), e.a, e.b, e.seq != 0});
+    });
+    const Track p = plain.track("staging-0");
+    const Track w = watched.track("staging-0");
+    for (std::size_t i = 0; i < kKindCount; ++i) {
+      const Kind kind = static_cast<Kind>(i);
+      const std::string detail = "var-" + std::to_string(i);
+      const auto n = static_cast<std::int64_t>(i);
+      for (const Track& t : {p, w}) {
+        t.emit(kind, detail, n, 2 * n);
+        t.emit(kind, n, -1);
+      }
+    }
+
+    ASSERT_EQ(seen.size(), 2 * kKindCount);
+    for (std::size_t i = 0; i < kKindCount; ++i) {
+      const Kind kind = static_cast<Kind>(i);
+      const auto n = static_cast<std::int64_t>(i);
+      const Seen& with = seen[2 * i];
+      const Seen& without = seen[2 * i + 1];
+      EXPECT_EQ(with.kind, kind);
+      EXPECT_EQ(with.track, "staging-0");
+      EXPECT_EQ(with.detail, "var-" + std::to_string(i)) << kind_name(kind);
+      EXPECT_EQ(with.a, n);
+      EXPECT_EQ(with.b, 2 * n);
+      EXPECT_EQ(with.has_seq, kind_info(kind).ring) << kind_name(kind);
+      EXPECT_EQ(without.kind, kind);
+      EXPECT_EQ(without.detail, "");
+      EXPECT_EQ(without.b, -1);
+    }
+
+    EXPECT_EQ(watched.trace().digest(), plain.trace().digest());
+    EXPECT_EQ(watched.events_recorded(), plain.events_recorded());
+    const std::vector<DecodedEvent> a = plain.dump();
+    const std::vector<DecodedEvent> b = watched.dump();
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].seq, b[i].seq);
+      EXPECT_EQ(a[i].at_ns, b[i].at_ns);
+      EXPECT_EQ(a[i].kind, b[i].kind);
+      EXPECT_EQ(a[i].track, b[i].track);
+      EXPECT_EQ(a[i].detail, b[i].detail);
+      EXPECT_EQ(a[i].a, b[i].a);
+      EXPECT_EQ(a[i].b, b[i].b);
+    }
+  }
+}
+
+// A whole failure run watched by a subscriber keeps its digest and its
+// flight-recorder dump, and the subscriber sees the subscriber-only kinds
+// the rings and the digest never do.
+TEST(FlightRecorderTest, SubscribedRunIsByteIdentical) {
+  const auto run = [](bool watch, std::size_t* subscriber_only) {
+    core::WorkflowSpec spec = core::table2_setup(core::Scheme::kUncoordinated);
+    spec.total_ts = 12;
+    spec.failures.count = 1;
+    spec.failures.seed = 1;
+    core::WorkflowRunner runner(std::move(spec));
+    if (watch) {
+      runner.runtime().recorder().subscribe(
+          [subscriber_only](const Event& e, std::string_view) {
+            const KindInfo& k = kind_info(e.kind);
+            if (k.digest == Digest::kNever && !k.ring) ++*subscriber_only;
+          });
+    }
+    runner.run();
+    std::string dump;
+    for (const DecodedEvent& e : runner.runtime().recorder().dump()) {
+      dump += std::to_string(e.seq) + " " + std::to_string(e.at_ns) + " " +
+              e.kind + " " + e.track + " " + e.detail + " " +
+              std::to_string(e.a) + " " + std::to_string(e.b) + "\n";
+    }
+    return std::make_pair(runner.trace().digest(), dump);
+  };
+  std::size_t subscriber_only = 0;
+  const auto plain = run(false, nullptr);
+  const auto watched = run(true, &subscriber_only);
+  EXPECT_EQ(plain.first, watched.first);
+  EXPECT_EQ(plain.second, watched.second);
+  EXPECT_FALSE(plain.second.empty());
+  EXPECT_GT(subscriber_only, 0u);
 }
 
 // The rings' reason to exist is that they are free: golden trace digests

@@ -66,7 +66,7 @@ struct ElasticRig {
     for (std::size_t s = 0; s < servers.size(); ++s) {
       servers[s]->set_peers(static_cast<int>(s), endpoints);
       servers[s]->set_group_index(&index);
-      servers[s]->apply_membership(index.epoch(), index.active_servers());
+      servers[s]->apply_membership(index.active_servers());
       servers[s]->start();
       raw.push_back(servers[s].get());
     }
@@ -306,7 +306,7 @@ TEST(StagingElasticTest, RetireDuringFragmentPushTargetsOnlyTheCurrentView) {
     for (const auto& s : rig.servers)
       received_at_retire += fragments_received(*s);
     const std::vector<int> view = without(rig.index.active_servers(), retiree);
-    for (const auto& s : rig.servers) s->apply_membership(1, view);
+    for (const auto& s : rig.servers) s->apply_membership(view);
   });
   rig.run();
   EXPECT_LT(received_at_retire, 2u);  // the retire landed mid-push
@@ -342,10 +342,10 @@ TEST(StagingElasticTest, MirrorSuccessorFollowsMembership) {
       got.push_back(mirror);
     };
     co_await put_and_find_mirror(1);
-    for (const auto& s : rig.servers) s->apply_membership(1, {0, 1, 2, 3});
+    for (const auto& s : rig.servers) s->apply_membership({0, 1, 2, 3});
     co_await put_and_find_mirror(2);
     const std::vector<int> view = without({0, 1, 2, 3}, (owner + 1) % 4);
-    for (const auto& s : rig.servers) s->apply_membership(2, view);
+    for (const auto& s : rig.servers) s->apply_membership(view);
     co_await put_and_find_mirror(3);
   });
   rig.run();

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <string_view>
+
+#include "obs/recorder.hpp"
+#include "sim/engine.hpp"
 #include "staging/types.hpp"
 #include "wlog/data_log.hpp"
 #include "wlog/event_queue.hpp"
@@ -223,17 +227,20 @@ TEST(DataLogTest, DropUptoSkipsGapsInVersionHistory) {
   EXPECT_EQ(log.versions_of("f"), (std::vector<Version>{10}));
 }
 
-TEST(DataLogTest, DropUptoFiresExplicitDropProbe) {
-  DataLog log;
+TEST(DataLogTest, DropUptoEmitsExplicitLogDrops) {
+  sim::Engine eng;
+  obs::Recorder rec(eng);
+  DataLog log(rec.track("staging-0"));
   Box r = Box::from_dims(8, 8, 8);
   for (Version v = 1; v <= 4; ++v)
     log.add(make_chunk("f", v, r, 8.0, 1024));
   std::vector<Version> dropped;
-  log.set_drop_probe([&](const std::string& var, Version v,
-                         staging::DropReason reason) {
-    EXPECT_EQ(var, "f");
-    EXPECT_EQ(reason, staging::DropReason::kExplicit);
-    dropped.push_back(v);
+  rec.subscribe([&](const obs::Event& e, std::string_view detail) {
+    ASSERT_EQ(e.kind, obs::Kind::kLogDrop);
+    EXPECT_EQ(rec.track_name(e.track), "staging-0");
+    EXPECT_EQ(detail, "f");
+    EXPECT_EQ(e.b, static_cast<std::int64_t>(staging::DropReason::kExplicit));
+    dropped.push_back(static_cast<Version>(e.a));
   });
   EXPECT_EQ(log.drop_upto("f", 3), 3u);
   EXPECT_EQ(dropped, (std::vector<Version>{1, 2, 3}));

@@ -147,12 +147,14 @@ int run_cli(int argc, char** argv) {
     return usage();
   }
   opts.gen.elastic_probability = flags.get_double("elastic", 0.0);
-  if (opts.gen.elastic_probability < 0 || opts.gen.elastic_probability > 1) {
+  if (!(opts.gen.elastic_probability >= 0) ||
+      !(opts.gen.elastic_probability <= 1)) {
     std::fputs("--elastic must be in [0, 1]\n", stderr);
     return usage();
   }
   opts.gen.ckpt_probability = flags.get_double("ckpt-levels", 0.0);
-  if (opts.gen.ckpt_probability < 0 || opts.gen.ckpt_probability > 1) {
+  if (!(opts.gen.ckpt_probability >= 0) ||
+      !(opts.gen.ckpt_probability <= 1)) {
     std::fputs("--ckpt-levels must be in [0, 1]\n", stderr);
     return usage();
   }
