@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the building blocks under the
 // workflow harness: DES engine throughput, coroutine frame churn, Hilbert
 // mapping, spatial placement, fabric round-trips through the typed RPC
-// transport, remote one-way sends, event-recorder emits, object-store
+// transport and their when_all fan-out (with its frames per call), remote
+// one-way sends, event-recorder emits, object-store
 // operations, event-queue bookkeeping, GF(256) arithmetic, and Reed–Solomon
 // encode/decode.
 #include <benchmark/benchmark.h>
@@ -12,6 +13,7 @@
 #include "obs/recorder.hpp"
 #include "resilience/reed_solomon.hpp"
 #include "sim/channel.hpp"
+#include "sim/frame_pool.hpp"
 #include "sim/spawn.hpp"
 #include "staging/object_store.hpp"
 #include "util/hilbert.hpp"
@@ -104,6 +106,55 @@ void BM_FabricRpcRoundTrip(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kCalls);
 }
 BENCHMARK(BM_FabricRpcRoundTrip);
+
+// when_all over N typed RPC round trips from one client to a server on
+// another node: the fan-out shape of a staging put or get. Besides
+// throughput it reports the coroutine frames each call allocates, server
+// side included, and the frames alive at the peak per call
+// (sim::FramePool's counters).
+void BM_RpcFanOut(benchmark::State& state) {
+  const int calls = static_cast<int>(state.range(0));
+  sim::FramePool::reset_counts();
+  const std::int64_t live_before = sim::FramePool::counts().live;
+  for (auto _ : state) {
+    sim::Engine eng;
+    net::Fabric fabric(eng, {});
+    const auto client_ep = fabric.add_endpoint(fabric.add_node());
+    const auto server_ep = fabric.add_endpoint(fabric.add_node());
+    net::Rpc client(fabric, client_ep);
+    net::Rpc server(fabric, server_ep);
+    sim::spawn(eng, [&]() -> sim::Task<void> {
+      sim::Ctx ctx{&eng, nullptr};
+      for (int i = 0; i < calls; ++i) {
+        net::Packet pkt = co_await fabric.endpoint(server_ep).recv(nullptr);
+        auto& req = std::get<net::QueryRequest>(pkt.payload);
+        co_await server.fulfill(ctx, req.reply_to, std::move(req.reply),
+                                net::QueryResponse{});
+      }
+    });
+    sim::spawn(eng, [&]() -> sim::Task<void> {
+      sim::Ctx ctx{&eng, nullptr};
+      std::vector<sim::Task<net::QueryResponse>> sends;
+      sends.reserve(static_cast<std::size_t>(calls));
+      for (int i = 0; i < calls; ++i) {
+        net::QueryRequest req;
+        req.var = "f";
+        sends.push_back(client.call(ctx, server_ep, std::move(req)));
+      }
+      auto resps = co_await sim::when_all(ctx, std::move(sends));
+      benchmark::DoNotOptimize(resps.size());
+    });
+    benchmark::DoNotOptimize(eng.run());
+  }
+  const sim::FrameCounts frames = sim::FramePool::counts();
+  const double total = static_cast<double>(state.iterations()) * calls;
+  state.counters["frames_per_call"] =
+      static_cast<double>(frames.allocated) / total;
+  state.counters["peak_frames_per_call"] =
+      static_cast<double>(frames.peak - live_before) / calls;
+  state.SetItemsProcessed(state.iterations() * calls);
+}
+BENCHMARK(BM_RpcFanOut)->Arg(16)->Arg(256);
 
 // Coroutine frame churn: a nested create/await/destroy Task chain, the
 // shape of every RPC handler calling into helpers. Frames cycle through the

@@ -54,68 +54,17 @@ sim::Duration Fabric::injection_time(std::uint64_t bytes, NodeId node) const {
                            node_bw_[static_cast<std::size_t>(node)]);
 }
 
-sim::Task<void> Fabric::send_impl(sim::Ctx ctx, EndpointId src, EndpointId dst,
-                                  Message payload) {
+sim::Task<void> Fabric::send(sim::Ctx ctx, EndpointId src, EndpointId dst,
+                             Message payload) {
   const std::uint64_t bytes = serialized_size(payload);
-  const NodeId node = endpoint(src).node();
   Endpoint* target = &endpoint(dst);
-  ++packets_sent_;
-  bytes_sent_ += bytes;
-  if (node == target->node()) {
-    // Same node: shared-memory handoff, no NIC, no wire latency. The
-    // message moves straight into the mailbox — the common fast path for
-    // co-located endpoints.
-    target->mailbox_.send(Packet{src, std::move(payload), bytes});
-    co_return;
-  }
-  co_await inject(ctx, node, bytes);
-  // The packet lives in the delivery call frame itself: one box per remote
-  // send. A sender killed before this point never schedules it, so the
-  // message is dropped; from here on the bytes are on the wire.
-  eng_->schedule_call(params_.latency,
-                      [target, packet = Packet{src, std::move(payload),
-                                               bytes}]() mutable {
-                        target->mailbox_.send(std::move(packet));
-                      });
-}
-
-sim::Task<void> Fabric::inject(sim::Ctx ctx, NodeId node, std::uint64_t bytes) {
-  auto nic =
-      co_await nics_[static_cast<std::size_t>(node)]->acquire(ctx.tok, 1);
-  co_await ctx.delay(injection_time(bytes, node));
-}
-
-sim::Task<void> Fabric::transmit_impl(sim::Ctx ctx, EndpointId src, EndpointId dst,
-                                 std::uint64_t bytes,
-                                 std::function<void()> deliver) {
-  const NodeId node = endpoint(src).node();
-  const NodeId dst_node = endpoint(dst).node();
-  ++packets_sent_;
-  bytes_sent_ += bytes;
-
-  if (node == dst_node) {
-    // Same node: shared-memory handoff, no NIC, no wire latency.
-    deliver();
-    co_return;
-  }
-  co_await inject(ctx, node, bytes);
-  // Delivery fires even if the sender is killed from here on: the bytes are
-  // already on the wire.
-  eng_->schedule_call(params_.latency, std::move(deliver));
-}
-
-sim::Task<void> Fabric::notify_impl(sim::Ctx ctx, EndpointId src,
-                                    EndpointId dst,
-                                    std::function<void()> deliver) {
-  Endpoint& from = endpoint(src);
-  Endpoint& to = endpoint(dst);
-  ++packets_sent_;
-  if (from.node() == to.node()) {
-    deliver();
-    co_return;
-  }
-  co_await ctx.delay(params_.per_message_overhead);
-  eng_->schedule_call(params_.latency, std::move(deliver));
+  // Same node: the packet moves straight into the mailbox. Remote: it
+  // lives in the delivery call frame, the one box of a remote send.
+  return transmit(ctx, src, dst, bytes,
+                  [target, packet = Packet{src, std::move(payload),
+                                           bytes}]() mutable {
+                    target->mailbox_.send(std::move(packet));
+                  });
 }
 
 }  // namespace dstage::net

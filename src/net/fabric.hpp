@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -83,38 +82,41 @@ class Fabric {
   }
   [[nodiscard]] const Params& params() const { return params_; }
 
-  // NOTE: send()/transmit() are plain functions forwarding to private
-  // coroutines. GCC 12's coroutine codegen double-destroys *prvalue*
-  // arguments bound to by-value coroutine parameters (xvalues and lvalues
-  // are fine); the shim materializes caller temporaries into named
-  // parameters and moves them across the coroutine boundary, so call sites
-  // may safely pass temporaries.
+  // send()/transmit()/notify() are plain functions forwarding to private
+  // coroutines: one frame per message, held while the sender pays its NIC
+  // time. GCC 12's coroutine codegen double-destroys *prvalue* arguments
+  // bound to by-value coroutine parameters (xvalues and lvalues are fine);
+  // the shims materialize caller temporaries into named parameters and
+  // move them across the coroutine boundary, so call sites may safely pass
+  // temporaries. The packet is built in send(), not in a coroutine body:
+  // GCC 12 gives every temporary there its own frame slot.
 
-  /// Transmit `payload` from `src`'s node to `dst`; the wire footprint is
-  /// the codec's serialized_size of the message. Suspends the caller for
-  /// the injection (serialization) time, then delivery happens
+  /// Transmit `payload` from `src`'s node to `dst`'s mailbox; the wire
+  /// footprint is the codec's serialized_size of the message. Suspends the
+  /// caller for the injection (serialization) time, then delivery happens
   /// asynchronously after the wire latency. Intra-node sends skip the NIC
   /// and latency.
   sim::Task<void> send(sim::Ctx ctx, EndpointId src, EndpointId dst,
-                       Message payload) {
-    return send_impl(ctx, src, dst, std::move(payload));
-  }
+                       Message payload);
 
   /// Pay the sender-side transport cost of `bytes` from `src` to `dst`,
   /// then run `deliver` after the wire latency (response path for
-  /// Reply-based RPCs, where no mailbox demultiplexing is wanted).
+  /// Reply-based RPCs, where no mailbox demultiplexing is wanted). The
+  /// callable rides in the engine's call frame: up to 64 bytes of
+  /// captures cost no allocation.
+  template <class Deliver>
   sim::Task<void> transmit(sim::Ctx ctx, EndpointId src, EndpointId dst,
-                           std::uint64_t bytes,
-                           std::function<void()> deliver) {
-    return transmit_impl(ctx, src, dst, bytes, std::move(deliver));
+                           std::uint64_t bytes, Deliver deliver) {
+    return transmit_impl<Deliver>(ctx, src, dst, bytes, std::move(deliver));
   }
 
   /// Completion-queue notification: fixed overhead + wire latency, no NIC
   /// bandwidth (RDMA completions ride the control path and do not queue
   /// behind bulk DMA).
+  template <class Deliver>
   sim::Task<void> notify(sim::Ctx ctx, EndpointId src, EndpointId dst,
-                         std::function<void()> deliver) {
-    return notify_impl(ctx, src, dst, std::move(deliver));
+                         Deliver deliver) {
+    return notify_impl<Deliver>(ctx, src, dst, std::move(deliver));
   }
 
   /// Virtual-time cost of pushing `bytes` through the default NIC.
@@ -127,17 +129,42 @@ class Fabric {
   [[nodiscard]] std::uint64_t bytes_sent() const { return bytes_sent_; }
 
  private:
-  sim::Task<void> send_impl(sim::Ctx ctx, EndpointId src, EndpointId dst,
-                            Message payload);
+  template <class Deliver>
   sim::Task<void> transmit_impl(sim::Ctx ctx, EndpointId src, EndpointId dst,
-                                std::uint64_t bytes,
-                                std::function<void()> deliver);
+                                std::uint64_t bytes, Deliver deliver) {
+    const NodeId node = endpoint(src).node();
+    const NodeId dst_node = endpoint(dst).node();
+    ++packets_sent_;
+    bytes_sent_ += bytes;
+    if (node == dst_node) {
+      // Same node: shared-memory handoff, no NIC, no wire latency.
+      deliver();
+      co_return;
+    }
+    {
+      // FIFO acquire of the node's NIC, held for the injection time. A
+      // sender killed first throws Cancelled, so nothing is delivered.
+      auto held = co_await nics_[static_cast<std::size_t>(node)]->acquire(
+          ctx.tok, 1);
+      co_await ctx.delay(injection_time(bytes, node));
+    }  // releasing the NIC wakes the next sender before delivery is queued
+    // Delivery fires even if the sender is killed from here on: the bytes
+    // are already on the wire.
+    eng_->schedule_call(params_.latency, std::move(deliver));
+  }
+
+  template <class Deliver>
   sim::Task<void> notify_impl(sim::Ctx ctx, EndpointId src, EndpointId dst,
-                              std::function<void()> deliver);
-  /// The one NIC-injection routine: FIFO acquire of `node`'s NIC, held
-  /// for the injection time of `bytes`. Throws Cancelled if the sender dies
-  /// first, so nothing is delivered.
-  sim::Task<void> inject(sim::Ctx ctx, NodeId node, std::uint64_t bytes);
+                              Deliver deliver) {
+    const bool same_node = endpoint(src).node() == endpoint(dst).node();
+    ++packets_sent_;
+    if (same_node) {
+      deliver();
+      co_return;
+    }
+    co_await ctx.delay(params_.per_message_overhead);
+    eng_->schedule_call(params_.latency, std::move(deliver));
+  }
 
   sim::Engine* eng_;
   Params params_;

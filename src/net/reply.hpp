@@ -3,6 +3,7 @@
 // model (message.hpp includes this; fabric.hpp includes message.hpp).
 #pragma once
 
+#include <coroutine>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -10,7 +11,6 @@
 #include "sim/context.hpp"
 #include "sim/engine.hpp"
 #include "sim/event.hpp"
-#include "sim/task.hpp"
 
 namespace dstage::net {
 
@@ -18,8 +18,10 @@ using EndpointId = int;
 using NodeId = int;
 
 /// One-shot completion slot for request/response exchanges. The client
-/// co_awaits take(); the server fulfills through the fabric so the response
-/// pays transport costs like any other message.
+/// co_awaits take_for(); the server fulfills through the fabric so the
+/// response pays transport costs like any other message. The wait is an
+/// awaiter that suspends the caller's own frame: waiting costs no
+/// coroutine frame.
 template <class T>
 class Reply {
  public:
@@ -32,21 +34,44 @@ class Reply {
     done_.set();
   }
 
-  /// Client side: wait for the response.
-  sim::Task<T> take(sim::Ctx ctx) {
-    co_await done_.wait(ctx.tok);
-    co_return std::move(*value_);
-  }
+  /// Waits for the value; a timer set when the wait starts ends it after
+  /// `timeout` (no timer when `timeout` <= 0). The timer is cancelled when
+  /// the wait ends — including a killed waiter unwinding — so it never
+  /// fires on a reply its waiter has dropped.
+  class [[nodiscard]] TakeFor {
+   public:
+    TakeFor(Reply& reply, sim::Ctx ctx, sim::Duration timeout)
+        : reply_(&reply),
+          eng_(ctx.eng),
+          timeout_(timeout),
+          wait_(reply.done_.wait(ctx.tok)) {}
+    bool await_ready() {
+      if (timeout_.ns > 0) {
+        timer_ = eng_->schedule_call(timeout_, [this] { reply_->done_.set(); });
+      }
+      return wait_.await_ready();
+    }
+    void await_suspend(std::coroutine_handle<> h) { wait_.await_suspend(h); }
+    std::optional<T> await_resume() {
+      // Cancelling a timer that already fired is a no-op.
+      if (timeout_.ns > 0) eng_->cancel_event(timer_);
+      wait_.await_resume();
+      return std::move(reply_->value_);
+    }
 
-  /// Wait at most `timeout`; nullopt when the server never answered (e.g.
-  /// it crashed mid-request) so the caller can retry with a fresh Reply.
-  sim::Task<std::optional<T>> take_for(sim::Ctx ctx, sim::Duration timeout) {
-    const sim::EventId timer =
-        ctx.eng->schedule_call(timeout, [this] { done_.set(); });
-    co_await done_.wait(ctx.tok);
-    ctx.eng->cancel_event(timer);
-    if (value_.has_value()) co_return std::move(*value_);
-    co_return std::nullopt;
+   private:
+    Reply* reply_;
+    sim::Engine* eng_;
+    sim::Duration timeout_;
+    sim::EventId timer_ = 0;
+    sim::OneShotEvent::WaitAwaiter wait_;
+  };
+
+  /// Client side: wait for the response, at most `timeout` (<= 0: no
+  /// limit); nullopt when the server never answered (e.g. it crashed
+  /// mid-request) so the caller can retry with a fresh Reply.
+  TakeFor take_for(sim::Ctx ctx, sim::Duration timeout) {
+    return TakeFor{*this, ctx, timeout};
   }
 
  private:

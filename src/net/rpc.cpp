@@ -1,21 +1,14 @@
 #include "net/rpc.hpp"
 
+#include <stdexcept>
+#include <string>
+
 namespace dstage::net {
 
-sim::Task<void> Rpc::send_impl(sim::Ctx ctx, EndpointId dst, Message message) {
-  ++stats_.oneways;
-  co_await fabric_->send(ctx, self_, dst, std::move(message));
-}
-
-sim::Task<void> Rpc::respond_impl(sim::Ctx ctx, EndpointId dst,
-                                  std::uint64_t bytes,
-                                  std::function<void()> deliver) {
-  if (bytes <= kControlPathBytes) {
-    // Small acks are RDMA completion notifications: control path only.
-    co_await fabric_->notify(ctx, self_, dst, std::move(deliver));
-  } else {
-    co_await fabric_->transmit(ctx, self_, dst, bytes, std::move(deliver));
-  }
+void Rpc::give_up(EndpointId dst, const Message& request, const char* why) {
+  ++stats_.exhausted;
+  check_peer(dst, request);
+  throw std::runtime_error(std::string("rpc ") + message_name(request) + why);
 }
 
 }  // namespace dstage::net

@@ -4,18 +4,24 @@
 // owns the timeout/retry/backoff loop that used to be re-implemented by
 // every caller.
 //
-// GCC 12 note: every public entry point is a plain-function shim over a
-// private coroutine (GCC 12 double-destroys *prvalue* arguments bound to
-// by-value coroutine parameters; the shim materializes caller temporaries
-// into named parameters and moves them — xvalues — across the coroutine
-// boundary). Keep it that way when adding entry points.
+// Frame budget: a call is one coroutine frame (call_impl) for its whole
+// life, plus the fabric's one frame per send while that send is on the
+// NIC; send() and fulfill() are plain functions returning the fabric's
+// task, and reply waits are awaiters on the call's own frame.
+//
+// GCC 12 note: every coroutine is reached through a plain function that
+// materializes caller temporaries into named parameters and moves them —
+// xvalues — across the coroutine boundary (GCC 12 double-destroys
+// *prvalue* arguments bound to by-value coroutine parameters). GCC 12 also
+// gives every temporary in a coroutine body its own frame slot, so the
+// per-attempt message copy and the exhaustion error are built in plain
+// helpers (send_attempt, give_up), not in call_impl. Keep it that way when
+// adding entry points.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <stdexcept>
-#include <string>
 #include <utility>
 
 #include "net/fabric.hpp"
@@ -69,9 +75,18 @@ class Rpc {
   [[nodiscard]] EndpointId self() const { return self_; }
   [[nodiscard]] const RpcStats& stats() const { return stats_; }
 
+  /// Install a check that every call runs on its destination and request
+  /// when it starts and again before it throws for exhausted retries; the
+  /// check throws to fail the call with its own error.
+  void set_peer_check(
+      std::function<void(EndpointId, const Message&)> check) {
+    peer_check_ = std::move(check);
+  }
+
   /// One-way message: pays send-side transport, no response expected.
   sim::Task<void> send(sim::Ctx ctx, EndpointId dst, Message message) {
-    return send_impl(ctx, dst, std::move(message));
+    ++stats_.oneways;
+    return fabric_->send(ctx, self_, dst, std::move(message));
   }
 
   /// Typed request/response call. Fills in the request's reply slot (a
@@ -82,34 +97,54 @@ class Rpc {
   sim::Task<typename Req::Response> call(sim::Ctx ctx, EndpointId dst,
                                          Req request,
                                          RetryPolicy policy = {}) {
-    return call_impl<Req>(ctx, dst, std::move(request), policy);
+    Message message{std::move(request)};
+    return call_impl<Req>(ctx, dst, std::move(message), policy);
   }
 
   /// Server side: pay response transport for `value` (codec-sized), then
-  /// fulfill the client's reply slot after the wire latency.
+  /// fulfill the client's reply slot after the wire latency. Responses up
+  /// to kControlPathBytes ride the control path; larger ones pay NIC
+  /// bandwidth like any bulk send.
   template <class Resp>
   sim::Task<void> fulfill(sim::Ctx ctx, EndpointId dst, ReplyPtr<Resp> reply,
                           Resp value) {
-    return fulfill_impl<Resp>(ctx, dst, std::move(reply), std::move(value));
-  }
-
-  /// Response-path transport: control path for small messages, bulk
-  /// transmit otherwise. `deliver` runs after the wire latency.
-  sim::Task<void> respond(sim::Ctx ctx, EndpointId dst, std::uint64_t bytes,
-                          std::function<void()> deliver) {
-    return respond_impl(ctx, dst, bytes, std::move(deliver));
+    const std::uint64_t bytes = wire_size(value);
+    auto deliver = [reply = std::move(reply), v = std::move(value)]() mutable {
+      reply->fulfill(std::move(v));
+    };
+    if (bytes <= kControlPathBytes) {
+      // Small acks are RDMA completion notifications: control path only.
+      return fabric_->notify(ctx, self_, dst, std::move(deliver));
+    }
+    return fabric_->transmit(ctx, self_, dst, bytes, std::move(deliver));
   }
 
  private:
-  sim::Task<void> send_impl(sim::Ctx ctx, EndpointId dst, Message message);
-  sim::Task<void> respond_impl(sim::Ctx ctx, EndpointId dst,
-                               std::uint64_t bytes,
-                               std::function<void()> deliver);
+  /// Arms the kept request with a fresh reply slot (returned through
+  /// `reply`) and sends one copy of it.
+  template <class Req>
+  sim::Task<void> send_attempt(sim::Ctx ctx, EndpointId dst, Message& request,
+                               ReplyPtr<typename Req::Response>& reply) {
+    reply = make_reply<typename Req::Response>(*ctx.eng);
+    Req& req = std::get<Req>(request);
+    req.reply_to = self_;
+    req.reply = reply;
+    return fabric_->send(ctx, self_, dst, Message{request});
+  }
+
+  void check_peer(EndpointId dst, const Message& request) const {
+    if (peer_check_) peer_check_(dst, request);
+  }
+  /// Counts an exhausted call, runs the peer check, then throws
+  /// "rpc <name> <why>".
+  [[noreturn]] void give_up(EndpointId dst, const Message& request,
+                            const char* why);
 
   template <class Req>
   sim::Task<typename Req::Response> call_impl(sim::Ctx ctx, EndpointId dst,
-                                              Req request,
+                                              Message request,
                                               RetryPolicy policy) {
+    check_peer(dst, request);
     ++stats_.calls;
     // Cumulative counts drive the exhaustion caps; the *consecutive* streak
     // per error class drives the escalating backoff shift. A timeout after
@@ -120,77 +155,63 @@ class Rpc {
     int rejections = 0;
     int timeout_streak = 0;
     int reject_streak = 0;
+    ReplyPtr<typename Req::Response> reply;
     for (;;) {
-      auto reply = make_reply<typename Req::Response>(*ctx.eng);
-      request.reply_to = self_;
-      request.reply = reply;
       // The request is retained across attempts; each send carries a copy.
-      Message message{request};
-      co_await fabric_->send(ctx, self_, dst, std::move(message));
-      std::optional<typename Req::Response> value;
-      if (policy.timeout.ns <= 0) {
-        value.emplace(co_await reply->take(ctx));
-      } else {
-        value = co_await reply->take_for(ctx, policy.timeout);
+      co_await send_attempt<Req>(ctx, dst, request, reply);
+      std::optional<typename Req::Response> value =
+          co_await reply->take_for(ctx, policy.timeout);
+      if (value && !retry_later(*value)) {
+        ++stats_.responses;
+        co_return std::move(*value);
       }
+      std::int64_t pause_ns = 0;
       if (!value) {
         if (++timeouts >= policy.max_attempts) {
-          ++stats_.exhausted;
-          throw std::runtime_error(std::string("rpc ") +
-                                   message_name(request) +
-                                   " timed out after retries");
+          give_up(dst, request, " timed out after retries");
         }
         ++stats_.retries;
         ++timeout_streak;
         reject_streak = 0;
-        if (policy.backoff.ns > 0) {
-          // Exponential backoff: backoff, 2*backoff, 4*backoff, ...
-          const int shift = timeout_streak - 1 < 16 ? timeout_streak - 1 : 16;
-          co_await ctx.delay(sim::Duration{policy.backoff.ns << shift});
-        }
-        continue;
-      }
-      if constexpr (requires { value->retry_later; }) {
+        if (policy.backoff.ns <= 0) continue;
+        // Exponential backoff: backoff, 2*backoff, 4*backoff, ...
+        const int shift = timeout_streak - 1 < 16 ? timeout_streak - 1 : 16;
+        pause_ns = policy.backoff.ns << shift;
+      } else {
         // Memory-governor backpressure: the server answered but refused
         // admission. Not a timeout — wait out the pressure with an
         // escalating backoff, without consuming timeout attempts.
-        if (value->retry_later) {
-          if (++rejections > policy.max_backpressure_retries) {
-            ++stats_.exhausted;
-            throw std::runtime_error(
-                std::string("rpc ") + message_name(request) +
-                " rejected by memory governor after retries");
-          }
-          ++stats_.backpressure_waits;
-          ++reject_streak;
-          timeout_streak = 0;
-          const std::int64_t base =
-              policy.backoff.ns > 0 ? policy.backoff.ns
-                                    : kBackpressureBackoff.ns;
-          const int shift = reject_streak - 1 < 16 ? reject_streak - 1 : 16;
-          co_await ctx.delay(sim::Duration{base << shift});
-          continue;
+        if (++rejections > policy.max_backpressure_retries) {
+          give_up(dst, request, " rejected by memory governor after retries");
         }
+        ++stats_.backpressure_waits;
+        ++reject_streak;
+        timeout_streak = 0;
+        const std::int64_t base = policy.backoff.ns > 0
+                                      ? policy.backoff.ns
+                                      : kBackpressureBackoff.ns;
+        const int shift = reject_streak - 1 < 16 ? reject_streak - 1 : 16;
+        pause_ns = base << shift;
       }
-      ++stats_.responses;
-      co_return std::move(*value);
+      co_await ctx.delay(sim::Duration{pause_ns});
     }
   }
 
+  /// A memory-governor RetryLater answer (only put-like responses carry
+  /// one).
   template <class Resp>
-  sim::Task<void> fulfill_impl(sim::Ctx ctx, EndpointId dst,
-                               ReplyPtr<Resp> reply, Resp value) {
-    const std::uint64_t bytes = wire_size(value);
-    std::function<void()> deliver = [reply = std::move(reply),
-                                     v = std::move(value)]() mutable {
-      reply->fulfill(std::move(v));
-    };
-    co_await respond_impl(ctx, dst, bytes, std::move(deliver));
+  static bool retry_later(const Resp& resp) {
+    if constexpr (requires { resp.retry_later; }) {
+      return resp.retry_later;
+    } else {
+      return false;
+    }
   }
 
   Fabric* fabric_;
   EndpointId self_;
   RpcStats stats_;
+  std::function<void(EndpointId, const Message&)> peer_check_;
 };
 
 }  // namespace dstage::net

@@ -9,13 +9,16 @@ namespace dstage::sim {
 
 namespace {
 constexpr std::size_t kSlabFrames = 1024;
+/// Fired words are dropped from the queued-id window only past this many,
+/// so a short run never shifts the window.
+constexpr std::size_t kMinDroppedWords = 1024;
 }  // namespace
 
 Engine::~Engine() {
   // Frames still queued hold live callables; cancelled ones were already
   // discarded at pop-skip time or are still queued too (lazy deletion
-  // only marks the id). Either way, every frame left in the heap owns its
-  // callable exactly once.
+  // only clears the id's bit). Either way, every frame left in the heap
+  // owns its callable exactly once.
   for (const Item& item : heap_) {
     if (item.is_frame) {
       auto* frame = static_cast<CallFrame*>(item.target);
@@ -62,51 +65,85 @@ void Engine::push_item(const Item& item) {
 
 EventId Engine::schedule(Duration d, std::coroutine_handle<> h) {
   check_delay(d);
-  const EventId id = next_id_++;
-  push_item(Item{now_.ns + d.ns, id, h.address(), /*is_frame=*/false});
-  ++live_items_;
-  return id;
+  return enqueue(Item{now_.ns + d.ns, next_id_++, h.address(),
+                      /*is_frame=*/false});
+}
+
+bool Engine::is_queued(EventId id) const {
+  // A dropped word held no queued id; ids past the window were never issued.
+  if ((id >> 6) < queued_base_) return false;
+  const std::size_t word = (id >> 6) - queued_base_;
+  return word < queued_.size() && ((queued_[word] >> (id & 63)) & 1) != 0;
+}
+
+bool Engine::clear_queued(EventId id) {
+  if (!is_queued(id)) return false;
+  queued_[(id >> 6) - queued_base_] &= ~(std::uint64_t{1} << (id & 63));
+  return true;
+}
+
+void Engine::drop_fired_words() {
+  // A word can be dropped once every id it covers has been issued and none
+  // is still queued.
+  const std::size_t issued = (next_id_ >> 6) - queued_base_;
+  while (queued_zero_ < issued && queued_[queued_zero_] == 0) ++queued_zero_;
+  if (queued_zero_ < kMinDroppedWords || 2 * queued_zero_ < queued_.size())
+    return;
+  queued_.erase(queued_.begin(),
+                queued_.begin() + static_cast<std::ptrdiff_t>(queued_zero_));
+  queued_base_ += queued_zero_;
+  queued_zero_ = 0;
 }
 
 void Engine::cancel_event(EventId id) {
-  if (id == 0 || id >= next_id_) return;
-  // Lazy deletion: remember the id and skip it when popped.
-  if (dead_.insert(id).second && live_items_ > 0) --live_items_;
+  // Lazy deletion: the item stays in the heap and is skipped when popped.
+  if (!clear_queued(id)) return;
+  --live_items_;
+  ++cancelled_items_;
+}
+
+Engine::Item Engine::pop_min() {
+  const Item top = heap_.front();
+  // Pop-min with a hole: sift the last leaf's slot down from the root,
+  // writing it exactly once at its final position.
+  const Item last = heap_.back();
+  heap_.pop_back();
+  const std::size_t n = heap_.size();
+  if (n > 0) {
+    std::size_t i = 0;
+    while (true) {
+      const std::size_t l = 2 * i + 1;
+      if (l >= n) break;
+      const std::size_t r = l + 1;
+      const std::size_t best = (r < n && later(heap_[l], heap_[r])) ? r : l;
+      if (!later(last, heap_[best])) break;
+      heap_[i] = heap_[best];
+      i = best;
+    }
+    heap_[i] = last;
+  }
+  return top;
+}
+
+bool Engine::drop_cancelled_top() {
+  if (cancelled_items_ == 0 || is_queued(heap_.front().id)) return false;
+  const Item dead = pop_min();
+  --cancelled_items_;
+  if (dead.is_frame) {
+    auto* frame = static_cast<CallFrame*>(dead.target);
+    frame->discard(frame);
+    recycle_frame(frame);
+  }
+  return true;
 }
 
 bool Engine::pop_one(Item& out) {
   while (!heap_.empty()) {
-    out = heap_.front();
-    // Pop-min with a hole: sift the last leaf's slot down from the root,
-    // writing it exactly once at its final position.
-    const Item last = heap_.back();
-    heap_.pop_back();
-    const std::size_t n = heap_.size();
-    if (n > 0) {
-      std::size_t i = 0;
-      while (true) {
-        const std::size_t l = 2 * i + 1;
-        if (l >= n) break;
-        const std::size_t r = l + 1;
-        const std::size_t best =
-            (r < n && later(heap_[l], heap_[r])) ? r : l;
-        if (!later(last, heap_[best])) break;
-        heap_[i] = heap_[best];
-        i = best;
-      }
-      heap_[i] = last;
-    }
-    if (!dead_.empty()) {
-      if (auto it = dead_.find(out.id); it != dead_.end()) {
-        dead_.erase(it);
-        if (out.is_frame) {
-          auto* frame = static_cast<CallFrame*>(out.target);
-          frame->discard(frame);
-          recycle_frame(frame);
-        }
-        continue;
-      }
-    }
+    if (drop_cancelled_top()) continue;
+    out = pop_min();
+    std::uint64_t& word = queued_[(out.id >> 6) - queued_base_];
+    word &= ~(std::uint64_t{1} << (out.id & 63));
+    if (word == 0) drop_fired_words();
     --live_items_;
     return true;
   }
@@ -138,18 +175,11 @@ std::uint64_t Engine::run() {
 std::uint64_t Engine::run_until(TimePoint limit) {
   std::uint64_t n = 0;
   Item item;
-  // Peek-first: dead items at the top are drained by pop_one, and a live
-  // top beyond the limit is simply never popped (the historical code
-  // popped and re-pushed it).
+  // Peek-first: cancelled items up to the limit are dropped, and a live
+  // top beyond the limit is never popped.
   while (!heap_.empty() && heap_.front().at_ns <= limit.ns) {
-    if (!pop_one(item)) break;
-    if (item.at_ns > limit.ns) {
-      // pop_one skipped dead items and surfaced one beyond the limit; put
-      // it back untouched.
-      push_item(item);
-      ++live_items_;
-      break;
-    }
+    if (drop_cancelled_top()) continue;
+    pop_one(item);
     dispatch(item);
     ++n;
   }

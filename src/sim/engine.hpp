@@ -18,7 +18,6 @@
 #include <type_traits>
 #include <memory>
 #include <new>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -50,13 +49,11 @@ class Engine {
   EventId schedule_call(Duration d, F&& fn) {
     check_delay(d);
     CallFrame* frame = frame_for(std::forward<F>(fn));
-    const EventId id = next_id_++;
-    push_item(Item{now_.ns + d.ns, id, frame, /*is_frame=*/true});
-    ++live_items_;
-    return id;
+    return enqueue(Item{now_.ns + d.ns, next_id_++, frame, /*is_frame=*/true});
   }
 
-  /// Drop a not-yet-fired item. Safe to call on an already-fired id.
+  /// Drop a not-yet-fired item. A no-op on an id that already fired, was
+  /// already cancelled, or was never issued.
   void cancel_event(EventId id);
 
   /// Process events until the queue drains. Returns number processed.
@@ -139,16 +136,41 @@ class Engine {
     free_frames_ = frame;
   }
 
+  EventId enqueue(const Item& item) {
+    push_item(item);
+    // Ids are issued in order: a new id's word is at most one past the end.
+    const std::size_t word = (item.id >> 6) - queued_base_;
+    if (word == queued_.size()) queued_.push_back(0);
+    queued_[word] |= std::uint64_t{1} << (item.id & 63);
+    ++live_items_;
+    return item.id;
+  }
   void push_item(const Item& item);
+  Item pop_min();
+  /// Pops the top item if it was cancelled (discarding its callable).
+  bool drop_cancelled_top();
   bool pop_one(Item& out);
   void dispatch(const Item& item);
+
+  // Queued ids as one bit each over a window of 64-id words: set when an
+  // item is queued, cleared when it pops or is cancelled. A popped item
+  // whose bit is clear was cancelled (lazy deletion), and cancelling an id
+  // whose bit is clear changes nothing. Leading words with no queued id are
+  // dropped once they make up half the window (checked when a pop empties
+  // a word).
+  [[nodiscard]] bool is_queued(EventId id) const;
+  bool clear_queued(EventId id);
+  void drop_fired_words();
 
   TimePoint now_{};
   EventId next_id_ = 1;
   std::uint64_t processed_ = 0;
   std::uint64_t live_items_ = 0;
+  std::uint64_t cancelled_items_ = 0;  // cancelled, still in the heap
   std::vector<Item> heap_;  // binary min-heap on (at_ns, id)
-  std::unordered_set<EventId> dead_;
+  std::vector<std::uint64_t> queued_;  // word i covers ids 64*(base_ + i)...
+  std::uint64_t queued_base_ = 0;
+  std::size_t queued_zero_ = 0;  // leading words of queued_ known to be 0
   CallFrame* free_frames_ = nullptr;
   std::vector<std::unique_ptr<CallFrame[]>> slabs_;
 };

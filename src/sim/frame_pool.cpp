@@ -32,6 +32,7 @@ struct FreeFrame {
 struct Cache {
   FreeFrame* head[FramePool::kClasses];
   std::size_t count;
+  FrameCounts frames;
 };
 thread_local Cache tl_cache{};
 
@@ -53,6 +54,9 @@ constexpr std::size_t class_bytes(std::size_t cls) {
 }  // namespace
 
 void* FramePool::allocate(std::size_t bytes) {
+  FrameCounts& frames = tl_cache.frames;
+  ++frames.allocated;
+  if (++frames.live > frames.peak) frames.peak = frames.live;
   if (bytes == 0 || bytes > kMaxBytes) return ::operator new(bytes);
   const std::size_t cls = class_of(bytes);
   FreeFrame* frame = tl_cache.head[cls];
@@ -64,6 +68,7 @@ void* FramePool::allocate(std::size_t bytes) {
 }
 
 void FramePool::deallocate(void* frame, std::size_t bytes) noexcept {
+  --tl_cache.frames.live;
   if (bytes == 0 || bytes > kMaxBytes) {
     ::operator delete(frame);
     return;
@@ -92,5 +97,12 @@ void FramePool::trim() noexcept {
 }
 
 std::size_t FramePool::cached() noexcept { return tl_cache.count; }
+
+FrameCounts FramePool::counts() noexcept { return tl_cache.frames; }
+
+void FramePool::reset_counts() noexcept {
+  tl_cache.frames.allocated = 0;
+  tl_cache.frames.peak = tl_cache.frames.live;
+}
 
 }  // namespace dstage::sim

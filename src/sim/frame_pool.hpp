@@ -10,11 +10,24 @@
 // those too, which is why this is a hand-rolled freelist). Under
 // AddressSanitizer cached frames are poisoned, so a use-after-free of a
 // coroutine frame still reports through the same pool.
+//
+// Each thread also counts the frames it allocates and frees (oversized ones
+// included): the frame budget of a request path is pinned by tests against
+// these counters.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 namespace dstage::sim {
+
+/// One thread's frame counters. A frame freed on another thread than the
+/// one that allocated it counts as live on the first and -1 on the second.
+struct FrameCounts {
+  std::uint64_t allocated = 0;  // frames allocated since the last reset
+  std::int64_t live = 0;        // allocated minus freed
+  std::int64_t peak = 0;        // highest `live` since the last reset
+};
 
 class FramePool {
  public:
@@ -32,6 +45,11 @@ class FramePool {
 
   /// Frames currently cached (free) on the calling thread.
   [[nodiscard]] static std::size_t cached() noexcept;
+
+  /// The calling thread's frame counters.
+  [[nodiscard]] static FrameCounts counts() noexcept;
+  /// Zero the allocation count and restart the peak at the live count.
+  static void reset_counts() noexcept;
 };
 
 /// Base of every coroutine promise type: the frame comes from the pool.

@@ -109,17 +109,6 @@ struct WhenAllState {
   std::exception_ptr first_error;
 };
 
-template <class T>
-Task<void> run_when_all_child(std::shared_ptr<WhenAllState<T>> state,
-                              std::size_t idx, Task<T> task) {
-  try {
-    state->results[idx] = co_await std::move(task);
-  } catch (...) {
-    if (!state->first_error) state->first_error = std::current_exception();
-  }
-  if (--state->count == 0) state->done.set();
-}
-
 struct WhenAllVoidState {
   explicit WhenAllVoidState(Engine& eng, std::size_t n)
       : done(eng), count(n) {}
@@ -128,10 +117,18 @@ struct WhenAllVoidState {
   std::exception_ptr first_error;
 };
 
-inline Task<void> run_when_all_void_child(
-    std::shared_ptr<WhenAllVoidState> state, Task<void> task) {
+/// One when_all child: a self-destroying root frame that awaits `task`
+/// (the child's own frame, reached by symmetric transfer) and reports to
+/// the shared state. Never throws: a child's failure is recorded.
+template <class State, class T>
+RootCoro when_all_child(std::shared_ptr<State> state, std::size_t idx,
+                        Task<T> task) {
   try {
-    co_await std::move(task);
+    if constexpr (std::is_void_v<T>) {
+      co_await std::move(task);
+    } else {
+      state->results[idx] = co_await std::move(task);
+    }
   } catch (...) {
     if (!state->first_error) state->first_error = std::current_exception();
   }
@@ -143,15 +140,18 @@ inline Task<void> run_when_all_void_child(
 /// Run all tasks concurrently (in virtual time); completes when every child
 /// has completed. Rethrows the first child failure, after all finish. The
 /// children share the caller's token indirectly: awaits inside them should
-/// use the same Ctx, so killing the process unwinds children too.
+/// use the same Ctx, so killing the process unwinds children too. A child
+/// costs one root frame beside its own task's frame.
 template <class T>
 Task<std::vector<T>> when_all(Ctx ctx, std::vector<Task<T>> tasks) {
   auto state =
       std::make_shared<detail::WhenAllState<T>>(*ctx.eng, tasks.size());
   if (tasks.empty()) co_return std::move(state->results);
   for (std::size_t i = 0; i < tasks.size(); ++i) {
-    spawn(*ctx.eng,
-          detail::run_when_all_child<T>(state, i, std::move(tasks[i])));
+    ctx.eng->schedule_now(
+        detail::when_all_child<detail::WhenAllState<T>, T>(
+            state, i, std::move(tasks[i]))
+            .handle);
   }
   co_await state->done.wait(ctx.tok);
   if (state->first_error) std::rethrow_exception(state->first_error);
@@ -162,8 +162,11 @@ inline Task<void> when_all(Ctx ctx, std::vector<Task<void>> tasks) {
   auto state =
       std::make_shared<detail::WhenAllVoidState>(*ctx.eng, tasks.size());
   if (tasks.empty()) co_return;
-  for (auto& t : tasks) {
-    spawn(*ctx.eng, detail::run_when_all_void_child(state, std::move(t)));
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    ctx.eng->schedule_now(
+        detail::when_all_child<detail::WhenAllVoidState, void>(
+            state, i, std::move(tasks[i]))
+            .handle);
   }
   co_await state->done.wait(ctx.tok);
   if (state->first_error) std::rethrow_exception(state->first_error);

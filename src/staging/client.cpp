@@ -5,7 +5,9 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <unordered_map>
 #include <utility>
+#include <variant>
 
 #include "sim/spawn.hpp"
 #include "staging/degraded_read.hpp"
@@ -36,6 +38,28 @@ net::EndpointId StagingClient::server_endpoint(int server) const {
   return cluster_->vproc(servers_[static_cast<std::size_t>(server)]).endpoint;
 }
 
+void StagingClient::set_degraded_probe(std::function<bool(int)> probe) {
+  degraded_probe_ = std::move(probe);
+  // Server endpoints never change: map them to server indices once.
+  std::unordered_map<net::EndpointId, int> server_at;
+  for (std::size_t s = 0; s < servers_.size(); ++s) {
+    const int server = static_cast<int>(s);
+    server_at.emplace(server_endpoint(server), server);
+  }
+  rpc_.set_peer_check([this, server_at = std::move(server_at)](
+                          net::EndpointId ep, const net::Message& request) {
+    // Only the data path fails fast; workflow broadcasts wait as before.
+    if (!std::holds_alternative<PutRequest>(request) &&
+        !std::holds_alternative<GetRequest>(request) &&
+        !std::holds_alternative<BatchPut>(request)) {
+      return;
+    }
+    if (const auto it = server_at.find(ep); it != server_at.end()) {
+      fail_if_degraded(it->second);
+    }
+  });
+}
+
 void StagingClient::fail_if_degraded(int server) const {
   if (degraded_probe_ && degraded_probe_(server)) {
     throw std::runtime_error("staging degraded: server " +
@@ -45,38 +69,22 @@ void StagingClient::fail_if_degraded(int server) const {
 
 sim::Task<PutResponse> StagingClient::send_put(sim::Ctx ctx, int server,
                                                Chunk chunk) {
-  fail_if_degraded(server);
   PutRequest req;
   req.app = params_.app;
   req.chunk = std::move(chunk);
   req.logged = params_.logged;
   req.tenant = params_.tenant;
-  try {
-    co_return co_await rpc_.call(ctx, server_endpoint(server), std::move(req),
-                                 put_policy());
-  } catch (const std::runtime_error&) {
-    // Retries exhausted: distinguish "the server is gone for good" from a
-    // transient stall before re-surfacing.
-    fail_if_degraded(server);
-    throw;
-  }
+  return rpc_.call(ctx, server_endpoint(server), std::move(req), put_policy());
 }
 
 sim::Task<BatchPutResponse> StagingClient::send_batch(
     sim::Ctx ctx, int server, std::vector<Chunk> chunks) {
-  fail_if_degraded(server);
   BatchPut req;
   req.app = params_.app;
   req.logged = params_.logged;
   req.chunks = std::move(chunks);
   req.tenant = params_.tenant;
-  try {
-    co_return co_await rpc_.call(ctx, server_endpoint(server), std::move(req),
-                                 put_policy());
-  } catch (const std::runtime_error&) {
-    fail_if_degraded(server);
-    throw;
-  }
+  return rpc_.call(ctx, server_endpoint(server), std::move(req), put_policy());
 }
 
 sim::Task<BatchPutResponse> StagingClient::send_batch_admitted(
@@ -125,19 +133,12 @@ sim::Task<BatchPutResponse> StagingClient::send_batch_admitted(
 
 sim::Task<GetResponse> StagingClient::send_get(sim::Ctx ctx, int server,
                                                ObjectDesc desc) {
-  fail_if_degraded(server);
   GetRequest req;
   req.app = params_.app;
   req.desc = std::move(desc);
   req.logged = params_.logged;
   req.tenant = params_.tenant;
-  try {
-    co_return co_await rpc_.call(ctx, server_endpoint(server), std::move(req),
-                                 get_policy());
-  } catch (const std::runtime_error&) {
-    fail_if_degraded(server);
-    throw;
-  }
+  return rpc_.call(ctx, server_endpoint(server), std::move(req), get_policy());
 }
 
 sim::Task<PutResult> StagingClient::put_impl(sim::Ctx ctx, std::string var,

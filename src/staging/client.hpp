@@ -101,7 +101,9 @@ class StagingClient {
   // double-destroy prvalue argument temporaries in co_await expressions, so
   // the shims take only trivially-destructible parameter types
   // (string_view, Box) and materialize the owned string inside the shim,
-  // moving it (an xvalue, which is safe) into the coroutine.
+  // moving it (an xvalue, which is safe) into the coroutine. Each piece of
+  // a put or get is one Rpc call — one coroutine frame — under one
+  // when_all child: the per-piece send helpers are plain functions.
 
   /// dspaces_put_with_log(): write (var, version, region); the payload is
   /// synthesized deterministically so consumers can verify it.
@@ -162,9 +164,11 @@ class StagingClient {
   /// to such a server fail fast — and retry-exhausted requests re-surface —
   /// as a distinct "staging degraded" error instead of a generic rpc
   /// timeout, so callers can tell unrecoverable loss from transient stalls.
-  void set_degraded_probe(std::function<bool(int)> probe) {
-    degraded_probe_ = std::move(probe);
-  }
+  /// The check runs in the transport (the Rpc's peer check) when each
+  /// put, batch or get call starts, so a fan-out still sends to every other
+  /// server before the error surfaces. Workflow broadcasts do not fail
+  /// fast.
+  void set_degraded_probe(std::function<bool(int)> probe);
 
   /// Elastic membership: point the client at the GroupManager's endpoint.
   /// Non-negative enables elastic mode — placements route through a cached

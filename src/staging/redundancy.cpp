@@ -59,7 +59,7 @@ int PeerRedundancy::placement(int pos, int slot) const {
                                          n)];
 }
 
-sim::Task<void> PeerRedundancy::handle(FragmentPut frag) {
+void PeerRedundancy::apply(FragmentPut frag) {
   if (ctx_->group_index != nullptr) {
     // Elastic runs re-push fragments during resilver and retirement
     // hand-off; an identical fragment already held must not be counted
@@ -69,7 +69,7 @@ sim::Task<void> PeerRedundancy::handle(FragmentPut frag) {
           held.frag_index == frag.frag_index &&
           held.region == frag.region) {
         ++ctx_->stats.fragments_deduped;
-        co_return;
+        return;
       }
     }
   }
@@ -78,9 +78,9 @@ sim::Task<void> PeerRedundancy::handle(FragmentPut frag) {
   fragments_[frag.owner].push_back(std::move(frag));
 }
 
-sim::Task<void> PeerRedundancy::handle(FragmentPrune prune) {
+void PeerRedundancy::apply(FragmentPrune prune) {
   auto it = fragments_.find(prune.owner);
-  if (it == fragments_.end()) co_return;
+  if (it == fragments_.end()) return;
   std::erase_if(it->second, [&](const FragmentPut& f) {
     const bool drop = f.var == prune.var && f.version <= prune.upto;
     if (drop) fragment_bytes_ -= f.nominal_bytes;
@@ -104,14 +104,13 @@ sim::Task<void> PeerRedundancy::handle(FragmentFetch fetch) {
                              std::move(resp));
 }
 
-sim::Task<void> PeerRedundancy::handle(QueueBackup backup) {
+void PeerRedundancy::apply(QueueBackup backup) {
   ++ctx_->stats.mirrored_events;
   auto& q = mirrors_[backup.owner][backup.record.app];
   const bool checkpoint =
       backup.record.kind == wlog::EventKind::kCheckpoint;
   q.record(std::move(backup.record));
   if (checkpoint) q.truncate_before_last_checkpoint();
-  co_return;
 }
 
 sim::Task<void> PeerRedundancy::handle(RecoveryPull pull) {
@@ -143,10 +142,13 @@ sim::Task<void> PeerRedundancy::mirror(wlog::LogEvent event) {
   // A retired standby generates no events worth mirroring.
   const int successor = placement(view_pos_, 1);
   if (successor < 0) co_return;
+  co_await send_backup(successor, std::move(event));
+}
+
+sim::Task<void> PeerRedundancy::send_backup(int peer, wlog::LogEvent&& event) {
   net::Message backup{QueueBackup{ctx_->self_index, std::move(event)}};
-  co_await ctx_->rpc.send(ctx_->ctx(),
-                          peers()[static_cast<std::size_t>(successor)],
-                          std::move(backup));
+  return ctx_->rpc.send(ctx_->ctx(), peers()[static_cast<std::size_t>(peer)],
+                        std::move(backup));
 }
 
 sim::Task<void> PeerRedundancy::push_fragments(Chunk chunk, bool logged) {

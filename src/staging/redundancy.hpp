@@ -32,15 +32,19 @@ class PeerRedundancy {
                  std::shared_ptr<const std::vector<int>> initial_view);
   void apply_membership(std::vector<int> active);
 
-  // The messages this component serves (the server dispatches them).
+  // The messages this component serves (the server dispatches them):
+  // handle() for the ones that pay request costs or answer, apply() for
+  // the ones that only update state and so need no coroutine frame.
   sim::Task<void> handle(MembershipUpdate update);
-  sim::Task<void> handle(FragmentPut frag);
-  sim::Task<void> handle(FragmentPrune prune);
   sim::Task<void> handle(FragmentFetch fetch);
-  sim::Task<void> handle(QueueBackup backup);
   sim::Task<void> handle(RecoveryPull pull);
+  void apply(FragmentPut frag);
+  void apply(FragmentPrune prune);
+  void apply(QueueBackup backup);
 
   sim::Task<void> push_fragments(Chunk chunk, bool logged);
+  /// Send `event` to this server's successor. Lazy: the successor is read
+  /// when the task starts, after any MembershipUpdate that landed between.
   sim::Task<void> mirror(wlog::LogEvent event);
   /// True when peers may hold fragments worth pruning.
   [[nodiscard]] bool prunes() const;
@@ -75,6 +79,9 @@ class PeerRedundancy {
   /// `server`'s position in the view, or -1.
   [[nodiscard]] int position(int server) const;
   void refresh_view_pos();
+  /// The send of `event`, as this server's mirrored record, to `peer`. A
+  /// plain function, so the message is not a slot in mirror()'s frame.
+  sim::Task<void> send_backup(int peer, wlog::LogEvent&& event);
 
   ServerContext* ctx_;
   // Shared across the group (copy-on-write: apply_membership installs a

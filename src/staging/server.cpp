@@ -98,16 +98,21 @@ sim::Task<void> StagingServer::run() {
   sim::Ctx c = ctx_.ctx();
   for (;;) {
     net::Packet packet = co_await ep.recv(c.tok);
-    co_await handle(std::move(packet.payload));
+    ctx_.request_span = ctx_.track.begin(net::message_name(packet.payload),
+                                         obs::Phase::kOther);
+    ctx_.track.count("staging.requests");
+    if (sim::Task<void> handler = dispatch(std::move(packet.payload));
+        handler.valid()) {
+      co_await handler;
+    }
+    ctx_.track.end(ctx_.request_span);
+    ctx_.request_span = 0;
     sample_memory();
   }
 }
 
-sim::Task<void> StagingServer::handle(Request request) {
-  ctx_.request_span =
-      ctx_.track.begin(net::message_name(request), obs::Phase::kOther);
-  ctx_.track.count("staging.requests");
-  co_await std::visit(
+sim::Task<void> StagingServer::dispatch(Request request) {
+  return std::visit(
       Overloaded{
           [this](PutRequest&& m) { return handle_put(std::move(m)); },
           [this](GetRequest&& m) { return handle_get(std::move(m)); },
@@ -124,22 +129,23 @@ sim::Task<void> StagingServer::handle(Request request) {
           [this](CkptDrainAck&& m) {
             return handle_ckpt_drain_ack(std::move(m));
           },
-          [this](OneOf<MembershipUpdate, FragmentPut, FragmentPrune,
-                       FragmentFetch, QueueBackup, RecoveryPull> auto&& m) {
-            return redundancy_.handle(std::move(m));
+          [this](OneOf<MembershipUpdate, FragmentFetch, RecoveryPull> auto&&
+                     m) { return redundancy_.handle(std::move(m)); },
+          [this](OneOf<FragmentPut, FragmentPrune, QueueBackup> auto&& m) {
+            redundancy_.apply(std::move(m));
+            return sim::Task<void>{};
           },
           // Traffic for other endpoints: spill verbs (the gateway),
           // membership control (the GroupManager), level-1/2 checkpoint
           // announcements (the drain agent). Receiving one means a routing
           // bug, and dropping is the safe answer (the sender's reply slot
           // times out loudly).
-          [this](OneOf<SpillPut, SpillFetch, SpillPrune, JoinGroup,
-                       RetireServer, MembershipQuery, CkptStoreLocal,
-                       CkptXorShard> auto&&) { return ignore_message(); },
+          [](OneOf<SpillPut, SpillFetch, SpillPrune, JoinGroup, RetireServer,
+                   MembershipQuery, CkptStoreLocal, CkptXorShard> auto&&) {
+            return sim::Task<void>{};
+          },
       },
       std::move(request));
-  ctx_.track.end(ctx_.request_span);
-  ctx_.request_span = 0;
 }
 
 wlog::EventQueue& StagingServer::log_event(AppId app, wlog::LogEvent event) {
@@ -757,7 +763,5 @@ sim::Task<StagingServer::ResilverOutcome> StagingServer::hand_off(
   }
   co_return outcome;
 }
-
-sim::Task<void> StagingServer::ignore_message() { co_return; }
 
 }  // namespace dstage::staging

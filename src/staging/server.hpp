@@ -271,7 +271,12 @@ class StagingServer {
 
  private:
   sim::Task<void> run();
-  sim::Task<void> handle(Request request);
+  /// Route one request to its handler. Handlers that suspend come back as
+  /// the task to await; the rest (fragment and queue-mirror traffic, and
+  /// messages this endpoint does not speak — spill, membership control and
+  /// checkpoint-announcement traffic belongs to other endpoints) run here
+  /// and return an empty task.
+  sim::Task<void> dispatch(Request request);
   sim::Task<void> handle_put(PutRequest req);
   sim::Task<void> handle_batch_put(BatchPut req);
   sim::Task<void> handle_get(GetRequest req);
@@ -281,9 +286,6 @@ class StagingServer {
   sim::Task<void> handle_query(QueryRequest query);
   sim::Task<void> handle_resilver_put(ResilverPut put);
   sim::Task<void> handle_ckpt_drain_ack(CkptDrainAck ack);
-  /// No-op arm for messages this endpoint does not speak (spill traffic
-  /// belongs to the gateway); keeps the Message visit exhaustive.
-  sim::Task<void> ignore_message();
 
   /// The put state machine shared by single and batched puts: replay
   /// suppression, idempotent-duplicate detection, event logging, the store

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -149,11 +150,62 @@ TEST(FabricTest, ReplyRoundTrip) {
   int got = 0;
   sim::spawn(rig.eng, [&]() -> sim::Task<void> {
     sim::Ctx ctx{&rig.eng, nullptr};
-    got = co_await reply->take(ctx);
+    got = *co_await reply->take_for(ctx, {});  // no timeout
   });
   rig.eng.schedule_call(sim::seconds(1), [&] { reply->fulfill(99); });
   rig.eng.run();
   EXPECT_EQ(got, 99);
+}
+
+TEST(FabricTest, TimedWaitReturnsEmptyAfterItsTimeout) {
+  Rig rig;
+  auto reply = make_reply<int>(rig.eng);
+  std::optional<int> got{-1};
+  sim::TimePoint woke{};
+  sim::spawn(rig.eng, [&]() -> sim::Task<void> {
+    sim::Ctx ctx{&rig.eng, nullptr};
+    got = co_await reply->take_for(ctx, sim::seconds(1));
+    woke = rig.eng.now();
+  });
+  bool later = false;
+  rig.eng.schedule_call(sim::seconds(3), [&] { later = true; });
+  rig.eng.run_until(sim::TimePoint{} + sim::seconds(2));
+  EXPECT_FALSE(got.has_value());
+  EXPECT_EQ(woke.ns, sim::seconds(1).ns);
+  // Cancelling the fired timer once the waiter resumed was a no-op: the
+  // t=3 item still counts as queued.
+  EXPECT_FALSE(rig.eng.empty());
+  rig.eng.run();
+  EXPECT_TRUE(later);
+}
+
+TEST(FabricTest, KilledTimedWaiterDisarmsItsTimer) {
+  // A waiter killed mid-wait unwinds and drops its reply slot; its timer
+  // must go with it rather than fire on the freed slot (AddressSanitizer
+  // reports the use-after-free the armed timer used to cause).
+  Rig rig;
+  auto reply = make_reply<int>(rig.eng);
+  sim::CancelToken tok;
+  bool cancelled = false;
+  sim::spawn(rig.eng, [&]() -> sim::Task<void> {
+    sim::Ctx ctx{&rig.eng, &tok};
+    try {
+      (void)co_await reply->take_for(ctx, sim::seconds(1));
+    } catch (const sim::Cancelled&) {
+      cancelled = true;
+    }
+    reply.reset();
+  });
+  rig.eng.schedule_call(sim::milliseconds(500), [&] { tok.cancel(); });
+  bool later = false;
+  rig.eng.schedule_call(sim::seconds(2), [&] { later = true; });
+  rig.eng.run();
+  EXPECT_TRUE(cancelled);
+  EXPECT_TRUE(later);
+  EXPECT_EQ(rig.eng.now().ns, sim::seconds(2).ns);
+  // Process start, the kill, the waiter's unwind and the t=2 item: the
+  // t=1 timer never fired.
+  EXPECT_EQ(rig.eng.processed(), 4u);
 }
 
 TEST(FabricTest, TransmitRunsDeliverAfterLatency) {

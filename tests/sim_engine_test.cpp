@@ -65,6 +65,43 @@ TEST(EngineTest, CancelAlreadyFiredIsSafe) {
   EXPECT_TRUE(eng.empty());
 }
 
+TEST(EngineTest, CancelFiredIdLeavesQueuedItemsLive) {
+  // Regression: cancelling an id that already fired used to count as
+  // dropping a queued item, so empty() turned true while the t=5 item was
+  // still queued.
+  Engine eng;
+  std::vector<int> order;
+  const EventId fired = eng.schedule_call(seconds(1), [&] { order.push_back(1); });
+  eng.schedule_call(seconds(5), [&] { order.push_back(5); });
+  eng.run_until(TimePoint{} + seconds(2));
+  eng.cancel_event(fired);
+  EXPECT_FALSE(eng.empty());
+  eng.cancel_event(fired);  // twice is no different
+  eng.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 5}));
+  EXPECT_TRUE(eng.empty());
+}
+
+TEST(EngineTest, CancelledIdsAcrossManyWordsStayExact) {
+  // Thousands of items, every third cancelled before it fires and every
+  // fifth cancelled again after: only the cancelled ones are skipped, and
+  // the queue drains to empty.
+  Engine eng;
+  constexpr int kItems = 200000;
+  std::vector<EventId> ids;
+  int ran = 0;
+  for (int i = 0; i < kItems; ++i) {
+    ids.push_back(eng.schedule_call(Duration{i}, [&] { ++ran; }));
+  }
+  for (int i = 0; i < kItems; i += 3) eng.cancel_event(ids[i]);
+  eng.run_until(TimePoint{} + Duration{kItems / 2});
+  for (int i = 0; i < kItems / 2; i += 5) eng.cancel_event(ids[i]);
+  EXPECT_FALSE(eng.empty());
+  eng.run();
+  EXPECT_EQ(ran, kItems - (kItems + 2) / 3);
+  EXPECT_TRUE(eng.empty());
+}
+
 TEST(EngineTest, CancelUnknownIdIsSafe) {
   Engine eng;
   eng.cancel_event(0);

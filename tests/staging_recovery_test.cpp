@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -374,6 +375,90 @@ TEST(StagingRecoveryTest, DegradedServerSurfacesDistinctClientError) {
   EXPECT_EQ(degraded_server, 0);
   EXPECT_NE(error.find("staging degraded: server"), std::string::npos)
       << "got: " << error;
+}
+
+TEST(StagingRecoveryTest, DegradedServerFailsOnlyAfterSiblingsSend) {
+  // The degraded check runs when each piece's call starts, not when the
+  // fan-out is built: one degraded server must not keep the put from
+  // reaching every other server before its error surfaces.
+  Rig rig(3, params_with(resilience::Redundancy::kNone));
+  auto producer = rig.make_client(0);
+  producer->set_degraded_probe([](int server) { return server == 1; });
+  std::vector<std::size_t> pieces(3);
+  for (const dht::Placement& p : rig.index.place(rig.domain))
+    pieces[static_cast<std::size_t>(p.server)] += p.pieces.size();
+  ASSERT_GT(pieces[0], 0u);
+  ASSERT_GT(pieces[1], 0u);
+  ASSERT_GT(pieces[2], 0u);
+  std::string error;
+  std::vector<std::uint64_t> puts_at_error;
+  sim::spawn(rig.eng, [&]() -> sim::Task<void> {
+    sim::Ctx ctx{&rig.eng, nullptr};
+    try {
+      co_await producer->put(ctx, "f", 1, rig.domain);
+    } catch (const std::runtime_error& e) {
+      error = e.what();
+      for (const auto& server : rig.servers)
+        puts_at_error.push_back(server->stats().puts);
+    }
+  });
+  rig.run();
+  EXPECT_EQ(error, "staging degraded: server 1 unrecovered");
+  ASSERT_EQ(puts_at_error.size(), 3u);
+  EXPECT_EQ(puts_at_error[0], pieces[0]);
+  EXPECT_EQ(puts_at_error[1], 0u);
+  EXPECT_EQ(puts_at_error[2], pieces[2]);
+  // Failed fast: no call to the degraded server was started.
+  EXPECT_EQ(producer->rpc_stats().calls, pieces[0] + pieces[2]);
+}
+
+TEST(StagingRecoveryTest, WorkflowBroadcastToDegradedServerDoesNotFailFast) {
+  // Only puts and gets fail fast on a degraded server: a checkpoint
+  // broadcast still reaches every server and waits for every ack.
+  Rig rig(3, params_with(resilience::Redundancy::kNone));
+  auto producer = rig.make_client(0);
+  producer->set_degraded_probe([](int server) { return server == 1; });
+  bool acked = false;
+  sim::spawn(rig.eng, [&]() -> sim::Task<void> {
+    sim::Ctx ctx{&rig.eng, nullptr};
+    co_await producer->workflow_check(ctx, 1, /*durable=*/false);
+    acked = true;
+  });
+  rig.run();
+  EXPECT_TRUE(acked);
+  EXPECT_EQ(producer->rpc_stats().calls, 3u);
+  EXPECT_EQ(producer->rpc_stats().responses, 3u);
+}
+
+TEST(StagingRecoveryTest, ExhaustedCallToDegradedServerSurfacesDegradedError) {
+  // The server dies after the put started, so the call fails by timing
+  // out. By the time the retries are exhausted it is reported degraded,
+  // and the error says so instead of the generic rpc timeout.
+  Rig rig(2, params_with(resilience::Redundancy::kNone), /*spares=*/0);
+  auto producer = rig.make_client(0);
+  bool down = false;
+  producer->set_degraded_probe([&](int server) { return down && server == 0; });
+  rig.cluster.kill(rig.server_vprocs[0]);
+  rig.eng.schedule_call(sim::seconds(1), [&] { down = true; });
+  std::string error;
+  sim::TimePoint failed_at{};
+  sim::spawn(rig.eng, [&]() -> sim::Task<void> {
+    sim::Ctx ctx{&rig.eng, nullptr};
+    try {
+      co_await producer->put(ctx, "f", 1, rig.domain);
+    } catch (const std::runtime_error& e) {
+      error = e.what();
+      failed_at = rig.eng.now();
+    }
+  });
+  rig.run();
+  EXPECT_EQ(error, "staging degraded: server 0 unrecovered");
+  std::size_t dead_pieces = 0;
+  for (const dht::Placement& p : rig.index.place(rig.domain))
+    if (p.server == 0) dead_pieces += p.pieces.size();
+  EXPECT_EQ(producer->rpc_stats().exhausted, dead_pieces);
+  // Every attempt timed out first (put_timeout 15 s, 6 attempts).
+  EXPECT_GE(failed_at.ns, 6 * sim::seconds(15).ns);
 }
 
 TEST(StagingRecoveryTest, SpareExhaustionNotesDegradationOnFlightRecorder) {
