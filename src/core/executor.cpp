@@ -51,10 +51,15 @@ WorkflowRunner::WorkflowRunner(WorkflowSpec spec,
   services_ = runtime_->services();
   elastic_fired_.assign(runtime_->spec().elastic.events.size(), false);
   services_.resume = [this](Comp* comp, int start_ts) {
-    sim::spawn(runtime_->engine(), run_component(comp, start_ts));
+    sim::spawn(runtime_->engine(), run_component(comp, start_ts),
+               keep_error(*comp));
   };
   services_.resume_recovered = [this](Comp* comp) {
-    sim::spawn(runtime_->engine(), run_component_recovered(comp));
+    sim::spawn(runtime_->engine(), run_component_recovered(comp),
+               keep_error(*comp));
+  };
+  services_.spawn = [this](Comp* comp, sim::Task<void> task) {
+    sim::spawn(runtime_->engine(), std::move(task), keep_error(*comp));
   };
 }
 
@@ -74,13 +79,17 @@ RunMetrics WorkflowRunner::run() {
   runtime_->cluster().on_failure(
       [this](cluster::VprocId vp) { on_vproc_failure(vp); });
   for (auto& comp : runtime_->comps()) {
-    sim::spawn(runtime_->engine(), run_component(comp.get(), 0));
+    sim::spawn(runtime_->engine(), run_component(comp.get(), 0),
+               keep_error(*comp));
   }
 
   runtime_->engine().run();
   runtime_->finalize_obs();
 
   if (!runtime_->all_done().is_set()) {
+    // A process that threw left its component unfinished: report the
+    // error, not the deadlock it caused.
+    if (!failure_.empty()) throw std::runtime_error(failure_);
     std::string stuck;
     for (const auto& c : runtime_->comps()) {
       if (!c->done) stuck += " " + c->spec.name + "@ts" +
@@ -89,6 +98,27 @@ RunMetrics WorkflowRunner::run() {
     throw std::runtime_error("workflow deadlocked; unfinished:" + stuck);
   }
   return runtime_->collect(failures_injected_);
+}
+
+std::function<void(std::exception_ptr)> WorkflowRunner::keep_error(
+    std::string who) {
+  return [this, who = std::move(who)](std::exception_ptr error) {
+    if (!error || !failure_.empty()) return;
+    try {
+      std::rethrow_exception(error);
+    } catch (const sim::Cancelled&) {
+      // A killed process: the failure plan's doing, recovered elsewhere.
+    } catch (const std::exception& e) {
+      failure_ = who + " failed: " + e.what();
+    } catch (...) {
+      failure_ = who + " failed: unknown exception";
+    }
+  };
+}
+
+std::function<void(std::exception_ptr)> WorkflowRunner::keep_error(
+    const Comp& comp) {
+  return keep_error("component " + comp.spec.name);
 }
 
 sim::Task<void> WorkflowRunner::run_component(Comp* comp, int start_ts) {
@@ -239,7 +269,9 @@ void WorkflowRunner::fire_elastic_events(int ts) {
   for (std::size_t i = 0; i < events.size(); ++i) {
     if (elastic_fired_[i] || events[i].ts > ts) continue;
     elastic_fired_[i] = true;
-    sim::spawn(runtime_->engine(), drive_elastic_event(events[i]));
+    sim::spawn(runtime_->engine(), drive_elastic_event(events[i]),
+               keep_error("membership change at ts " +
+                          std::to_string(events[i].ts)));
   }
 }
 

@@ -8,7 +8,10 @@
 // core/sweep.hpp.
 #pragma once
 
+#include <exception>
+#include <functional>
 #include <memory>
+#include <string>
 
 #include "core/runtime.hpp"
 #include "core/scheme/policy.hpp"
@@ -28,8 +31,10 @@ class WorkflowRunner {
   WorkflowRunner& operator=(const WorkflowRunner&) = delete;
 
   /// Execute the workflow to completion and return the collected metrics.
-  /// Throws std::runtime_error if the simulation deadlocks (event queue
-  /// drained before every component finished).
+  /// Throws std::runtime_error if the event queue drained before every
+  /// component finished: "component <name> failed: <what>" when a
+  /// component's process (its loop or recovery pipeline) threw, else
+  /// "workflow deadlocked; unfinished: ...".
   RunMetrics run();
 
   /// Structured execution timeline (populated during run()).
@@ -51,12 +56,17 @@ class WorkflowRunner {
   /// after a recovery never re-issue a change.
   void fire_elastic_events(int ts);
   sim::Task<void> drive_elastic_event(ElasticEvent event);
+  /// on_done for a spawned process acting for `who`: keeps the first error
+  /// that is not a kill's sim::Cancelled as "<who> failed: <what>".
+  std::function<void(std::exception_ptr)> keep_error(std::string who);
+  std::function<void(std::exception_ptr)> keep_error(const Comp& comp);
 
   std::unique_ptr<SchemePolicy> policy_;
   std::unique_ptr<Runtime> runtime_;
   RuntimeServices services_;
   std::vector<bool> elastic_fired_;
   int failures_injected_ = 0;
+  std::string failure_;  // first error kept by keep_error()
   bool ran_ = false;
   bool tearing_down_ = false;
 };

@@ -128,7 +128,6 @@ void Runtime::build(const SchemePolicy& policy) {
     cp.logged = policy.component_logged(comp->spec);
     cp.bytes_per_point = spec_.bytes_per_point;
     cp.mem_scale = spec_.mem_scale;
-    cp.batching = spec_.net.batching;
     cp.tenant = comp->spec.tenant;
     comp->client = std::make_unique<staging::StagingClient>(
         cluster_, *index_, server_vprocs_, comp->vproc, cp);
@@ -391,7 +390,6 @@ RunMetrics Runtime::collect(int failures_injected) const {
     const auto& st = server->stats();
     m.staging.puts += st.puts;
     m.staging.gets += st.gets;
-    m.staging.batch_puts += st.batch_puts;
     m.staging.puts_suppressed += st.puts_suppressed;
     m.staging.gets_from_log += st.gets_from_log;
     m.staging.replay_mismatches += st.replay_mismatches;

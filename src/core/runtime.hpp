@@ -100,6 +100,10 @@ struct RuntimeServices {
   /// Run the Fig. 7(b) re-attach (+ replay) stage in the component's own
   /// process context, then resume its loop from its restored checkpoint.
   std::function<void(Comp*)> resume_recovered;
+  /// Launch `task` (a recovery pipeline) as a process acting for `comp`.
+  /// Its first error, a kill's sim::Cancelled excepted, is kept: a run
+  /// left unfinished reports it by component name, not as a deadlock.
+  std::function<void(Comp*, sim::Task<void>)> spawn;
 
   /// Context for system activities that survive component kills.
   [[nodiscard]] sim::Ctx system_ctx() const { return {engine, sys_token}; }

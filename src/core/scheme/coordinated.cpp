@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "core/recovery_pipeline.hpp"
-#include "sim/spawn.hpp"
 
 namespace dstage::core {
 
@@ -63,9 +62,8 @@ void CoordinatedPolicy::recover(RuntimeServices& rt, Comp& comp) {
   // Single-tenant runs pass the scope-everything sentinel (-1) so the
   // rollback path is exactly the classic global one.
   const int scope = rt.spec->tenancy.enabled() ? tenant : -1;
-  sim::spawn(*rt.engine,
-             run_coordinated_recovery(rt, global_ckpt_ts(tenant),
-                                      std::move(on_restarted), scope));
+  rt.spawn(&comp, run_coordinated_recovery(rt, global_ckpt_ts(tenant),
+                                           std::move(on_restarted), scope));
 }
 
 }  // namespace dstage::core

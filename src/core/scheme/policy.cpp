@@ -8,7 +8,6 @@
 #include "core/scheme/hybrid.hpp"
 #include "core/scheme/individual.hpp"
 #include "core/scheme/uncoordinated.hpp"
-#include "sim/spawn.hpp"
 
 namespace dstage::core {
 
@@ -96,9 +95,9 @@ void SchemePolicy::recover_local(RuntimeServices& rt, Comp& comp) {
   comp.recovering = true;
   ++comp.metrics.failures;
   if (comp.spec.method == FtMethod::kReplication) {
-    sim::spawn(*rt.engine, run_failover_recovery(rt, comp));
+    rt.spawn(&comp, run_failover_recovery(rt, comp));
   } else {
-    sim::spawn(*rt.engine, run_checkpoint_restart_recovery(rt, comp));
+    rt.spawn(&comp, run_checkpoint_restart_recovery(rt, comp));
   }
 }
 

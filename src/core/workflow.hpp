@@ -11,7 +11,6 @@
 
 #include "cluster/pfs.hpp"
 #include "core/cost_model.hpp"
-#include "net/config.hpp"
 #include "net/fabric.hpp"
 #include "obs/config.hpp"
 #include "staging/memory_governor.hpp"
@@ -234,9 +233,6 @@ struct WorkflowSpec {
   /// failure forensics). Digest-invisible: no vprocs, no virtual-time
   /// cost, no trace records, no randomness.
   obs::RecorderConfig recorder;
-  /// Transport options (request coalescing). Off by default: golden-trace
-  /// digests are recorded with per-chunk messages.
-  net::Config net;
   /// Elastic staging group (standbys, membership events, degraded reads).
   /// Inert by default: golden-trace digests are recorded with a fixed
   /// group.
@@ -293,7 +289,6 @@ struct StagingMetrics {
   std::uint64_t log_payload_bytes_peak = 0;
   std::uint64_t puts = 0;
   std::uint64_t gets = 0;
-  std::uint64_t batch_puts = 0;  // coalesced put messages unpacked
   std::uint64_t puts_suppressed = 0;
   std::uint64_t gets_from_log = 0;
   std::uint64_t replay_mismatches = 0;
@@ -360,15 +355,14 @@ struct RunMetrics {
   /// Vprocs the run was built with (staging servers + component actors +
   /// control/agent processes) — the fig10 ceiling sweep's x axis.
   int vprocs = 0;
-  /// Fabric totals (messages/bytes across all traffic classes) — the
-  /// batching bench's headline numbers.
+  /// Fabric totals (messages/bytes across all traffic classes).
   std::uint64_t fabric_packets = 0;
   std::uint64_t fabric_bytes = 0;
   /// Client-side transport counters summed over component clients.
   std::uint64_t rpc_retries = 0;
   std::uint64_t rpc_exhausted = 0;
-  /// Backpressure pauses honored by clients (RetryLater bounces waited out,
-  /// including batched-put partial-admission re-sends).
+  /// Backpressure pauses honored by component clients: RetryLater bounces
+  /// their transport waited out before re-sending the request.
   std::uint64_t rpc_backpressure_waits = 0;
 
   [[nodiscard]] const ComponentMetrics& component(

@@ -25,14 +25,6 @@ std::uint64_t wire_size(const QueueBackup&) { return kEventRecord; }
 std::uint64_t wire_size(const RecoveryPull&) { return kDescriptor; }
 std::uint64_t wire_size(const QueryRequest&) { return kDescriptor; }
 
-std::uint64_t wire_size(const BatchPut& m) {
-  // One batch header plus a per-chunk sub-header: a single-chunk batch
-  // costs exactly what the equivalent PutRequest does.
-  std::uint64_t bytes = kDescriptor;
-  for (const Chunk& chunk : m.chunks) bytes += kDescriptor + chunk.nominal_bytes;
-  return bytes;
-}
-
 std::uint64_t wire_size(const SpillPut& m) {
   // Spilled log chunks travel in their stored (possibly codec-encoded)
   // representation: the PFS write is charged the encoded footprint.
@@ -81,10 +73,6 @@ std::uint64_t wire_size(const GetResponse& m) {
   return bytes;
 }
 
-std::uint64_t wire_size(const BatchPutResponse& m) {
-  return kDescriptor + 8 * static_cast<std::uint64_t>(m.results.size());
-}
-
 std::uint64_t wire_size(const RecoveryPullResponse& m) {
   std::uint64_t bytes = kObjectHeader;
   for (const FragmentPut& f : m.fragments) bytes += f.nominal_bytes;
@@ -123,7 +111,6 @@ const char* message_name(const FragmentPrune&) { return "fragment_prune"; }
 const char* message_name(const QueueBackup&) { return "queue_backup"; }
 const char* message_name(const RecoveryPull&) { return "recovery_pull"; }
 const char* message_name(const QueryRequest&) { return "query"; }
-const char* message_name(const BatchPut&) { return "batch_put"; }
 const char* message_name(const SpillPut&) { return "spill_put"; }
 const char* message_name(const SpillFetch&) { return "spill_fetch"; }
 const char* message_name(const SpillPrune&) { return "spill_prune"; }

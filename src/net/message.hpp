@@ -127,11 +127,6 @@ struct RollbackAck {
   std::size_t versions_dropped = 0;
 };
 
-/// Per-chunk results of a coalesced put, in the batch's chunk order.
-struct BatchPutResponse {
-  std::vector<PutResponse> results;
-};
-
 /// Metadata query: which versions of `var` does this server hold?
 struct QueryResponse {
   std::vector<Version> store_versions;   // base-store window
@@ -262,19 +257,6 @@ struct QueryRequest {
   std::string var;
   EndpointId reply_to = -1;
   ReplyPtr<QueryResponse> reply;
-  TenantId tenant = 0;
-};
-
-/// Opt-in write-path coalescing: every chunk of one producer put that maps
-/// to the same destination server travels as one message, paying the
-/// fabric's per-message overhead once (see WorkflowSpec::net.batching).
-struct BatchPut {
-  using Response = BatchPutResponse;
-  AppId app = -1;
-  bool logged = false;
-  std::vector<Chunk> chunks;
-  EndpointId reply_to = -1;
-  ReplyPtr<BatchPutResponse> reply;
   TenantId tenant = 0;
 };
 
@@ -457,15 +439,15 @@ struct CkptDrainAck {
   Version version = 0;
 };
 
-/// Any fabric message (std::variant keeps dispatch exhaustive). New
-/// alternatives are appended so existing variant indices stay stable.
+/// Any fabric message (std::variant keeps dispatch exhaustive). Dispatch
+/// goes through std::visit only: nothing depends on variant indices.
 using Message =
     std::variant<PutRequest, GetRequest, CheckpointEvent, RecoveryEvent,
                  RollbackRequest, FragmentPut, FragmentPrune, QueueBackup,
-                 RecoveryPull, QueryRequest, BatchPut, SpillPut, SpillFetch,
-                 SpillPrune, JoinGroup, RetireServer, MembershipUpdate,
-                 MembershipQuery, FragmentFetch, ResilverPut, CkptStoreLocal,
-                 CkptXorShard, CkptDrainAck>;
+                 RecoveryPull, QueryRequest, SpillPut, SpillFetch, SpillPrune,
+                 JoinGroup, RetireServer, MembershipUpdate, MembershipQuery,
+                 FragmentFetch, ResilverPut, CkptStoreLocal, CkptXorShard,
+                 CkptDrainAck>;
 
 // ---------------------------------------------------------------------------
 // Codec: the modeled serialized footprint of every message and response.
@@ -485,7 +467,6 @@ using Message =
 [[nodiscard]] std::uint64_t wire_size(const QueueBackup& m);
 [[nodiscard]] std::uint64_t wire_size(const RecoveryPull& m);
 [[nodiscard]] std::uint64_t wire_size(const QueryRequest& m);
-[[nodiscard]] std::uint64_t wire_size(const BatchPut& m);
 [[nodiscard]] std::uint64_t wire_size(const SpillPut& m);
 [[nodiscard]] std::uint64_t wire_size(const SpillFetch& m);
 [[nodiscard]] std::uint64_t wire_size(const SpillPrune& m);
@@ -504,7 +485,6 @@ using Message =
 [[nodiscard]] std::uint64_t wire_size(const CheckpointAck& m);
 [[nodiscard]] std::uint64_t wire_size(const RecoveryAck& m);
 [[nodiscard]] std::uint64_t wire_size(const RollbackAck& m);
-[[nodiscard]] std::uint64_t wire_size(const BatchPutResponse& m);
 [[nodiscard]] std::uint64_t wire_size(const RecoveryPullResponse& m);
 [[nodiscard]] std::uint64_t wire_size(const QueryResponse& m);
 [[nodiscard]] std::uint64_t wire_size(const SpillAck& m);
@@ -528,7 +508,6 @@ using Message =
 [[nodiscard]] const char* message_name(const QueueBackup&);
 [[nodiscard]] const char* message_name(const RecoveryPull&);
 [[nodiscard]] const char* message_name(const QueryRequest&);
-[[nodiscard]] const char* message_name(const BatchPut&);
 [[nodiscard]] const char* message_name(const SpillPut&);
 [[nodiscard]] const char* message_name(const SpillFetch&);
 [[nodiscard]] const char* message_name(const SpillPrune&);

@@ -1,7 +1,6 @@
 #include "staging/client.hpp"
 
 #include <map>
-#include <numeric>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -50,8 +49,7 @@ void StagingClient::set_degraded_probe(std::function<bool(int)> probe) {
                           net::EndpointId ep, const net::Message& request) {
     // Only the data path fails fast; workflow broadcasts wait as before.
     if (!std::holds_alternative<PutRequest>(request) &&
-        !std::holds_alternative<GetRequest>(request) &&
-        !std::holds_alternative<BatchPut>(request)) {
+        !std::holds_alternative<GetRequest>(request)) {
       return;
     }
     if (const auto it = server_at.find(ep); it != server_at.end()) {
@@ -77,60 +75,6 @@ sim::Task<PutResponse> StagingClient::send_put(sim::Ctx ctx, int server,
   return rpc_.call(ctx, server_endpoint(server), std::move(req), put_policy());
 }
 
-sim::Task<BatchPutResponse> StagingClient::send_batch(
-    sim::Ctx ctx, int server, std::vector<Chunk> chunks) {
-  BatchPut req;
-  req.app = params_.app;
-  req.logged = params_.logged;
-  req.chunks = std::move(chunks);
-  req.tenant = params_.tenant;
-  return rpc_.call(ctx, server_endpoint(server), std::move(req), put_policy());
-}
-
-sim::Task<BatchPutResponse> StagingClient::send_batch_admitted(
-    sim::Ctx ctx, int server, std::vector<Chunk> chunks, PutResult* result) {
-  BatchPutResponse merged;
-  merged.results.resize(chunks.size());
-  // Slot i of the current round maps back to slots[i] of the original batch.
-  std::vector<std::size_t> slots(chunks.size());
-  for (std::size_t i = 0; i < slots.size(); ++i) slots[i] = i;
-
-  const net::RetryPolicy policy = put_policy();
-  int rounds = 0;
-  while (!chunks.empty()) {
-    BatchPutResponse resp = co_await send_batch(ctx, server, chunks);
-    std::vector<Chunk> rejected;
-    std::vector<std::size_t> rejected_slots;
-    for (std::size_t i = 0; i < chunks.size(); ++i) {
-      const PutResponse& r = resp.results[i];
-      if (r.retry_later) {
-        rejected.push_back(std::move(chunks[i]));
-        rejected_slots.push_back(slots[i]);
-      } else {
-        merged.results[slots[i]] = r;
-      }
-    }
-    if (rejected.empty()) break;
-    // A partially admitted batch must not ack as fully durable: keep
-    // re-sending the bounced remainder (alone) with an escalating backoff,
-    // mirroring the transport's single-put backpressure loop.
-    if (++rounds > policy.max_backpressure_retries) {
-      throw std::runtime_error(
-          "rpc batch_put rejected by memory governor after retries");
-    }
-    const std::int64_t base = policy.backoff.ns > 0
-                                  ? policy.backoff.ns
-                                  : net::kBackpressureBackoff.ns;
-    const int shift = rounds - 1 < 16 ? rounds - 1 : 16;
-    co_await ctx.delay(sim::Duration{base << shift});
-    result->backpressure_resends += rejected.size();
-    ++result->messages;
-    chunks = std::move(rejected);
-    slots = std::move(rejected_slots);
-  }
-  co_return merged;
-}
-
 sim::Task<GetResponse> StagingClient::send_get(sim::Ctx ctx, int server,
                                                ObjectDesc desc) {
   GetRequest req;
@@ -147,67 +91,53 @@ sim::Task<PutResult> StagingClient::put_impl(sim::Ctx ctx, std::string var,
   // and spill indices all key on the tenant-qualified name. Identity for
   // the default tenant.
   var = tenant_key(params_.tenant, var);
-  if (elastic()) {
-    co_return co_await put_elastic(ctx, std::move(var), version, region);
-  }
   const sim::TimePoint start = ctx.now();
   ++puts_issued_;
   PutResult result;
+  ensure_view();
 
-  if (params_.batching) {
-    // Coalesce: all chunks bound for the same server travel as one
-    // BatchPut, paying the fabric's per-message overhead once.
-    std::vector<std::pair<int, std::vector<Chunk>>> groups;
-    for (const dht::Placement& placement : index_->place(region)) {
-      auto group = groups.end();
-      for (auto it = groups.begin(); it != groups.end(); ++it) {
-        if (it->first == placement.server) {
-          group = it;
-          break;
+  std::vector<Box> todo{region};
+  int rounds = 0;
+  while (!todo.empty()) {
+    if (++rounds > kMaxEpochRounds) {
+      throw std::runtime_error(
+          "staging put: membership refresh retries exhausted");
+    }
+    // One message per piece, in placement order. `pieces` and `nominals`
+    // run parallel to the sends so a bounced piece can be re-placed.
+    std::vector<Box> pieces;
+    std::vector<std::uint64_t> nominals;
+    std::vector<sim::Task<PutResponse>> sends;
+    for (const Box& box : todo) {
+      for (const dht::Placement& placement : index_->place(box, view_)) {
+        for (const Box& piece : placement.pieces) {
+          Chunk chunk = make_chunk(var, version, piece,
+                                   params_.bytes_per_point, params_.mem_scale);
+          pieces.push_back(piece);
+          nominals.push_back(chunk.nominal_bytes);
+          sends.push_back(send_put(ctx, placement.server, std::move(chunk)));
         }
       }
-      if (group == groups.end()) {
-        groups.emplace_back(placement.server, std::vector<Chunk>{});
-        group = groups.end() - 1;
-      }
-      for (const Box& piece : placement.pieces) {
-        Chunk chunk = make_chunk(var, version, piece, params_.bytes_per_point,
-                                 params_.mem_scale);
-        result.nominal_bytes += chunk.nominal_bytes;
-        ++result.pieces;
-        group->second.push_back(std::move(chunk));
-      }
     }
-    std::vector<sim::Task<BatchPutResponse>> sends;
-    for (auto& [server, chunks] : groups) {
-      ++result.messages;
-      sends.push_back(
-          send_batch_admitted(ctx, server, std::move(chunks), &result));
-    }
+    todo.clear();
     auto responses = co_await sim::when_all(ctx, std::move(sends));
-    for (const BatchPutResponse& batch : responses) {
-      for (const PutResponse& r : batch.results) {
-        if (r.suppressed) ++result.suppressed;
-      }
-    }
-    result.response_time = ctx.now() - start;
-    co_return result;
-  }
 
-  std::vector<sim::Task<PutResponse>> sends;
-  for (const dht::Placement& placement : index_->place(region)) {
-    for (const Box& piece : placement.pieces) {
-      Chunk chunk = make_chunk(var, version, piece, params_.bytes_per_point,
-                               params_.mem_scale);
-      result.nominal_bytes += chunk.nominal_bytes;
+    bool refresh = false;
+    for (std::size_t i = 0; i < responses.size(); ++i) {
+      const PutResponse& r = responses[i];
+      if (r.wrong_epoch) {
+        // The cell moved under us: re-place just this piece against the
+        // refreshed view. Admitted siblings stay admitted.
+        todo.push_back(pieces[i]);
+        ++result.wrong_epoch_retries;
+        refresh = true;
+        continue;
+      }
+      result.nominal_bytes += nominals[i];
       ++result.pieces;
-      ++result.messages;
-      sends.push_back(send_put(ctx, placement.server, std::move(chunk)));
+      if (r.suppressed) ++result.suppressed;
     }
-  }
-  auto responses = co_await sim::when_all(ctx, std::move(sends));
-  for (const PutResponse& r : responses) {
-    if (r.suppressed) ++result.suppressed;
+    if (refresh) co_await refresh_view(ctx);
   }
   result.response_time = ctx.now() - start;
   co_return result;
@@ -343,14 +273,10 @@ void StagingClient::ensure_view() {
 }
 
 std::vector<int> StagingClient::fanout_targets() const {
-  // In elastic mode workflow events follow the live active set: retired
-  // standbys are drained and joiners must see checkpoints so their GC
-  // watermarks advance. Otherwise: every server, in index order (the
-  // pre-elastic broadcast, byte-identical traffic).
-  if (elastic()) return index_->active_servers();
-  std::vector<int> all(servers_.size());
-  std::iota(all.begin(), all.end(), 0);
-  return all;
+  // Workflow events follow the live active set: retired standbys are
+  // drained and joiners must see checkpoints so their GC watermarks
+  // advance. A fixed group's active set is every server, in index order.
+  return index_->active_servers();
 }
 
 sim::Task<void> StagingClient::refresh_view(sim::Ctx ctx) {
@@ -366,98 +292,6 @@ sim::Task<void> StagingClient::refresh_view(sim::Ctx ctx) {
   view_ = index_->snapshot();
   ++epoch_refreshes_;
   (void)info;
-}
-
-sim::Task<PutResult> StagingClient::put_elastic(sim::Ctx ctx, std::string var,
-                                               Version version, Box region) {
-  const sim::TimePoint start = ctx.now();
-  ++puts_issued_;
-  PutResult result;
-  ensure_view();
-
-  std::vector<Box> todo{region};
-  int rounds = 0;
-  while (!todo.empty()) {
-    if (++rounds > kMaxEpochRounds) {
-      throw std::runtime_error(
-          "staging put: membership refresh retries exhausted");
-    }
-    // Place the outstanding boxes through the cached view, grouped per
-    // server so the batching path coalesces exactly as the static one.
-    std::vector<int> servers;
-    std::vector<std::vector<Box>> boxes;
-    std::vector<std::vector<std::uint64_t>> nominals;
-    std::vector<std::vector<Chunk>> chunks;
-    for (const Box& box : todo) {
-      for (const dht::Placement& placement : index_->place(box, view_)) {
-        std::size_t g = 0;
-        while (g < servers.size() && servers[g] != placement.server) ++g;
-        if (g == servers.size()) {
-          servers.push_back(placement.server);
-          boxes.emplace_back();
-          nominals.emplace_back();
-          chunks.emplace_back();
-        }
-        for (const Box& piece : placement.pieces) {
-          Chunk chunk = make_chunk(var, version, piece,
-                                   params_.bytes_per_point, params_.mem_scale);
-          boxes[g].push_back(piece);
-          nominals[g].push_back(chunk.nominal_bytes);
-          chunks[g].push_back(std::move(chunk));
-        }
-      }
-    }
-    todo.clear();
-
-    std::vector<BatchPutResponse> responses;
-    if (params_.batching) {
-      std::vector<sim::Task<BatchPutResponse>> sends;
-      for (std::size_t g = 0; g < servers.size(); ++g) {
-        ++result.messages;
-        sends.push_back(
-            send_batch_admitted(ctx, servers[g], std::move(chunks[g]),
-                                &result));
-      }
-      responses = co_await sim::when_all(ctx, std::move(sends));
-    } else {
-      std::vector<sim::Task<PutResponse>> sends;
-      for (std::size_t g = 0; g < servers.size(); ++g) {
-        for (Chunk& chunk : chunks[g]) {
-          ++result.messages;
-          sends.push_back(send_put(ctx, servers[g], std::move(chunk)));
-        }
-      }
-      auto flat = co_await sim::when_all(ctx, std::move(sends));
-      responses.resize(servers.size());
-      std::size_t i = 0;
-      for (std::size_t g = 0; g < servers.size(); ++g) {
-        for (std::size_t j = 0; j < boxes[g].size(); ++j) {
-          responses[g].results.push_back(flat[i++]);
-        }
-      }
-    }
-
-    bool refresh = false;
-    for (std::size_t g = 0; g < servers.size(); ++g) {
-      for (std::size_t j = 0; j < responses[g].results.size(); ++j) {
-        const PutResponse& r = responses[g].results[j];
-        if (r.wrong_epoch) {
-          // The cell moved under us: re-place just this piece against the
-          // refreshed view. Admitted siblings stay admitted.
-          todo.push_back(boxes[g][j]);
-          ++result.wrong_epoch_retries;
-          refresh = true;
-          continue;
-        }
-        result.nominal_bytes += nominals[g][j];
-        ++result.pieces;
-        if (r.suppressed) ++result.suppressed;
-      }
-    }
-    if (refresh) co_await refresh_view(ctx);
-  }
-  result.response_time = ctx.now() - start;
-  co_return result;
 }
 
 sim::Task<StagingClient::PieceOutcome> StagingClient::get_piece_guarded(

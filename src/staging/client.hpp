@@ -42,9 +42,6 @@ struct ClientParams {
   /// Initial retry backoff, doubled per attempt (0 = immediate re-send,
   /// the historical behavior).
   sim::Duration retry_backoff{0};
-  /// Coalesce same-destination chunk puts of one write into a single
-  /// BatchPut message per server (see net::Config::batching).
-  bool batching = false;
   /// Tenant this client acts for. Every variable name is namespaced through
   /// tenant_key() before it reaches the DHT or a server, and every request
   /// carries the tenant so servers can scope admission and rollback. The
@@ -53,16 +50,14 @@ struct ClientParams {
   net::TenantId tenant = 0;
 };
 
+/// A put returns only once every piece is admitted: the transport waits out
+/// a memory-governed server's RetryLater bounces per piece (net::Rpc), and
+/// the client re-places wrong_epoch bounces. So the ack means durable.
 struct PutResult {
   sim::Duration response_time{};
-  std::uint64_t nominal_bytes = 0;
-  std::size_t pieces = 0;
+  std::uint64_t nominal_bytes = 0;  // of the admitted pieces
+  std::size_t pieces = 0;           // admitted pieces (one message each)
   std::size_t suppressed = 0;  // pieces recognized as replay duplicates
-  std::size_t messages = 0;    // fabric messages the write fanned out into
-  /// Chunks a memory-governed server bounced with RetryLater and the client
-  /// re-sent after backing off. The put only returns once every piece is
-  /// admitted, so a partially admitted batch is never acked as durable.
-  std::size_t backpressure_resends = 0;
   /// Pieces bounced with wrong_epoch and re-placed against a refreshed
   /// membership view (elastic mode only).
   std::size_t wrong_epoch_retries = 0;
@@ -165,15 +160,16 @@ class StagingClient {
   /// as a distinct "staging degraded" error instead of a generic rpc
   /// timeout, so callers can tell unrecoverable loss from transient stalls.
   /// The check runs in the transport (the Rpc's peer check) when each
-  /// put, batch or get call starts, so a fan-out still sends to every other
+  /// put or get call starts, so a fan-out still sends to every other
   /// server before the error surfaces. Workflow broadcasts do not fail
   /// fast.
   void set_degraded_probe(std::function<bool(int)> probe);
 
   /// Elastic membership: point the client at the GroupManager's endpoint.
-  /// Non-negative enables elastic mode — placements route through a cached
-  /// membership view, and a typed wrong_epoch reject triggers a
-  /// MembershipQuery refresh plus re-placement of only the bounced pieces.
+  /// Non-negative enables elastic mode — gets also route through the cached
+  /// membership view, workflow broadcasts follow the live active set, and a
+  /// typed wrong_epoch reject triggers a MembershipQuery refresh plus
+  /// re-placement of only the bounced pieces.
   void set_group_endpoint(net::EndpointId ep) { group_ep_ = ep; }
   [[nodiscard]] bool elastic() const { return group_ep_ >= 0; }
 
@@ -218,26 +214,15 @@ class StagingClient {
   sim::Task<GetResult> get_impl(sim::Ctx ctx, std::string var,
                                 Version version, Box region);
   sim::Task<PutResponse> send_put(sim::Ctx ctx, int server, Chunk chunk);
-  sim::Task<BatchPutResponse> send_batch(sim::Ctx ctx, int server,
-                                         std::vector<Chunk> chunks);
-  /// send_batch plus the backpressure protocol: chunks the server bounced
-  /// with RetryLater are re-sent (alone) after an escalating backoff until
-  /// every piece is admitted. Returns the merged per-chunk results in the
-  /// original chunk order.
-  sim::Task<BatchPutResponse> send_batch_admitted(sim::Ctx ctx, int server,
-                                                  std::vector<Chunk> chunks,
-                                                  PutResult* result);
   sim::Task<GetResponse> send_get(sim::Ctx ctx, int server,
                                   ObjectDesc desc);
   /// Throws the distinct degraded error when the probe reports `server`
   /// unrecovered; otherwise returns.
   void fail_if_degraded(int server) const;
 
-  // Elastic-mode request paths: placement through the cached view, bounded
-  // wrong_epoch refresh/re-place loops, and (for gets) the degraded
+  // Elastic-mode get: placement through the cached view, a bounded
+  // wrong_epoch refresh/re-place loop, and the degraded
   // fragment-reconstruction fallback.
-  sim::Task<PutResult> put_elastic(sim::Ctx ctx, std::string var,
-                                   Version version, Box region);
   sim::Task<GetResult> get_elastic(sim::Ctx ctx, std::string var,
                                    Version version, Box region);
   /// One get attempt that converts the two recoverable outcomes into data
@@ -259,8 +244,9 @@ class StagingClient {
   /// the placement map.
   sim::Task<void> refresh_view(sim::Ctx ctx);
   void ensure_view();
-  /// Broadcast targets for workflow events: the active membership view in
-  /// elastic mode, every server otherwise.
+  /// Broadcast targets for workflow events: the active membership view
+  /// (every server, in index order, for a fixed group). Returned by value:
+  /// callers co_await inside the loop while membership may change.
   [[nodiscard]] std::vector<int> fanout_targets() const;
 
   cluster::Cluster* cluster_;
@@ -272,9 +258,11 @@ class StagingClient {
   std::function<bool(int)> degraded_probe_;
   std::uint64_t puts_issued_ = 0;
   std::uint64_t gets_issued_ = 0;
+  // Placement snapshot every put routes through (one per client unless a
+  // wrong_epoch bounce refreshes it).
+  dht::PlacementView view_;
   // Elastic membership state (inert unless set_group_endpoint is called).
   net::EndpointId group_ep_ = -1;
-  dht::PlacementView view_;
   resilience::ResiliencePolicy policy_;
   bool degraded_reads_ = false;
   std::uint64_t degraded_read_count_ = 0;

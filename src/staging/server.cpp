@@ -122,7 +122,6 @@ sim::Task<void> StagingServer::dispatch(Request request) {
           [this](RecoveryEvent&& m) { return handle_recovery(std::move(m)); },
           [this](RollbackRequest&& m) { return handle_rollback(std::move(m)); },
           [this](QueryRequest&& m) { return handle_query(std::move(m)); },
-          [this](BatchPut&& m) { return handle_batch_put(std::move(m)); },
           [this](ResilverPut&& m) {
             return handle_resilver_put(std::move(m));
           },
@@ -265,24 +264,6 @@ sim::Task<void> StagingServer::handle_put(PutRequest req) {
   PutResponse resp = co_await apply_put(req.app, req.logged,
                                         std::move(req.chunk));
   co_await ctx_.rpc.fulfill(c, req.reply_to, std::move(req.reply), resp);
-}
-
-sim::Task<void> StagingServer::handle_batch_put(BatchPut req) {
-  sim::Ctx c = ctx_.ctx();
-  co_await c.delay(ctx_.params.request_overhead);
-  app_tenants_[req.app] = req.tenant;
-  ++ctx_.stats.batch_puts;
-  BatchPutResponse resp;
-  resp.results.reserve(req.chunks.size());
-  // The chunks are applied sequentially — the same server-side pipeline a
-  // sequence of single puts runs through — but the fabric charged the
-  // message overhead only once, and the response below acks all of them.
-  for (Chunk& chunk : req.chunks) {
-    resp.results.push_back(
-        co_await apply_put(req.app, req.logged, std::move(chunk)));
-  }
-  co_await ctx_.rpc.fulfill(c, req.reply_to, std::move(req.reply),
-                            std::move(resp));
 }
 
 sim::Task<void> StagingServer::handle_get(GetRequest req) {

@@ -62,7 +62,6 @@ struct ServerParams {
 
 struct ServerStats {
   std::uint64_t puts = 0;
-  std::uint64_t batch_puts = 0;  // coalesced put messages unpacked
   std::uint64_t fragments_held = 0;     // fragments stored for peers
   std::uint64_t mirrored_events = 0;    // queue records mirrored here
   std::uint64_t chunks_rebuilt = 0;     // objects restored after recovery
@@ -278,7 +277,6 @@ class StagingServer {
   /// and return an empty task.
   sim::Task<void> dispatch(Request request);
   sim::Task<void> handle_put(PutRequest req);
-  sim::Task<void> handle_batch_put(BatchPut req);
   sim::Task<void> handle_get(GetRequest req);
   sim::Task<void> handle_checkpoint(CheckpointEvent ev);
   sim::Task<void> handle_recovery(RecoveryEvent ev);
@@ -287,11 +285,11 @@ class StagingServer {
   sim::Task<void> handle_resilver_put(ResilverPut put);
   sim::Task<void> handle_ckpt_drain_ack(CkptDrainAck ack);
 
-  /// The put state machine shared by single and batched puts: replay
-  /// suppression, idempotent-duplicate detection, event logging, the store
-  /// copy, log append, and redundancy encode/push. Pays every virtual-time
-  /// cost except the per-request overhead (charged once per *message* by
-  /// the caller).
+  /// The put state machine behind handle_put: the elastic ownership gate,
+  /// replay suppression, idempotent-duplicate detection, governor
+  /// admission, event logging, the store copy, log append, and redundancy
+  /// encode/push. Pays every virtual-time cost except the per-request
+  /// overhead, which handle_put charges.
   sim::Task<PutResponse> apply_put(AppId app, bool logged, Chunk chunk);
 
   /// Record `event` in `app`'s queue and mirror it onto the successor

@@ -27,7 +27,6 @@ using GetResponse = net::GetResponse;
 using CheckpointAck = net::CheckpointAck;
 using RecoveryAck = net::RecoveryAck;
 using RollbackAck = net::RollbackAck;
-using BatchPutResponse = net::BatchPutResponse;
 using RecoveryPullResponse = net::RecoveryPullResponse;
 using QueryResponse = net::QueryResponse;
 
@@ -41,7 +40,6 @@ using FragmentPrune = net::FragmentPrune;
 using QueueBackup = net::QueueBackup;
 using RecoveryPull = net::RecoveryPull;
 using QueryRequest = net::QueryRequest;
-using BatchPut = net::BatchPut;
 
 using SpillAck = net::SpillAck;
 using SpillFetchResponse = net::SpillFetchResponse;

@@ -1,8 +1,13 @@
 // Unit tests for the SchemePolicy strategy layer: factory wiring, logging
 // and proactive predicates, the coordinated barrier cost, and the paper's
 // per-scheme recovery semantics (hybrid failover without replay, Fig. 2
-// anomalies under the unlogged individual scheme).
+// anomalies under the unlogged individual scheme), and how a run reports a
+// policy error.
 #include <gtest/gtest.h>
+
+#include <memory>
+#include <stdexcept>
+#include <string>
 
 #include "core/executor.hpp"
 #include "core/scheme/policy.hpp"
@@ -131,6 +136,43 @@ TEST(SchemePolicyTest, IndividualSchemeExhibitsAnomaliesUnCannotSee) {
   auto un = WorkflowRunner(small_spec(Scheme::kUncoordinated, 1, 16)).run();
   EXPECT_EQ(un.total_anomalies(), 0);
   EXPECT_EQ(un.failures_injected, 1);
+}
+
+/// Checkpoints every timestep; the simulation's checkpoint at ts 2 throws.
+class ThrowingCheckpointPolicy final : public SchemePolicy {
+ public:
+  [[nodiscard]] Scheme scheme() const override { return Scheme::kNone; }
+  [[nodiscard]] bool uses_logging() const override { return false; }
+  sim::Task<void> on_timestep_end(RuntimeServices& rt, Comp& comp, int ts,
+                                  sim::Ctx ctx) override {
+    co_await checkpoint(rt, comp, ts, ctx);
+  }
+  sim::Task<void> checkpoint(RuntimeServices&, Comp& comp, int ts,
+                             sim::Ctx) override {
+    if (comp.spec.name == "simulation" && ts == 2) {
+      throw std::runtime_error("checkpoint store unreachable");
+    }
+    co_return;
+  }
+  void recover(RuntimeServices& rt, Comp& comp) override {
+    recover_local(rt, comp);
+  }
+};
+
+// An error thrown inside a component's process leaves the run unfinished;
+// run() names the component and the error instead of reporting the
+// deadlock the dead component leaves behind.
+TEST(SchemePolicyTest, ComponentErrorIsReportedByName) {
+  WorkflowRunner runner(small_spec(Scheme::kNone, 0, 1),
+                        std::make_unique<ThrowingCheckpointPolicy>());
+  std::string what;
+  try {
+    runner.run();
+  } catch (const std::runtime_error& e) {
+    what = e.what();
+  }
+  EXPECT_EQ(what,
+            "component simulation failed: checkpoint store unreachable");
 }
 
 }  // namespace

@@ -73,10 +73,6 @@ TEST(MessageCodecTest, ResponseSizesLockedDown) {
   query.logged_versions = {2, 3};
   EXPECT_EQ(wire_size(query), 64u + 4u * 5u);
 
-  BatchPutResponse batch;
-  batch.results.resize(3);
-  EXPECT_EQ(wire_size(batch), 64u + 8u * 3u);
-
   RecoveryPullResponse pull;
   EXPECT_EQ(wire_size(pull), 128u);
   FragmentPut frag;
@@ -96,22 +92,8 @@ TEST(MessageCodecTest, ResponseSizesLockedDown) {
   EXPECT_EQ(wire_size(fetch), 128u + 5000u);
 }
 
-TEST(MessageCodecTest, OneChunkBatchCostsExactlyOnePut) {
-  // The coalesced encoding must not be cheaper than the messages it
-  // replaces when there is nothing to coalesce.
-  PutRequest put;
-  put.chunk = chunk_of(4096);
-  BatchPut batch;
-  batch.chunks.push_back(chunk_of(4096));
-  EXPECT_EQ(wire_size(batch), wire_size(put));
-
-  // A second chunk adds its descriptor + payload but no second envelope.
-  batch.chunks.push_back(chunk_of(1000));
-  EXPECT_EQ(wire_size(batch), wire_size(put) + 64u + 1000u);
-}
-
 TEST(MessageCodecTest, SerializedSizeDispatchesOverEveryAlternative) {
-  static_assert(std::variant_size_v<Message> == 23);
+  static_assert(std::variant_size_v<Message> == 22);
   FragmentPut frag;
   frag.nominal_bytes = 777;
   EXPECT_EQ(serialized_size(Message{std::move(frag)}), 777u);
@@ -134,7 +116,6 @@ TEST(MessageCodecTest, MessageNamesMatchSpanVocabulary) {
   EXPECT_STREQ(message_name(QueueBackup{}), "queue_backup");
   EXPECT_STREQ(message_name(RecoveryPull{}), "recovery_pull");
   EXPECT_STREQ(message_name(QueryRequest{}), "query");
-  EXPECT_STREQ(message_name(BatchPut{}), "batch_put");
   EXPECT_STREQ(message_name(SpillPut{}), "spill_put");
   EXPECT_STREQ(message_name(SpillFetch{}), "spill_fetch");
   EXPECT_STREQ(message_name(SpillPrune{}), "spill_prune");

@@ -1,6 +1,6 @@
 // Memory-governor edge cases: oversized-put overruns, spill vs GC races,
 // replay read-through of spilled payloads, and the RetryLater backpressure
-// protocol (including partially admitted batches). The happy path — spill
+// protocol (a bounced put is never acked early). The happy path — spill
 // and backpressure bounding a long run's footprint — is covered by the
 // consistency campaign and the fig_memcap bench; these tests pin down the
 // corners.
@@ -60,8 +60,7 @@ struct Rig {
     for (auto& s : servers) s->set_spill_endpoint(gateway->endpoint());
   }
 
-  std::unique_ptr<StagingClient> make_client(AppId app,
-                                             bool batching = false) {
+  std::unique_ptr<StagingClient> make_client(AppId app) {
     auto vp =
         cluster.add_vproc("app" + std::to_string(app), cluster.add_node());
     ClientParams cp;
@@ -70,7 +69,6 @@ struct Rig {
     cp.mem_scale = 4096;
     cp.put_timeout = sim::seconds(15);
     cp.get_timeout = sim::seconds(30);
-    cp.batching = batching;
     return std::make_unique<StagingClient>(cluster, index, server_vprocs, vp,
                                            cp);
   }
@@ -277,36 +275,37 @@ TEST(StagingGovernorTest, SpilledThenFaultedBackCountsOnce) {
   EXPECT_EQ(solo, raced);
 }
 
-TEST(StagingGovernorTest, PartiallyAdmittedBatchIsNotAckedUntilDurable) {
-  // With batching on, one BatchPut can straddle the hard watermark: early
-  // chunks admitted, later ones bounced. The put must not return until the
-  // bounced chunks were re-sent and admitted — and the data must verify.
+TEST(StagingGovernorTest, BouncedPutIsNotAckedUntilDurable) {
+  // A put fans out one message per piece, and under a tight budget some of
+  // them cross the hard watermark and bounce with RetryLater while their
+  // siblings are admitted. The put must not return until every bounced
+  // piece was re-sent and admitted: each version reads back in full the
+  // moment its put() returns.
   Rig rig(2, /*budget_bytes=*/6 * kMiB);
-  auto producer = rig.make_client(0, /*batching=*/true);
+  auto producer = rig.make_client(0);
   auto consumer = rig.make_client(1);
-  std::size_t resends = 0;
-  std::uint64_t got = 0;
+  std::vector<std::uint64_t> got;
   int bad = 0;
   sim::spawn(rig.eng, [&]() -> sim::Task<void> {
     sim::Ctx ctx{&rig.eng, nullptr};
     for (Version v = 1; v <= 10; ++v) {
-      auto pr = co_await producer->put(ctx, "f", v, rig.domain);
-      resends += pr.backpressure_resends;
-      // The ack claims durability: the just-written version must be fully
-      // readable the moment put() returns, even when parts of its batch
-      // were initially bounced.
+      co_await producer->put(ctx, "f", v, rig.domain);
       auto gr = co_await consumer->get(ctx, "f", v, rig.domain);
-      got = gr.nominal_bytes;
+      got.push_back(gr.nominal_bytes);
       bad += gr.wrong_version + gr.corrupt;
     }
   });
   rig.run();
-  EXPECT_GT(resends, 0u);
+  ASSERT_EQ(got.size(), 10u);
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i], rig.domain.volume() * 8) << "v" << i + 1;
+  }
+  EXPECT_EQ(bad, 0);
+  // The bounces really happened, and the transport waited them out.
+  EXPECT_GT(producer->rpc_stats().backpressure_waits, 0u);
   EXPECT_GT(rig.stat_sum([](const ServerStats& s) {
     return s.puts_rejected;
   }), 0u);
-  EXPECT_EQ(got, rig.domain.volume() * 8);
-  EXPECT_EQ(bad, 0);
 }
 
 }  // namespace

@@ -50,7 +50,6 @@ int usage() {
       "  --local-ckpt-period=N       multi-level local period [0=off]\n"
       "  --predictor-recall=F        proactive ckpt recall    [0=off]\n"
       "  --node-failure-fraction=F   node-level failure share [0.2]\n"
-      "  --batching                  coalesce same-server puts [off]\n"
       "  --trace=FILE                write execution trace CSV\n"
       "  --json=FILE                 write metrics/sweep JSON\n"
       "  --help                      this text");
@@ -106,7 +105,6 @@ int run_cli(int argc, char** argv) {
   spec.failures.node_failure_fraction =
       flags.get_double("node-failure-fraction", 0.2);
   spec.failures.predictor_recall = flags.get_double("predictor-recall", 0);
-  spec.net.batching = flags.get_bool("batching", false);
   const int local_period = flags.get_int("local-ckpt-period", 0);
   for (auto& c : spec.components) c.local_ckpt_period = local_period;
   const std::string trace_file = flags.get("trace", "");
