@@ -5,9 +5,13 @@
 // figure: as the budget tightens, peak governed memory stays pinned under
 // the budget while execution time degrades gracefully — first via
 // spill-to-PFS (soft watermark), then via client backpressure (hard
-// watermark). Budgets below the workload's working-set floor (~448 MB per
-// server: a two-version store window plus the newest, never-evictable log
-// versions) cannot make progress; 512 MB is the tightest feasible cell.
+// watermark). The raw data log shares its buffers with the base store, so
+// each staged version is charged once: spill alone holds the line down to
+// 448 MB, and the hard watermark engages at 416 and 384 MB. Pressure is not
+// monotone below that: 352 and 320 MB spill earlier and bounce nothing.
+// At 288 MB the hard watermark (259 MiB) leaves no room beside the
+// two-version store window (256 MiB per server), so puts exhaust their
+// retries and the run dies: that is the working-set floor.
 #include "bench/common.hpp"
 
 int main(int argc, char** argv) {
@@ -22,7 +26,7 @@ int main(int argc, char** argv) {
               "rejected", "bp waits", "sweeps");
 
   double base_time = 0;  // unbounded run's execution time (budget 0)
-  for (std::uint64_t budget_mb : {0, 1024, 768, 640, 512}) {
+  for (std::uint64_t budget_mb : {0, 1024, 768, 640, 512, 416, 384}) {
     auto runs = h.sweep([budget_mb](std::uint64_t seed) {
       auto spec = core::table2_setup(core::Scheme::kUncoordinated);
       spec.failures.seed = seed;

@@ -45,13 +45,15 @@ int main(int argc, char** argv) {
 
   for (const bool fair : {false, true}) {
     for (const int tenants : {1, 2, 4, 8}) {
-      // Per-server budget sized to the pooled working-set floor (hog
-      // ~512 MB non-evictable + ~260 MB per victim) over a 0.72 headroom
-      // factor. With 0.85/0.90 watermarks, the weighted soft shares land
-      // at ~550 MB (hog) / ~275 MB (victim) per server — just above each
-      // tenant's floor, so proactive per-share spilling is always
-      // feasible — while the pooled soft→hard gap (~0.05 × budget) is
-      // smaller than the ~134 MB/server the hog stages per timestep.
+      // Per-server budget sized to the pooled working-set floor as it
+      // was measured while a raw log piece was charged apart from the
+      // store's buffer (hog ~512 MB non-evictable + ~260 MB per victim),
+      // over a 0.72 headroom factor. With 0.85/0.90 watermarks, the
+      // weighted soft shares land at ~550 MB (hog) / ~275 MB (victim) per
+      // server; now that each buffer is charged once, every tenant's
+      // floor sits well below its share, so proactive per-share spilling
+      // is always feasible. The pooled soft→hard gap (~0.05 × budget) is
+      // still smaller than the ~134 MB/server the hog stages per timestep.
       const std::uint64_t budget_mb = static_cast<std::uint64_t>(
           (512.0 + 260.0 * (tenants - 1)) / 0.72);
       auto runs = h.sweep([=](std::uint64_t seed) {

@@ -284,7 +284,7 @@ struct ComponentMetrics {
 
 struct StagingMetrics {
   std::uint64_t store_bytes_peak = 0;       // summed over servers
-  std::uint64_t total_bytes_peak = 0;       // store + log + metadata
+  std::uint64_t total_bytes_peak = 0;       // MemoryReport::total()
   double total_bytes_mean = 0;
   std::uint64_t log_payload_bytes_peak = 0;
   std::uint64_t puts = 0;

@@ -21,21 +21,27 @@ namespace dstage::staging {
 
 struct ServerContext;  // staging/server.hpp
 
-/// Point-in-time memory report (nominal, i.e. paper-scale bytes).
+/// Point-in-time memory report (nominal, i.e. paper-scale bytes). The
+/// store and the log are reported per holder; a raw log piece shares its
+/// buffer with the store piece of the same put, so those bytes appear in
+/// both holders and once more in shared_bytes, which the totals subtract:
+/// each payload buffer is charged once. An encoded log copy is a buffer of
+/// its own and is never shared.
 struct MemoryReport {
   std::uint64_t store_bytes = 0;       // base object store
   std::uint64_t log_payload_bytes = 0; // data-log retained payloads
+  std::uint64_t shared_bytes = 0;      // buffers both of the above hold
   std::uint64_t log_metadata_bytes = 0;
   std::uint64_t redundancy_bytes = 0;  // parity / replica overhead
   [[nodiscard]] std::uint64_t total() const {
-    return store_bytes + log_payload_bytes + log_metadata_bytes +
-           redundancy_bytes;
+    return governed() + redundancy_bytes;
   }
   /// The memory governor's budgeted footprint: what this server holds for
   /// its *own* objects. Redundancy fragments held on peers' behalf are
   /// excluded — they are budgeted by their owners.
   [[nodiscard]] std::uint64_t governed() const {
-    return store_bytes + log_payload_bytes + log_metadata_bytes;
+    return store_bytes + log_payload_bytes - shared_bytes +
+           log_metadata_bytes;
   }
 };
 
@@ -54,8 +60,17 @@ class GovernedMemory {
   [[nodiscard]] const MemoryGovernor& governor() const { return governor_; }
   [[nodiscard]] const SpillIndex& spilled() const { return spilled_; }
 
-  /// Store, log payload and event-queue metadata; no redundancy bytes.
+  /// Store, log payload, their shared buffers and event-queue metadata;
+  /// no redundancy bytes.
   [[nodiscard]] MemoryReport footprint() const;
+  /// One tenant's share of footprint(): its variables' store, log and
+  /// shared bytes (event-queue metadata is unattributed — it is bounded by
+  /// truncation and negligible next to payloads).
+  [[nodiscard]] MemoryReport footprint(net::TenantId tenant) const {
+    return {.store_bytes = store_->nominal_bytes(tenant),
+            .log_payload_bytes = dlog_->nominal_bytes(tenant),
+            .shared_bytes = store_->shared_bytes(tenant)};
+  }
   [[nodiscard]] std::uint64_t governed() const {
     return footprint().governed();
   }
@@ -95,11 +110,9 @@ class GovernedMemory {
  private:
   /// Soft-watermark maintenance (detached, single-flight).
   sim::Task<void> maintain();
-  /// One tenant's governed footprint: its store + retained log payloads
-  /// (event-queue metadata is unattributed — it is bounded by truncation
-  /// and negligible next to payloads).
+  /// One tenant's governed footprint (fair-share admission and victims).
   [[nodiscard]] std::uint64_t governed_bytes(net::TenantId tenant) const {
-    return store_->nominal_bytes(tenant) + dlog_->nominal_bytes(tenant);
+    return footprint(tenant).governed();
   }
   /// True when weighted fair-share is armed and some tenant's governed
   /// footprint exceeds its soft share (always false single-tenant, so the

@@ -1,5 +1,6 @@
 #include "staging/object_store.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "staging/tenant.hpp"
@@ -8,9 +9,29 @@ namespace dstage::staging {
 
 ObjectStore::ObjectStore(int version_window, obs::Track track,
                          obs::Kind drop_kind)
-    : version_window_(version_window), track_(track), drop_kind_(drop_kind) {
+    : version_window_(version_window), drop_kind_(drop_kind), track_(track) {
   if (version_window < 1)
     throw std::invalid_argument("version window must be >= 1");
+}
+
+void ObjectStore::pair_with(ObjectStore& twin) {
+  if (twin_ != nullptr || twin.twin_ != nullptr || &twin == this ||
+      !store_.empty() || !twin.store_.empty())
+    throw std::logic_error("ObjectStore::pair_with: stores must be empty "
+                           "and unpaired");
+  twin_ = &twin;
+  twin.twin_ = this;
+}
+
+const Chunk* ObjectStore::holding(const Chunk& c) const {
+  auto vit = store_.find(c.var);
+  if (vit == store_.end()) return nullptr;
+  auto it = vit->second.find(c.version);
+  if (it == vit->second.end()) return nullptr;
+  for (const Chunk& held : it->second) {
+    if (held.data == c.data) return &held;
+  }
+  return nullptr;
 }
 
 void ObjectStore::account(const Chunk& c, int sign) {
@@ -19,7 +40,8 @@ void ObjectStore::account(const Chunk& c, int sign) {
   // exactly how the memory governor and the spill gateway see the codec's
   // savings. Raw chunks have stored_bytes == 0 and charge nominal as ever.
   const std::uint64_t stored = c.accounted_bytes();
-  TenantUsage& usage = tenant_usage_[tenant_of(c.var)];
+  const net::TenantId tenant = tenant_of(c.var);
+  TenantUsage& usage = tenant_usage_[tenant];
   if (sign > 0) {
     nominal_bytes_ += stored;
     physical_bytes_ += c.physical_bytes();
@@ -32,6 +54,33 @@ void ObjectStore::account(const Chunk& c, int sign) {
     watermark_.add(-static_cast<std::int64_t>(stored));
     usage.nominal -= stored;
   }
+  // A buffer the twin holds too is one allocation: its bytes enter the
+  // shared term when the second holder takes it and leave it when either
+  // lets go. Both sides charge min(stored sizes), so entry and exit match
+  // whichever holder moves first.
+  if (twin_ == nullptr || !c.data) return;
+  const Chunk* held = twin_->holding(c);
+  if (held == nullptr) return;
+  const std::uint64_t both = std::min(stored, held->accounted_bytes());
+  TenantUsage& twin_usage = twin_->tenant_usage_[tenant];
+  if (sign > 0) {
+    usage.shared += both;
+    twin_usage.shared += both;
+  } else {
+    usage.shared -= both;
+    twin_usage.shared -= both;
+  }
+}
+
+std::uint64_t ObjectStore::shared_bytes() const {
+  std::uint64_t total = 0;
+  for (const auto& [tenant, usage] : tenant_usage_) total += usage.shared;
+  return total;
+}
+
+std::uint64_t ObjectStore::shared_bytes(net::TenantId tenant) const {
+  auto it = tenant_usage_.find(tenant);
+  return it == tenant_usage_.end() ? 0 : it->second.shared;
 }
 
 std::uint64_t ObjectStore::nominal_bytes(net::TenantId tenant) const {

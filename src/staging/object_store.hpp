@@ -114,8 +114,27 @@ class ObjectStore {
   [[nodiscard]] std::size_t object_count() const;
   [[nodiscard]] int version_window() const { return version_window_; }
 
+  /// Pair the two stores of one server that can hold a piece in the same
+  /// payload buffer: the base store and the data log's store (with the
+  /// codec off, a logged put's log piece *is* its store piece). From then
+  /// on both keep shared_bytes() up to date as pieces enter and leave
+  /// either one, so `nominal_bytes() + twin.nominal_bytes() −
+  /// shared_bytes()` charges each held buffer once. Both must be empty.
+  /// Each store keeps the other's address: neither may be copied or moved
+  /// once paired (StagingServer holds both and is itself not copyable).
+  void pair_with(ObjectStore& twin);
+  /// Nominal bytes of the payload buffers this store and its twin both
+  /// hold (equal on both sides; 0 when unpaired).
+  [[nodiscard]] std::uint64_t shared_bytes() const;
+  /// The shared bytes of one tenant's variables.
+  [[nodiscard]] std::uint64_t shared_bytes(net::TenantId tenant) const;
+
  private:
+  /// Charge (sign > 0) or release one piece, and move the shared term
+  /// when the twin holds the same buffer.
   void account(const Chunk& c, int sign);
+  /// The piece of (c.var, c.version) held in c's buffer, or null.
+  [[nodiscard]] const Chunk* holding(const Chunk& c) const;
   void emit_drop(const std::string& var, Version version,
                  DropReason reason) const {
     track_.emit(drop_kind_, var, static_cast<std::int64_t>(version),
@@ -123,6 +142,7 @@ class ObjectStore {
   }
 
   int version_window_;
+  obs::Kind drop_kind_;  // one byte: packed beside the window, not at the end
   // var → version → pieces
   std::map<std::string, std::map<Version, std::vector<Chunk>>> store_;
   std::uint64_t nominal_bytes_ = 0;
@@ -131,10 +151,11 @@ class ObjectStore {
   struct TenantUsage {
     std::uint64_t nominal = 0;
     std::uint64_t peak = 0;
+    std::uint64_t shared = 0;
   };
   std::map<net::TenantId, TenantUsage> tenant_usage_;
+  ObjectStore* twin_ = nullptr;
   obs::Track track_;
-  obs::Kind drop_kind_;
 };
 
 }  // namespace dstage::staging

@@ -38,6 +38,7 @@ StagingServer::StagingServer(cluster::Cluster& cluster,
       redundancy_(ctx_),
       memory_(ctx_, store_, dlog_, queues_, gc_) {
   dlog_.set_codec(ctx_.params.log_codec);
+  dlog_.share_buffers_with(store_);
 }
 
 net::EndpointId StagingServer::endpoint() const {
@@ -215,9 +216,12 @@ sim::Task<PutResponse> StagingServer::apply_put(AppId app, bool logged,
 
   // Memory-governor admission: decided before the event is recorded, so a
   // rejected put leaves no trace anywhere (no replay-script entry, no
-  // bytes) — the client's re-send is a genuinely fresh request. A logged
-  // put costs its store copy plus its log retention.
-  if (apply && !memory_.admit(chunk, chunk.nominal_bytes * (log ? 2u : 1u))) {
+  // bytes) — the client's re-send is a genuinely fresh request. A put
+  // costs its store copy; a logged put costs a second copy only when the
+  // log keeps an encoded one — a raw log piece is the store's buffer.
+  const std::uint64_t copies =
+      log && dlog_.codec_scheme() != wlog::codec::Scheme::kNone ? 2 : 1;
+  if (apply && !memory_.admit(chunk, chunk.nominal_bytes * copies)) {
     resp.applied = false;
     resp.retry_later = true;
     co_return resp;

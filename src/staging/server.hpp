@@ -262,6 +262,11 @@ class StagingServer {
   [[nodiscard]] const ServerStats& stats() const { return ctx_.stats; }
   [[nodiscard]] const obs::Track& track() const { return ctx_.track; }
   [[nodiscard]] MemoryReport memory() const;
+  /// One tenant's store, log and shared bytes: the footprint weighted
+  /// fair-share admission charges that tenant.
+  [[nodiscard]] MemoryReport memory(net::TenantId tenant) const {
+    return memory_.footprint(tenant);
+  }
   /// Peak total nominal bytes observed at request boundaries.
   [[nodiscard]] std::uint64_t peak_total_bytes() const { return peak_total_; }
   /// Time-averaged total nominal bytes (sampled at request boundaries,

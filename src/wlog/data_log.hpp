@@ -48,6 +48,13 @@ class DataLog {
   [[nodiscard]] codec::Scheme codec_scheme() const { return scheme_; }
   [[nodiscard]] const CodecStats& codec_stats() const { return codec_stats_; }
 
+  /// Pair the log with its server's base store, so a raw log piece that
+  /// shares its buffer with a store piece is charged once (see
+  /// ObjectStore::pair_with).
+  void share_buffers_with(staging::ObjectStore& base) {
+    store_.pair_with(base);
+  }
+
   /// Retain a logged payload. With the codec off the bytes stay shared
   /// with the base store's buffer; with a scheme armed the log stores an
   /// encoded copy (an already-encoded chunk — spill fault-in, resilver —

@@ -40,16 +40,19 @@ TEST(CampaignTest, VerdictIndependentOfThreadCount) {
 }
 
 TEST(CampaignTest, MemoryGovernedCampaignExercisesSpillAndBackpressure) {
-  // A 512 MB/server budget on the Table-II-sized campaign workload is
+  // A 384 MB/server budget on the Table-II-sized campaign workload is
   // tight enough that both relief mechanisms fire (versions spilled to the
   // PFS, puts bounced with RetryLater) while every recovery invariant
   // still holds — the oracle's read-equivalence and durability checks run
-  // against memory-governed references.
+  // against memory-governed references. Pressure is not monotone in the
+  // budget, so it was picked by measurement: these 8 schedules bounce
+  // 12,960 puts at 384 MB and 3,888 at 416 MB, but none at 512, 448, 352
+  // or 320 MB (the last two spill enough to stay under the hard mark).
   CampaignOptions opts;
   opts.gen.count = 8;
   opts.gen.seed = 3;
   opts.gen.schemes = {core::Scheme::kUncoordinated, core::Scheme::kHybrid};
-  opts.gen.memory_budget_mb = 512;
+  opts.gen.memory_budget_mb = 384;
   opts.threads = 2;
   const CampaignResult result = run_campaign(opts);
   EXPECT_EQ(result.passed, 8);

@@ -127,26 +127,38 @@ TEST(GoldenTraceTest, AdaptiveIntervalDigestIsStable) {
   EXPECT_EQ(runner.trace().digest(), 0x4d9d6b87eaefab43ull);
 }
 
-// The memory-governed path: a 512 MB/server budget (the tightest feasible
-// Table-II budget) drives admission backpressure, victim spills and
-// replay-path fault-ins, raw and under the delta+LZ log codec.
+// The memory-governed path: per-server budgets that drive admission
+// backpressure, victim spills and replay-path fault-ins, raw and under the
+// delta+LZ log codec. A raw log piece shares the store's buffer and is
+// charged once, so the raw case needs a tighter budget than the encoded
+// one for the same pressure: at 512 MB it bounces no put, at 416 MB it
+// bounces 3,456, spills 100 versions and faults 4 back in (448 and 480 MB
+// bounce none). The delta+LZ log keeps an encoded copy of its own, which
+// is charged as before; its digest predates charge-once accounting, and
+// at 512 MB it spills and faults in without bouncing a put.
 TEST(GoldenTraceTest, GovernedDigestsAreStable) {
   struct Case {
     wlog::codec::Scheme codec;
+    std::uint64_t budget_mb;
+    bool bounces;
     std::uint64_t digest;
   };
   const Case cases[] = {
-      {wlog::codec::Scheme::kNone, 0xd87079535bf00353ull},
-      {wlog::codec::Scheme::kDeltaLz, 0xf7b597808f5b97f9ull},
+      {wlog::codec::Scheme::kNone, 416, true, 0xd6062dd5189abebcull},
+      {wlog::codec::Scheme::kDeltaLz, 512, false, 0xf7b597808f5b97f9ull},
   };
   for (const Case& c : cases) {
     WorkflowSpec spec = golden_spec(Scheme::kUncoordinated, 2, 1003);
-    spec.staging.memory_budget = std::uint64_t{512} << 20;
+    spec.staging.memory_budget = c.budget_mb << 20;
     spec.wlog.codec = c.codec;
     WorkflowRunner runner(spec);
-    runner.run();
+    const RunMetrics m = runner.run();
     EXPECT_EQ(runner.trace().digest(), c.digest)
         << "codec=" << static_cast<int>(c.codec);
+    // The budget must keep producing the pressure the case pins.
+    EXPECT_EQ(m.staging.puts_rejected > 0, c.bounces);
+    EXPECT_GT(m.staging.spilled_versions, 0u);
+    EXPECT_GT(m.staging.spill_fetches, 0u);
   }
 }
 

@@ -130,6 +130,26 @@ TEST(WorkflowTest, LoggingCostsMemory) {
   EXPECT_GT(logged.staging.total_bytes_peak, plain.staging.total_bytes_peak);
 }
 
+// With the codec off a logged put's log piece is the store's buffer, so
+// the memory governor charges it once. At 512 MiB/server the Table II Un
+// run then fits under the hard watermark: no put bounces, and write
+// response matches the unbounded run's. Charging the shared buffer twice
+// put the working-set floor (~448 MB) just under the 460.8 MiB hard
+// watermark and bounced 10,752 puts for 27.6 s of write response.
+TEST(WorkflowTest, GovernorChargesASharedLogBufferOnce) {
+  WorkflowSpec spec = table2_setup(Scheme::kUncoordinated);
+  spec.failures.count = 2;
+  spec.failures.seed = 1001;
+  WorkflowSpec governed = spec;
+  governed.staging.memory_budget = std::uint64_t{512} << 20;
+  const RunMetrics bounded = run(governed);
+  const RunMetrics unbounded = run(spec);
+  EXPECT_EQ(bounded.staging.puts_rejected, 0u);
+  EXPECT_EQ(bounded.rpc_backpressure_waits, 0u);
+  EXPECT_NEAR(bounded.cum_write_response_s(), unbounded.cum_write_response_s(),
+              0.01 * unbounded.cum_write_response_s());
+}
+
 TEST(WorkflowTest, FailuresCostTime) {
   auto clean = run(small_spec(Scheme::kUncoordinated, 0, 6));
   auto failed = run(small_spec(Scheme::kUncoordinated, 1, 6));

@@ -152,11 +152,18 @@ TEST(ObsRuntimeTest, KilledProcessSpansStayMatchedInExport) {
 // spill fetch used to be counted at the site and again at export, and a
 // completed drain by both the drain agent and the hierarchy.) The run arms
 // the governor, an elastic episode and the checkpoint hierarchy.
+//
+// The schedule was found by search once the governor charged a shared log
+// buffer once. With the earlier second failure (f=0:11:0.5:) no budget
+// from 512 down to 352 MB faults a spilled version back in, and 320 MB
+// kills the joiner with "rpc put rejected by memory governor after
+// retries". Failing the analytic at ts 8 instead replays spilled reads;
+// at 512 and 448 MB that run bounces no put, at 416 MB every row fires.
 TEST(ObsRuntimeTest, RegistryTotalsEqualCounterTable) {
   WorkflowSpec spec =
       check::Schedule::parse(
-          "cc1;id=1;sch=un;ts=12;sp=3;ap=4;lp=0;res=0;mtbf=0;mb=512"
-          ";elastic=j7,r12;ckpt=2;f=0:7:0.5:n;f=0:11:0.5:")
+          "cc1;id=1;sch=un;ts=12;sp=3;ap=4;lp=0;res=0;mtbf=0;mb=416"
+          ";elastic=j7,r12;ckpt=2;f=0:7:0.5:n;f=1:8:0.5:")
           .to_spec();
   spec.obs.enabled = true;
   WorkflowRunner runner(spec);

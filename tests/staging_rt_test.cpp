@@ -346,8 +346,9 @@ TEST(StagingRtTest, ErasureCodePolicyDistributesFragmentsToPeers) {
   EXPECT_EQ(redundancy, total * 5 / 4);
 }
 
-TEST(StagingRtTest, MemoryReportSeparatesStoreAndLog) {
-  Rig rig;
+/// Three logged versions of "f" on a two-server rig, summed over servers.
+MemoryReport three_logged_versions(ServerParams params) {
+  Rig rig(2, true, params);
   auto client = rig.make_client(0, true);
   rig.register_simple_var("f", {{1, true}});
   sim::spawn(rig.eng, [&]() -> sim::Task<void> {
@@ -356,17 +357,39 @@ TEST(StagingRtTest, MemoryReportSeparatesStoreAndLog) {
       co_await client->put(ctx, "f", v, rig.domain);
   });
   rig.run();
-  std::uint64_t store = 0, log = 0, meta = 0;
+  MemoryReport sum;
   for (const auto& s : rig.servers) {
-    auto m = s->memory();
-    store += m.store_bytes;
-    log += m.log_payload_bytes;
-    meta += m.log_metadata_bytes;
+    const MemoryReport m = s->memory();
+    sum.store_bytes += m.store_bytes;
+    sum.log_payload_bytes += m.log_payload_bytes;
+    sum.shared_bytes += m.shared_bytes;
+    sum.log_metadata_bytes += m.log_metadata_bytes;
   }
-  const std::uint64_t per_version = rig.domain.volume() * 8;
-  EXPECT_EQ(store, 2 * per_version);  // base window of 2
-  EXPECT_EQ(log, 3 * per_version);    // log retains everything (no ckpt yet)
-  EXPECT_GT(meta, 0u);
+  return sum;
+}
+
+TEST(StagingRtTest, MemoryReportSeparatesStoreAndLog) {
+  const MemoryReport m = three_logged_versions({});
+  const std::uint64_t per_version = Box::from_dims(64, 64, 64).volume() * 8;
+  EXPECT_EQ(m.store_bytes, 2 * per_version);  // base window of 2
+  EXPECT_EQ(m.log_payload_bytes, 3 * per_version);  // no ckpt yet
+  EXPECT_GT(m.log_metadata_bytes, 0u);
+  // The raw log keeps the store's buffers: the two windowed versions are
+  // held once, so the server is charged for three versions, not five.
+  EXPECT_EQ(m.shared_bytes, 2 * per_version);
+  EXPECT_EQ(m.governed(), 3 * per_version + m.log_metadata_bytes);
+}
+
+TEST(StagingRtTest, EncodedLogSharesNoBufferWithTheStore) {
+  ServerParams params;
+  params.log_codec = wlog::codec::Scheme::kDeltaLz;
+  const MemoryReport m = three_logged_versions(params);
+  const std::uint64_t per_version = Box::from_dims(64, 64, 64).volume() * 8;
+  EXPECT_EQ(m.store_bytes, 2 * per_version);
+  EXPECT_GT(m.log_payload_bytes, 0u);
+  EXPECT_EQ(m.shared_bytes, 0u);  // the encoded copy is a buffer of its own
+  EXPECT_EQ(m.governed(),
+            m.store_bytes + m.log_payload_bytes + m.log_metadata_bytes);
 }
 
 TEST(StagingRtTest, QueryReportsAvailableAndLoggedVersions) {

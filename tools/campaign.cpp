@@ -7,7 +7,7 @@
 //
 //   campaign --schedules=500 --all-schemes            # the acceptance run
 //   campaign --schedules=50 --schemes=un,hy --seed=7
-//   campaign --memory-budget=512 --require=governor.spill_versions
+//   campaign --memory-budget=384 --require=governor.spill_versions
 //   campaign --break=skip-replay --expect-fail        # oracle self-test
 //   campaign --repro='cc1;id=3;sch=un;ts=12;...'      # replay one schedule
 #include <cstdio>
