@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the building blocks under the
 // workflow harness: DES engine throughput, coroutine frame churn, Hilbert
 // mapping, spatial placement, fabric round-trips through the typed RPC
-// transport and their when_all fan-out (with its frames per call), remote
+// transport and their call_all fan-out (with its frames per call), remote
 // one-way sends, event-recorder emits, object-store
 // operations, event-queue bookkeeping, GF(256) arithmetic, and Reed–Solomon
 // encode/decode.
@@ -107,11 +107,12 @@ void BM_FabricRpcRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_FabricRpcRoundTrip);
 
-// when_all over N typed RPC round trips from one client to a server on
-// another node: the fan-out shape of a staging put or get. Besides
+// Rpc::call_all over N typed RPC round trips from one client to a server
+// on another node: the fan-out shape of a staging put or get. Besides
 // throughput it reports the coroutine frames each call allocates, server
 // side included, and the frames alive at the peak per call
-// (sim::FramePool's counters).
+// (sim::FramePool's counters): the fan-out is one frame whatever N is, so
+// both fall as N grows.
 void BM_RpcFanOut(benchmark::State& state) {
   const int calls = static_cast<int>(state.range(0));
   sim::FramePool::reset_counts();
@@ -134,14 +135,14 @@ void BM_RpcFanOut(benchmark::State& state) {
     });
     sim::spawn(eng, [&]() -> sim::Task<void> {
       sim::Ctx ctx{&eng, nullptr};
-      std::vector<sim::Task<net::QueryResponse>> sends;
+      std::vector<net::Addressed<net::QueryRequest>> sends;
       sends.reserve(static_cast<std::size_t>(calls));
       for (int i = 0; i < calls; ++i) {
         net::QueryRequest req;
         req.var = "f";
-        sends.push_back(client.call(ctx, server_ep, std::move(req)));
+        sends.push_back({server_ep, std::move(req)});
       }
-      auto resps = co_await sim::when_all(ctx, std::move(sends));
+      auto resps = co_await client.call_all(ctx, std::move(sends));
       benchmark::DoNotOptimize(resps.size());
     });
     benchmark::DoNotOptimize(eng.run());

@@ -20,7 +20,7 @@ Engine::~Engine() {
   // only clears the id's bit). Either way, every frame left in the heap
   // owns its callable exactly once.
   for (const Item& item : heap_) {
-    if (item.is_frame) {
+    if (item.kind == Kind::kFrame) {
       auto* frame = static_cast<CallFrame*>(item.target);
       frame->discard(frame);
     }
@@ -65,8 +65,8 @@ void Engine::push_item(const Item& item) {
 
 EventId Engine::schedule(Duration d, std::coroutine_handle<> h) {
   check_delay(d);
-  return enqueue(Item{now_.ns + d.ns, next_id_++, h.address(),
-                      /*is_frame=*/false});
+  return enqueue(Item{now_.ns + d.ns, next_id_++, h.address(), 0,
+                      Kind::kHandle});
 }
 
 bool Engine::is_queued(EventId id) const {
@@ -129,7 +129,7 @@ bool Engine::drop_cancelled_top() {
   if (cancelled_items_ == 0 || is_queued(heap_.front().id)) return false;
   const Item dead = pop_min();
   --cancelled_items_;
-  if (dead.is_frame) {
+  if (dead.kind == Kind::kFrame) {
     auto* frame = static_cast<CallFrame*>(dead.target);
     frame->discard(frame);
     recycle_frame(frame);
@@ -154,11 +154,18 @@ void Engine::dispatch(const Item& item) {
   assert(item.at_ns >= now_.ns);
   now_.ns = item.at_ns;
   ++processed_;
-  if (item.is_frame) {
-    auto* frame = static_cast<CallFrame*>(item.target);
-    frame->invoke(frame, this);
-  } else {
-    std::coroutine_handle<>::from_address(item.target).resume();
+  switch (item.kind) {
+    case Kind::kHandle:
+      std::coroutine_handle<>::from_address(item.target).resume();
+      break;
+    case Kind::kFrame: {
+      auto* frame = static_cast<CallFrame*>(item.target);
+      frame->invoke(frame, this);
+      break;
+    }
+    case Kind::kWake:
+      static_cast<Wake*>(item.target)->fire(item.step);
+      break;
   }
 }
 

@@ -1,6 +1,6 @@
-// Single-threaded discrete-event engine. Coroutine handles and plain
-// callbacks are scheduled at virtual times; ties are broken by insertion
-// order so runs are fully deterministic.
+// Single-threaded discrete-event engine. Coroutine handles, plain
+// callbacks and state-machine wake-ups are scheduled at virtual times; ties
+// are broken by insertion order so runs are fully deterministic.
 //
 // Hot-path layout: the heap holds 32-byte POD items (no std::function, no
 // per-pop copies), ordered by (at.ns, id) in a hand-rolled binary heap.
@@ -28,6 +28,18 @@ namespace dstage::sim {
 /// Identifier of a scheduled item, usable with cancel_event().
 using EventId = std::uint64_t;
 
+/// A plain state machine the engine fires directly: each wake-up is one
+/// heap item carrying a step tag, with no call frame and no callable. A
+/// cancelled item never fires, so the object need outlive only its live
+/// items.
+class Wake {
+ public:
+  virtual void fire(std::uint32_t step) = 0;
+
+ protected:
+  ~Wake() = default;
+};
+
 class Engine {
  public:
   Engine() = default;
@@ -49,7 +61,14 @@ class Engine {
   EventId schedule_call(Duration d, F&& fn) {
     check_delay(d);
     CallFrame* frame = frame_for(std::forward<F>(fn));
-    return enqueue(Item{now_.ns + d.ns, next_id_++, frame, /*is_frame=*/true});
+    return enqueue(Item{now_.ns + d.ns, next_id_++, frame, 0, Kind::kFrame});
+  }
+
+  /// Fire `target` with `step` after `d` of virtual time.
+  EventId schedule_fire(Duration d, Wake& target, std::uint32_t step) {
+    check_delay(d);
+    return enqueue(Item{now_.ns + d.ns, next_id_++, &target, step,
+                        Kind::kWake});
   }
 
   /// Drop a not-yet-fired item. A no-op on an id that already fired, was
@@ -81,13 +100,16 @@ class Engine {
     alignas(std::max_align_t) unsigned char storage[kInlineBytes];
   };
 
+  enum class Kind : std::uint8_t { kHandle, kFrame, kWake };
   /// POD heap entry; trivially copyable, 32 bytes.
   struct Item {
     std::int64_t at_ns;
     EventId id;
-    void* target;   // CallFrame* or coroutine handle address
-    bool is_frame;
+    void* target;  // coroutine handle address, CallFrame* or Wake*
+    std::uint32_t step;  // kWake only
+    Kind kind;
   };
+  static_assert(sizeof(Item) == 32);
   static bool later(const Item& a, const Item& b) {
     if (a.at_ns != b.at_ns) return a.at_ns > b.at_ns;
     return a.id > b.id;

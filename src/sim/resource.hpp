@@ -1,6 +1,11 @@
 // Counted FIFO resource with RAII grants — the contention primitive behind
 // the PFS bandwidth model and NIC injection queues. Strict FIFO granting
 // keeps runs deterministic and models store-and-forward queueing.
+//
+// A waiter is either a coroutine (co_await acquire()) or a plain state
+// machine (enqueue(), used by net::Transfer): both sit in one queue and
+// are granted at the same point, each scheduling its own continuation as
+// one engine item — so swapping one form for the other moves no event.
 #pragma once
 
 #include <coroutine>
@@ -53,11 +58,28 @@ class Resource {
     std::uint64_t amount_ = 0;
   };
 
-  class AcquireAwaiter : public CancelWaiter {
+  /// A queued acquire. grant() takes the units, then calls on_grant(),
+  /// which must schedule the waiter's continuation (and drop it from its
+  /// cancel token).
+  class Waiter : public CancelWaiter {
+   public:
+    virtual void on_grant() = 0;
+    [[nodiscard]] std::uint64_t amount() const { return amount_; }
+
+   protected:
+    explicit Waiter(std::uint64_t amount) : amount_(amount) {}
+    ~Waiter() = default;
+
+   private:
+    friend class Resource;
+    std::uint64_t amount_;
+  };
+
+  class AcquireAwaiter : public Waiter {
    public:
     AcquireAwaiter(Resource& res, CancelToken* tok, std::uint64_t amount)
-        : res_(&res), tok_(tok), amount_(amount) {
-      if (amount_ > res_->capacity_)
+        : Waiter(amount), res_(&res), tok_(tok) {
+      if (amount > res_->capacity_)
         throw std::invalid_argument("acquire exceeds resource capacity");
     }
 
@@ -66,12 +88,7 @@ class Resource {
         cancelled_ = true;
         return true;
       }
-      if (res_->queue_.empty() && amount_ <= res_->available_) {
-        res_->available_ -= amount_;
-        granted_ = true;
-        return true;
-      }
-      return false;
+      return res_->try_take(*this);
     }
     void await_suspend(std::coroutine_handle<> h) {
       handle_ = h;
@@ -81,22 +98,23 @@ class Resource {
     Guard await_resume() {
       if (tok_ != nullptr) tok_->remove(this);
       if (cancelled_) throw Cancelled{};
-      return Guard{res_, amount_};
+      return Guard{res_, amount()};
     }
 
+    void on_grant() override {
+      if (tok_ != nullptr) tok_->remove(this);
+      res_->eng_->schedule_now(handle_);
+    }
     void on_cancel() override {
       cancelled_ = true;
-      res_->remove_waiter(this);
+      res_->withdraw(*this);
       res_->eng_->schedule_now(handle_);
     }
 
    private:
-    friend class Resource;
     Resource* res_;
     CancelToken* tok_;
-    std::uint64_t amount_;
     std::coroutine_handle<> handle_;
-    bool granted_ = false;
     bool cancelled_ = false;
   };
 
@@ -104,6 +122,24 @@ class Resource {
   [[nodiscard]] AcquireAwaiter acquire(CancelToken* tok,
                                        std::uint64_t amount = 1) {
     return AcquireAwaiter{*this, tok, amount};
+  }
+
+  /// Callback form of acquire(): takes `w`'s units now when nobody queues
+  /// ahead and they are free (true), else queues `w` for on_grant()
+  /// (false). The owner releases the units with release().
+  bool enqueue(Waiter& w) {
+    if (try_take(w)) return true;
+    queue_.push_back(&w);
+    return false;
+  }
+  /// Drops a queued waiter without granting it (its owner was killed).
+  void withdraw(Waiter& w) {
+    for (auto it = queue_.begin(); it != queue_.end(); ++it) {
+      if (*it == &w) {
+        queue_.erase(it);
+        return;
+      }
+    }
   }
 
   void release(std::uint64_t amount) {
@@ -120,28 +156,23 @@ class Resource {
  private:
   void grant() {
     while (!queue_.empty()) {
-      AcquireAwaiter* w = queue_.front();
+      Waiter* w = queue_.front();
       if (w->amount_ > available_) break;  // strict FIFO: no overtaking
       queue_.pop_front();
       available_ -= w->amount_;
-      w->granted_ = true;
-      if (w->tok_ != nullptr) w->tok_->remove(w);
-      eng_->schedule_now(w->handle_);
+      w->on_grant();
     }
   }
-  void remove_waiter(AcquireAwaiter* w) {
-    for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-      if (*it == w) {
-        queue_.erase(it);
-        return;
-      }
-    }
+  bool try_take(const Waiter& w) {
+    if (!queue_.empty() || w.amount() > available_) return false;
+    available_ -= w.amount();
+    return true;
   }
 
   Engine* eng_;
   std::uint64_t capacity_;
   std::uint64_t available_;
-  std::deque<AcquireAwaiter*> queue_;
+  std::deque<Waiter*> queue_;
 };
 
 }  // namespace dstage::sim

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <string>
 #include <string_view>
@@ -96,9 +97,9 @@ class StagingClient {
   // double-destroy prvalue argument temporaries in co_await expressions, so
   // the shims take only trivially-destructible parameter types
   // (string_view, Box) and materialize the owned string inside the shim,
-  // moving it (an xvalue, which is safe) into the coroutine. Each piece of
-  // a put or get is one Rpc call — one coroutine frame — under one
-  // when_all child: the per-piece send helpers are plain functions.
+  // moving it (an xvalue, which is safe) into the coroutine. A put or get
+  // sends one request per piece through one Rpc::call_all: one frame for
+  // the whole fan-out, one slot per piece.
 
   /// dspaces_put_with_log(): write (var, version, region); the payload is
   /// synthesized deterministically so consumers can verify it.
@@ -211,30 +212,23 @@ class StagingClient {
   sim::Task<PutResult> put_impl(sim::Ctx ctx, std::string var,
                                 Version version, Box region);
   sim::Task<QueryResult> query_impl(sim::Ctx ctx, std::string var);
+  /// One get loop for fixed and elastic groups: placement through the
+  /// cached view, a bounded wrong_epoch refresh/re-place loop, and the
+  /// degraded fragment-reconstruction fallback.
   sim::Task<GetResult> get_impl(sim::Ctx ctx, std::string var,
                                 Version version, Box region);
-  sim::Task<PutResponse> send_put(sim::Ctx ctx, int server, Chunk chunk);
-  sim::Task<GetResponse> send_get(sim::Ctx ctx, int server,
-                                  ObjectDesc desc);
+  [[nodiscard]] net::Addressed<PutRequest> put_request(int server,
+                                                       Chunk chunk) const;
+  [[nodiscard]] net::Addressed<GetRequest> get_request(int server,
+                                                       ObjectDesc desc) const;
   /// Throws the distinct degraded error when the probe reports `server`
   /// unrecovered; otherwise returns.
   void fail_if_degraded(int server) const;
-
-  // Elastic-mode get: placement through the cached view, a bounded
-  // wrong_epoch refresh/re-place loop, and the degraded
-  // fragment-reconstruction fallback.
-  sim::Task<GetResult> get_elastic(sim::Ctx ctx, std::string var,
-                                   Version version, Box region);
-  /// One get attempt that converts the two recoverable outcomes into data
-  /// instead of exceptions: kWrongEpoch (re-place) and kDegraded
-  /// (reconstruct from fragments).
-  struct PieceOutcome {
-    enum class Status { kOk, kWrongEpoch, kDegraded };
-    Status status = Status::kOk;
-    GetResponse resp;
-  };
-  sim::Task<PieceOutcome> get_piece_guarded(sim::Ctx ctx, int server,
-                                            ObjectDesc desc);
+  /// Whether a get piece that failed with `error` is read from redundancy
+  /// fragments instead: elastic degraded reads are on, the group keeps
+  /// redundancy, and the piece's server ran degraded when the call failed
+  /// (the peer check raised StagingDegradedError).
+  [[nodiscard]] bool reads_degraded(const std::exception_ptr& error) const;
   /// Degraded read: broadcast FragmentFetch to the surviving peers of
   /// `owner`, reconstruct `piece`, and pay the decode cost.
   sim::Task<std::vector<Chunk>> degraded_fetch(sim::Ctx ctx, int owner,

@@ -17,6 +17,18 @@
 
 namespace dstage::staging {
 
+/// A request to a server that failed with no replacement coming (spare
+/// pool exhausted): "staging degraded: server N unrecovered". Raised by
+/// the client's peer check when a put or get starts or exhausts its
+/// retries, so it marks exactly the failures a degraded read may serve
+/// from redundancy fragments.
+class StagingDegradedError : public std::runtime_error {
+ public:
+  explicit StagingDegradedError(int server)
+      : std::runtime_error("staging degraded: server " +
+                           std::to_string(server) + " unrecovered") {}
+};
+
 /// Typed terminal error for a degraded read: more fragments were lost than
 /// the resilience policy tolerates (beyond m for RS(k, m), every replica
 /// for replication), so the requested region cannot be reconstructed. A

@@ -253,7 +253,7 @@ void GovernedMemory::prune_to_watermark() {
     versions.erase(versions.begin(), passed);
     if (dropped && spill_endpoint_ >= 0) {
       net::Message prune{SpillPrune{ctx_->self_index, var, mark, false}};
-      ctx_->spawn(
+      ctx_->rpc.post(
           ctx_->rpc.send(ctx_->ctx(), spill_endpoint_, std::move(prune)));
     }
     vit = versions.empty() ? spilled_.erase(vit) : std::next(vit);
@@ -274,7 +274,7 @@ void GovernedMemory::rollback_above(Version version, net::TenantId tenant) {
   if (spill_endpoint_ >= 0) {
     net::Message prune{
         SpillPrune{ctx_->self_index, std::string{}, version, true, tenant}};
-    ctx_->spawn(
+    ctx_->rpc.post(
         ctx_->rpc.send(ctx_->ctx(), spill_endpoint_, std::move(prune)));
   }
 }

@@ -43,9 +43,11 @@ class PeerRedundancy {
   void apply(QueueBackup backup);
 
   sim::Task<void> push_fragments(Chunk chunk, bool logged);
-  /// Send `event` to this server's successor. Lazy: the successor is read
-  /// when the task starts, after any MembershipUpdate that landed between.
-  sim::Task<void> mirror(wlog::LogEvent event);
+  /// Send `event` to this server's successor, as a posted send (no
+  /// frame). The successor is read now: the view changes only in this
+  /// server's MembershipUpdate handler, whose request delay cannot end
+  /// before the posted send starts.
+  void mirror(wlog::LogEvent event);
   /// True when peers may hold fragments worth pruning.
   [[nodiscard]] bool prunes() const;
   /// Tell every other active server to reclaim this server's fragments of
@@ -79,9 +81,6 @@ class PeerRedundancy {
   /// `server`'s position in the view, or -1.
   [[nodiscard]] int position(int server) const;
   void refresh_view_pos();
-  /// The send of `event`, as this server's mirrored record, to `peer`. A
-  /// plain function, so the message is not a slot in mirror()'s frame.
-  sim::Task<void> send_backup(int peer, wlog::LogEvent&& event);
 
   ServerContext* ctx_;
   // Shared across the group (copy-on-write: apply_membership installs a

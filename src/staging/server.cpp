@@ -151,7 +151,7 @@ sim::Task<void> StagingServer::dispatch(Request request) {
 wlog::EventQueue& StagingServer::log_event(AppId app, wlog::LogEvent event) {
   wlog::EventQueue& q = queues_[app];
   q.record(event);
-  ctx_.spawn(redundancy_.mirror(std::move(event)));
+  redundancy_.mirror(std::move(event));
   return q;
 }
 
@@ -657,8 +657,9 @@ sim::Task<StagingServer::ResilverOutcome> StagingServer::resilver_out_impl(
       resp.wrong_epoch = true;
       resp.epoch =
           ctx_.group_index != nullptr ? ctx_.group_index->epoch() : 0;
-      ctx_.spawn(ctx_.rpc.fulfill(c, bounced.reply_to,
-                                  std::move(bounced.reply), std::move(resp)));
+      ctx_.rpc.post(ctx_.rpc.fulfill(c, bounced.reply_to,
+                                     std::move(bounced.reply),
+                                     std::move(resp)));
     } else {
       ++i;
     }

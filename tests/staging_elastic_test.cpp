@@ -98,11 +98,11 @@ struct ElasticRig {
     if (join) {
       JoinGroup req;
       req.server = server;
-      return control->call(ctx, group->endpoint(), std::move(req));
+      co_return co_await control->call(ctx, group->endpoint(), std::move(req));
     }
     RetireServer req;
     req.server = server;
-    return control->call(ctx, group->endpoint(), std::move(req));
+    co_return co_await control->call(ctx, group->endpoint(), std::move(req));
   }
 
   void run() { eng.run(); }
