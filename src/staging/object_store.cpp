@@ -57,8 +57,9 @@ void ObjectStore::account(const Chunk& c, int sign) {
   // A buffer the twin holds too is one allocation: its bytes enter the
   // shared term when the second holder takes it and leave it when either
   // lets go. Both sides charge min(stored sizes), so entry and exit match
-  // whichever holder moves first.
-  if (twin_ == nullptr || !c.data) return;
+  // whichever holder moves first. A buffer with a single owner (`c`) is
+  // not the twin's, so its lookup would miss: skip it.
+  if (twin_ == nullptr || !c.data || c.data.use_count() < 2) return;
   const Chunk* held = twin_->holding(c);
   if (held == nullptr) return;
   const std::uint64_t both = std::min(stored, held->accounted_bytes());
