@@ -3,7 +3,7 @@
 // wraps around its snapshots (Section II of the paper).
 //
 // Waiter lists are plain vectors woken in registration order: an event
-// nobody waits on (most Reply slots, most when_all joins) allocates nothing.
+// nobody waits on (most when_all and call_all joins) allocates nothing.
 #pragma once
 
 #include <algorithm>
