@@ -279,10 +279,8 @@ OracleReport check_schedule(const Schedule& s, ReferenceCache& cache,
     ++report.resilver_drops;
     for (std::size_t sj = 0; sj < servers.size(); ++sj) {
       if (sj == si) continue;
-      if (!servers[sj]->store().chunks_of(var, version).empty() ||
-          servers[sj]->data_log().has(var, version)) {
+      if (servers[sj]->store().holds(var, version, staging::Holder::kBoth))
         return;
-      }
     }
     add_violation(report.violations, 1,
                   std::string("resilver released ") + var + " v" +
@@ -709,28 +707,25 @@ OracleReport check_schedule(const Schedule& s, ReferenceCache& cache,
         var, runner.runtime().subset_region(w.subset_fraction));
   }
 
-  // Integrity: every chunk still retained anywhere must be byte-exact for
-  // its declared (var, version) — in every scheme.
+  // Integrity: every piece still retained anywhere, by the window or the
+  // log, must be byte-exact for its declared (var, version) — in every
+  // scheme.
   for (std::size_t si = 0; si < servers.size(); ++si) {
-    const staging::StagingServer& srv = *servers[si];
-    const auto verify_holdings = [&](const auto& holder, const char* what) {
-      for (const std::string& var : holder.variables()) {
-        for (Version v : holder.versions_of(var)) {
-          for (const staging::Chunk& chunk :
-               holder.get(var, v, rspec.domain)) {
-            if (staging::check_chunk(chunk, var, v) !=
-                staging::ChunkCheck::kOk) {
-              add_violation(report.violations, 1,
-                            std::string(what) + " on server " +
-                                std::to_string(si) + " retains a corrupt " +
-                                var + " v" + std::to_string(v) + " chunk");
-            }
+    const staging::ObjectStore& store = servers[si]->store();
+    const staging::Holder any = staging::Holder::kBoth;
+    for (const std::string& var : store.variables(any)) {
+      for (Version v : store.versions_of(var, any)) {
+        for (const staging::Chunk& piece : store.chunks_of(var, v, any)) {
+          if (staging::check_chunk(servers[si]->data_log().decoded(piece),
+                                   var, v) != staging::ChunkCheck::kOk) {
+            add_violation(report.violations, 1,
+                          "server " + std::to_string(si) +
+                              " retains a corrupt " + var + " v" +
+                              std::to_string(v) + " chunk");
           }
         }
       }
-    };
-    verify_holdings(srv.store(), "store");
-    verify_holdings(srv.data_log(), "data log");
+    }
   }
   // The spill gateway is one more holder: everything it persisted on the
   // servers' behalf must be byte-exact too.
@@ -751,7 +746,7 @@ OracleReport check_schedule(const Schedule& s, ReferenceCache& cache,
 
   // Retention: under a logging scheme, every committed version a
   // rolled-back consumer could still demand must remain fully covered by
-  // the union of store and log holdings.
+  // what the servers' windows and logs hold.
   if (real_policy->uses_logging()) {
     for (const auto& [var, versions] : written) {
       if (consumers.find(var) == consumers.end() ||
@@ -769,10 +764,8 @@ OracleReport check_schedule(const Schedule& s, ReferenceCache& cache,
         if (v <= required_above) continue;
         std::vector<Box> cover;
         for (const auto& srv : servers) {
-          for (const staging::Chunk& chunk : srv->store().get(var, v, region))
-            cover.push_back(chunk.region);
           for (const staging::Chunk& chunk :
-               srv->data_log().get(var, v, region))
+               srv->store().get(var, v, region, staging::Holder::kBoth))
             cover.push_back(chunk.region);
         }
         // Spilled versions count as retained: replay faults them back in

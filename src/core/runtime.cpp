@@ -409,10 +409,10 @@ RunMetrics Runtime::collect(int failures_injected) const {
           server->store().peak_nominal_bytes(t);
     }
     m.staging.store_bytes_peak += server->store().peak_nominal_bytes();
+    m.staging.log_payload_bytes_peak +=
+        server->store().peak_nominal_bytes(staging::Holder::kLog);
     m.staging.total_bytes_peak += server->peak_total_bytes();
     m.staging.total_bytes_mean += server->mean_total_bytes();
-    const auto mem = server->memory();
-    m.staging.log_payload_bytes_peak += mem.log_payload_bytes;
     const wlog::CodecStats& cs = server->data_log().codec_stats();
     m.staging.codec_raw_bytes += cs.raw_bytes;
     m.staging.codec_stored_bytes += cs.stored_bytes;

@@ -286,7 +286,7 @@ struct StagingMetrics {
   std::uint64_t store_bytes_peak = 0;       // summed over servers
   std::uint64_t total_bytes_peak = 0;       // MemoryReport::total()
   double total_bytes_mean = 0;
-  std::uint64_t log_payload_bytes_peak = 0;
+  std::uint64_t log_payload_bytes_peak = 0;  // summed over servers
   std::uint64_t puts = 0;
   std::uint64_t gets = 0;
   std::uint64_t puts_suppressed = 0;

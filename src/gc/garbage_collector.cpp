@@ -44,7 +44,7 @@ SweepResult GarbageCollector::sweep(wlog::DataLog& log,
     if (versions.empty()) continue;
     const Version latest = versions.back();
     // Never reclaim the newest retained version: it is the live coupling
-    // data (the base store's window may share its buffer).
+    // data (the window may hold the same piece).
     const Version upto =
         std::min<Version>(mark, latest > 0 ? latest - 1 : 0);
     const std::uint64_t before = log.nominal_bytes();

@@ -398,7 +398,7 @@ struct ResilverPut {
   int from = -1;  // source staging server index
   Chunk chunk;
   bool logged = false;    // retain in the destination's data log
-  bool in_store = true;   // install in the destination's base store
+  bool in_store = true;   // install in the destination's window
   EndpointId reply_to = -1;
   ReplyPtr<ResilverAck> reply;
 };

@@ -22,9 +22,9 @@ GovernedMemory::GovernedMemory(ServerContext& ctx, const ObjectStore& store,
 
 MemoryReport GovernedMemory::footprint() const {
   MemoryReport r;
-  r.store_bytes = store_->nominal_bytes();
-  r.log_payload_bytes = dlog_->nominal_bytes();
-  r.shared_bytes = store_->shared_bytes();
+  r.store_bytes = store_->nominal_bytes(Holder::kWindow);
+  r.log_payload_bytes = store_->nominal_bytes(Holder::kLog);
+  r.buffer_bytes = store_->nominal_bytes(Holder::kBoth);
   for (const auto& [app, q] : *queues_)
     r.log_metadata_bytes += q.metadata_bytes();
   return r;
@@ -159,8 +159,8 @@ sim::Task<void> GovernedMemory::maintain() {
                      static_cast<std::int64_t>(bytes));
   }
   // Nothing left to sweep or spill, yet still above the hard watermark:
-  // the budget is below the workload's working-set floor (the base window,
-  // whose buffers the newest log versions share, is never evictable).
+  // the budget is below the workload's working-set floor (the window's
+  // pieces, which the newest log versions hold too, are never evictable).
   // Every put will bounce until clients give up — say so once instead of
   // deadlocking silently.
   if (!budget_warned_ && !governor_.admitting(governed())) {

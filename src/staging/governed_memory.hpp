@@ -1,7 +1,9 @@
 // Governed memory: the server half of the memory governor (the
 // MemoryGovernor policy object decides; this component owns the state and
 // the traffic). Admission, soft-watermark maintenance, and the spill index
-// that replay-path reads fault back in through.
+// that replay-path reads fault back in through. The footprint it governs
+// is read off the server's one version store: its distinct pieces, plus
+// event-queue metadata.
 #pragma once
 
 #include <cstdint>
@@ -22,15 +24,14 @@ namespace dstage::staging {
 struct ServerContext;  // staging/server.hpp
 
 /// Point-in-time memory report (nominal, i.e. paper-scale bytes). The
-/// store and the log are reported per holder; a raw log piece shares its
-/// buffer with the store piece of the same put, so those bytes appear in
-/// both holders and once more in shared_bytes, which the totals subtract:
-/// each payload buffer is charged once. An encoded log copy is a buffer of
-/// its own and is never shared.
+/// window and the log are reported per holder, so a raw logged piece, which
+/// both hold, appears in both figures; the totals charge the distinct
+/// pieces, each payload buffer once. An encoded log copy is a piece of its
+/// own.
 struct MemoryReport {
-  std::uint64_t store_bytes = 0;       // base object store
-  std::uint64_t log_payload_bytes = 0; // data-log retained payloads
-  std::uint64_t shared_bytes = 0;      // buffers both of the above hold
+  std::uint64_t store_bytes = 0;       // held by the coupling window
+  std::uint64_t log_payload_bytes = 0; // held by the data log
+  std::uint64_t buffer_bytes = 0;      // distinct pieces, whoever holds them
   std::uint64_t log_metadata_bytes = 0;
   std::uint64_t redundancy_bytes = 0;  // parity / replica overhead
   [[nodiscard]] std::uint64_t total() const {
@@ -40,8 +41,7 @@ struct MemoryReport {
   /// its *own* objects. Redundancy fragments held on peers' behalf are
   /// excluded — they are budgeted by their owners.
   [[nodiscard]] std::uint64_t governed() const {
-    return store_bytes + log_payload_bytes - shared_bytes +
-           log_metadata_bytes;
+    return buffer_bytes + log_metadata_bytes;
   }
 };
 
@@ -50,6 +50,7 @@ class GovernedMemory {
   /// Spill index: var → version → nominal bytes parked on the gateway.
   using SpillIndex = std::map<std::string, std::map<Version, std::uint64_t>>;
 
+  /// `dlog` is the log holder of `store`, the server's one version store.
   GovernedMemory(ServerContext& ctx, const ObjectStore& store,
                  wlog::DataLog& dlog,
                  const std::map<AppId, wlog::EventQueue>& queues,
@@ -60,16 +61,16 @@ class GovernedMemory {
   [[nodiscard]] const MemoryGovernor& governor() const { return governor_; }
   [[nodiscard]] const SpillIndex& spilled() const { return spilled_; }
 
-  /// Store, log payload, their shared buffers and event-queue metadata;
-  /// no redundancy bytes.
+  /// Window, log and distinct payload bytes and event-queue metadata; no
+  /// redundancy bytes.
   [[nodiscard]] MemoryReport footprint() const;
-  /// One tenant's share of footprint(): its variables' store, log and
-  /// shared bytes (event-queue metadata is unattributed — it is bounded by
-  /// truncation and negligible next to payloads).
+  /// One tenant's share of footprint(): its variables' window, log and
+  /// distinct bytes (event-queue metadata is unattributed — it is bounded
+  /// by truncation and negligible next to payloads).
   [[nodiscard]] MemoryReport footprint(net::TenantId tenant) const {
-    return {.store_bytes = store_->nominal_bytes(tenant),
-            .log_payload_bytes = dlog_->nominal_bytes(tenant),
-            .shared_bytes = store_->shared_bytes(tenant)};
+    return {.store_bytes = store_->nominal_bytes(tenant, Holder::kWindow),
+            .log_payload_bytes = store_->nominal_bytes(tenant, Holder::kLog),
+            .buffer_bytes = store_->nominal_bytes(tenant, Holder::kBoth)};
   }
   [[nodiscard]] std::uint64_t governed() const {
     return footprint().governed();

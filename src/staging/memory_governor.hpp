@@ -11,11 +11,11 @@
 //                     admitted anyway (rejecting it forever would livelock
 //                     the workflow) and counted as a governor overrun.
 //
-// The governed footprint is store + log payload + event-queue metadata,
-// each payload buffer charged once: a raw log piece shares the base store's
-// buffer and costs nothing extra, an encoded log copy is charged in full
-// (MemoryReport). Redundancy fragments held on peers' behalf are the peers'
-// budget problem.
+// The governed footprint is the distinct pieces of the server's one
+// version store plus event-queue metadata: a raw logged piece, which the
+// window and the log both hold, is charged once, and an encoded log copy
+// is a piece of its own (MemoryReport). Redundancy fragments held on
+// peers' behalf are the peers' budget problem.
 // A budget of 0 disables the governor entirely (the default; the Table II
 // golden digests are recorded without it).
 #pragma once

@@ -1,10 +1,17 @@
-// Versioned in-memory object store held by each staging server. The base
-// store keeps a bounded window of recent versions per variable (DataSpaces
-// retains the latest coupling data; historical versions belong to the data
-// log). All byte accounting distinguishes nominal (paper-scale) from
-// physical (scaled-down) sizes.
+// The version store held by each staging server: one container for every
+// payload piece the server retains. Each piece records its holders: the
+// coupling window (DataSpaces keeps a bounded window of recent versions per
+// variable; older ones rotate out on put) and the data log (wlog::DataLog
+// keeps logged versions until the GC proves no replay can re-read them).
+// With the log codec off a logged put is one piece both hold; an encoded
+// log copy is a second piece of the same region that only the log holds.
+// Every operation acts on one holder's view — the window's unless told
+// otherwise — so each holder sees exactly its own pieces, and a piece and
+// its bytes leave with their last holder. Bytes are counted at nominal
+// (paper-scale) size, per holder and for the distinct pieces.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -18,143 +25,163 @@
 
 namespace dstage::staging {
 
-/// Why a version left the store: the `b` payload of its drop event.
+/// Why a version left a holder: the `b` payload of its drop event.
 enum class DropReason {
-  kRotation,  // rotated out of the base store's version window
+  kRotation,  // rotated out of the coupling window
   kExplicit,  // dropped deliberately (GC reclaim)
   kRollback,  // discarded by a coordinated-restart rollback
   kSpill,     // evicted to the PFS spill gateway (still durable there)
   kResilver,  // handed off to the cell's new owner (durable there)
 };
 
+/// Who retains a piece. An operation's holder set names the view it acts
+/// on; kBoth is the union of the two.
+enum class Holder : std::uint8_t { kWindow = 1, kLog = 2, kBoth = 3 };
+
 class ObjectStore {
  public:
   /// @param version_window how many most-recent versions of each variable
-  ///        the base store retains (older ones rotate out on put).
-  /// @param track, drop_kind every (var, version) that leaves the store is
-  ///        emitted on `track` as `drop_kind` (detail=var, a=version,
-  ///        b=DropReason); the default detached track records nothing.
-  explicit ObjectStore(int version_window = 1, obs::Track track = {},
-                       obs::Kind drop_kind = obs::Kind::kStoreDrop);
+  ///        the window retains (older ones rotate out on put).
+  /// @param track every (var, version) a holder lets go of is emitted on
+  ///        `track` (detail=var, a=version, b=DropReason): kStoreDrop when
+  ///        the window's last piece of it leaves, kLogDrop when the log's
+  ///        does. The default detached track records nothing.
+  explicit ObjectStore(int version_window = 1, obs::Track track = {});
 
-  /// Insert a chunk; rotates versions older than the window out.
-  void put(Chunk chunk);
+  /// Give `holder` (kWindow or kLog) a chunk. A re-put of a region the
+  /// holder already has replaces that piece. A chunk whose buffer the
+  /// other holder keeps for the same region is that piece: both hold it.
+  /// A window put of a new region rotates versions older than the window
+  /// out.
+  void put(Chunk chunk, Holder holder = Holder::kWindow);
 
-  /// All stored pieces of (var, version) clipped to `region`.
-  [[nodiscard]] std::vector<Chunk> get(const std::string& var,
-                                       Version version,
-                                       const Box& region) const;
+  /// The pieces of (var, version) that `holders` keep, clipped to `region`.
+  [[nodiscard]] std::vector<Chunk> get(
+      const std::string& var, Version version, const Box& region,
+      Holder holders = Holder::kWindow) const;
 
-  /// True when stored pieces of (var, version) cover `region` entirely
-  /// (producer puts are disjoint, so coverage is volume-additive).
+  /// True when the pieces of (var, version) that `holders` keep cover
+  /// `region` entirely (producer puts are disjoint, so coverage is
+  /// volume-additive).
   [[nodiscard]] bool covers(const std::string& var, Version version,
-                            const Box& region) const;
+                            const Box& region,
+                            Holder holders = Holder::kWindow) const;
 
+  /// Newest version of `var` in the window.
   [[nodiscard]] std::optional<Version> latest(const std::string& var) const;
 
-  /// Stored versions of `var`, ascending.
-  [[nodiscard]] std::vector<Version> versions_of(const std::string& var) const;
-  /// All variable names with at least one stored version.
-  [[nodiscard]] std::vector<std::string> variables() const;
+  /// Versions of `var` that `holders` keep, ascending.
+  [[nodiscard]] std::vector<Version> versions_of(
+      const std::string& var, Holder holders = Holder::kWindow) const;
+  /// Variable names of which `holders` keep at least one version.
+  [[nodiscard]] std::vector<std::string> variables(
+      Holder holders = Holder::kWindow) const;
+  /// True when `holders` keep any piece of (var, version).
+  [[nodiscard]] bool holds(const std::string& var, Version version,
+                           Holder holders = Holder::kWindow) const;
 
-  /// Coordinated-restart rollback: drop all versions > `version` of every
-  /// variable. Returns the number of dropped (var, version) entries.
-  std::size_t drop_versions_above(Version version);
-
-  /// Tenant-scoped rollback: drop all versions > `version`, but only of
-  /// variables for which `var_pred` returns true (tenant-namespace match).
+  /// Coordinated-restart rollback: `holders` let go of all versions >
+  /// `version` of the variables `var_pred` selects (all when empty; a
+  /// tenant-scoped rollback passes a tenant-namespace match). Returns the
+  /// number of (var, version) entries any of them dropped.
   std::size_t drop_versions_above(
-      Version version, const std::function<bool(const std::string&)>& var_pred);
+      Version version,
+      const std::function<bool(const std::string&)>& var_pred = {},
+      Holder holders = Holder::kWindow);
 
-  /// Explicitly drop one version of a variable (GC helper). The drop event
-  /// carries `reason`: kExplicit for GC reclaim, kSpill when the memory
-  /// governor evicted the version to the PFS.
+  /// `holders` let go of one version of a variable (GC helper). The drop
+  /// event carries `reason`: kExplicit for GC reclaim, kSpill when the
+  /// memory governor evicted the version to the PFS.
   bool drop_version(const std::string& var, Version version,
-                    DropReason reason = DropReason::kExplicit);
+                    DropReason reason = DropReason::kExplicit,
+                    Holder holders = Holder::kWindow);
 
-  /// All stored pieces of (var, version), unclipped (spill-eviction helper).
-  [[nodiscard]] std::vector<Chunk> chunks_of(const std::string& var,
-                                             Version version) const;
+  /// The pieces of (var, version) that `holders` keep, unclipped.
+  [[nodiscard]] std::vector<Chunk> chunks_of(
+      const std::string& var, Version version,
+      Holder holders = Holder::kWindow) const;
 
-  /// Replace the payload representation of the piece at (var, version,
-  /// region) in place — codec support (delta rebase / re-encode). Identity
-  /// and nominal size are unchanged; footprint accounting moves to the new
-  /// stored size. No drop is emitted: the held (var, version) set is
-  /// unchanged.
+  /// Replace the payload representation of `holder`'s piece at (var,
+  /// version, region) in place — codec support (delta rebase /
+  /// re-encode). Identity and nominal size are unchanged; footprint
+  /// accounting moves to the new stored size. No drop is emitted: the
+  /// held (var, version) set is unchanged.
   /// Returns false when no such piece exists.
   bool rewrite_payload(const std::string& var, Version version,
                        const Box& region,
                        std::shared_ptr<const std::vector<std::uint8_t>> data,
-                       std::uint64_t stored_bytes);
+                       std::uint64_t stored_bytes, Holder holder);
 
-  /// Drop the individual pieces of (var, version) for which `pred` returns
-  /// true (resilver hand-off helper: a chunk leaves only once the new cell
-  /// owner holds it). The drop is emitted — with `reason` — only when the
-  /// version's last piece leaves. Returns the number of pieces dropped.
+  /// `holders` let go of the pieces of (var, version) for which `pred`
+  /// returns true (resilver hand-off helper: a chunk leaves only once the
+  /// new cell owner holds it). A holder's drop is emitted — with `reason` —
+  /// only when its last piece of the version leaves. Returns the number of
+  /// pieces let go.
   std::size_t drop_pieces(const std::string& var, Version version,
                           const std::function<bool(const Chunk&)>& pred,
-                          DropReason reason = DropReason::kResilver);
+                          DropReason reason = DropReason::kResilver,
+                          Holder holders = Holder::kWindow);
 
-  [[nodiscard]] std::uint64_t nominal_bytes() const { return nominal_bytes_; }
-  [[nodiscard]] std::uint64_t physical_bytes() const {
-    return physical_bytes_;
+  /// Nominal bytes of the pieces `holders` keep: a piece both hold counts
+  /// in either holder's figure, and once in kBoth's — the store's distinct
+  /// footprint.
+  [[nodiscard]] std::uint64_t nominal_bytes(
+      Holder holders = Holder::kWindow) const {
+    return static_cast<std::uint64_t>(usage_[slot(holders)].current());
   }
-  [[nodiscard]] std::uint64_t peak_nominal_bytes() const {
-    return static_cast<std::uint64_t>(watermark_.peak());
+  /// High-water mark of nominal_bytes(holders) over the store's lifetime.
+  [[nodiscard]] std::uint64_t peak_nominal_bytes(
+      Holder holders = Holder::kWindow) const {
+    return static_cast<std::uint64_t>(usage_[slot(holders)].peak());
   }
-  /// Per-tenant nominal footprint, keyed off each chunk's tenant prefix
+  /// Per-tenant nominal bytes, keyed off each chunk's tenant prefix
   /// (tenant 0 for bare variable names). Drives the governor's weighted
   /// fair-share admission; zero-cost for single-tenant stores (one map
   /// entry for tenant 0).
-  [[nodiscard]] std::uint64_t nominal_bytes(net::TenantId tenant) const;
-  /// Peak of a tenant's nominal footprint over the store's lifetime.
+  [[nodiscard]] std::uint64_t nominal_bytes(
+      net::TenantId tenant, Holder holders = Holder::kWindow) const;
+  /// Peak of a tenant's window bytes over the store's lifetime.
   [[nodiscard]] std::uint64_t peak_nominal_bytes(net::TenantId tenant) const;
-  /// Tenants with a nonzero lifetime footprint, ascending.
+  /// Tenants the window ever held bytes of, ascending.
   [[nodiscard]] std::vector<net::TenantId> tenants() const;
+  /// Pieces in the window.
   [[nodiscard]] std::size_t object_count() const;
-  [[nodiscard]] int version_window() const { return version_window_; }
-
-  /// Pair the two stores of one server that can hold a piece in the same
-  /// payload buffer: the base store and the data log's store (with the
-  /// codec off, a logged put's log piece *is* its store piece). From then
-  /// on both keep shared_bytes() up to date as pieces enter and leave
-  /// either one, so `nominal_bytes() + twin.nominal_bytes() −
-  /// shared_bytes()` charges each held buffer once. Both must be empty.
-  /// Each store keeps the other's address: neither may be copied or moved
-  /// once paired (StagingServer holds both and is itself not copyable).
-  void pair_with(ObjectStore& twin);
-  /// Nominal bytes of the payload buffers this store and its twin both
-  /// hold (equal on both sides; 0 when unpaired).
-  [[nodiscard]] std::uint64_t shared_bytes() const;
-  /// The shared bytes of one tenant's variables.
-  [[nodiscard]] std::uint64_t shared_bytes(net::TenantId tenant) const;
 
  private:
-  /// Charge (sign > 0) or release one piece, and move the shared term
-  /// when the twin holds the same buffer.
-  void account(const Chunk& c, int sign);
-  /// The piece of (c.var, c.version) held in c's buffer, or null.
-  [[nodiscard]] const Chunk* holding(const Chunk& c) const;
-  void emit_drop(const std::string& var, Version version,
-                 DropReason reason) const {
-    track_.emit(drop_kind_, var, static_cast<std::int64_t>(version),
-                static_cast<std::int64_t>(reason));
+  struct Piece {
+    Chunk chunk;
+    std::uint8_t holders;  // Holder bits
+  };
+  using Versions = std::map<Version, std::vector<Piece>>;
+  /// Bytes held by the window, by the log, and by either (distinct).
+  using Usage = std::array<Watermark, 3>;
+
+  static std::size_t slot(Holder holders) {
+    return static_cast<std::size_t>(holders) - 1;
   }
+  /// True when `holders` keep any of `pieces`.
+  static bool kept(const std::vector<Piece>& pieces, Holder holders);
+  /// The pieces of (var, version), or null.
+  [[nodiscard]] const std::vector<Piece>* find(const std::string& var,
+                                               Version version) const;
+  /// Move one piece's charges from the holder bits `before` to `after`.
+  void charge(const Chunk& c, std::uint8_t before, std::uint8_t after);
+  /// Take `holders` off the pieces of one version that `pred` selects,
+  /// erasing pieces no holder keeps any more; emits the drop of each
+  /// holder whose last piece of the version left. Returns the number of
+  /// pieces let go.
+  std::size_t release(const std::string& var, Version version,
+                      std::vector<Piece>& pieces, std::uint8_t holders,
+                      DropReason reason,
+                      const std::function<bool(const Chunk&)>& pred);
+  /// Rotate the window versions of `var` beyond the retention window out.
+  void rotate(const std::string& var, Versions& versions);
 
   int version_window_;
-  obs::Kind drop_kind_;  // one byte: packed beside the window, not at the end
   // var → version → pieces
-  std::map<std::string, std::map<Version, std::vector<Chunk>>> store_;
-  std::uint64_t nominal_bytes_ = 0;
-  std::uint64_t physical_bytes_ = 0;
-  Watermark watermark_;
-  struct TenantUsage {
-    std::uint64_t nominal = 0;
-    std::uint64_t peak = 0;
-    std::uint64_t shared = 0;
-  };
-  std::map<net::TenantId, TenantUsage> tenant_usage_;
-  ObjectStore* twin_ = nullptr;
+  std::map<std::string, Versions> store_;
+  Usage usage_{};
+  std::map<net::TenantId, Usage> tenant_usage_;
   obs::Track track_;
 };
 

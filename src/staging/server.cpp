@@ -34,11 +34,10 @@ StagingServer::StagingServer(cluster::Cluster& cluster,
            .rpc = net::Rpc(cluster.fabric(), cluster.vproc(vproc).endpoint),
            .track = track},
       store_(ctx_.params.version_window, ctx_.track),
-      dlog_(ctx_.track),
+      dlog_(store_),
       redundancy_(ctx_),
       memory_(ctx_, store_, dlog_, queues_, gc_) {
   dlog_.set_codec(ctx_.params.log_codec);
-  dlog_.share_buffers_with(store_);
 }
 
 net::EndpointId StagingServer::endpoint() const {
@@ -217,8 +216,8 @@ sim::Task<PutResponse> StagingServer::apply_put(AppId app, bool logged,
   // Memory-governor admission: decided before the event is recorded, so a
   // rejected put leaves no trace anywhere (no replay-script entry, no
   // bytes) — the client's re-send is a genuinely fresh request. A put
-  // costs its store copy; a logged put costs a second copy only when the
-  // log keeps an encoded one — a raw log piece is the store's buffer.
+  // costs its window piece; a logged put costs a second piece only when
+  // the log keeps an encoded copy — a raw log piece is the window's piece.
   const std::uint64_t copies =
       log && dlog_.codec_scheme() != wlog::codec::Scheme::kNone ? 2 : 1;
   if (apply && !memory_.admit(chunk, chunk.nominal_bytes * copies)) {
@@ -237,8 +236,8 @@ sim::Task<PutResponse> StagingServer::apply_put(AppId app, bool logged,
   if (apply) {
     co_await c.delay(ctx_.copy_time(chunk.nominal_bytes));
     if (log) {
-      // Log append: the data log retains the payload for replay (buffer
-      // shared with the base store; the cost is version/index bookkeeping).
+      // Log append: the data log retains the payload for replay (the piece
+      // the window holds too; the cost is version/index bookkeeping).
       co_await c.delay(
           sim::from_seconds(ctx_.copy_time(chunk.nominal_bytes).seconds() *
                             params.log_append_fraction));
@@ -313,11 +312,9 @@ sim::Task<void> StagingServer::handle_get(GetRequest req) {
         // memory pressure: fault it back into the log first.
         co_await memory_.ensure_resident(req.desc.var, logged_version);
         std::vector<Chunk> pieces =
-            dlog_.get(req.desc.var, logged_version, req.desc.region);
-        if (pieces.empty() ||
-            !dlog_.covers(req.desc.var, logged_version, req.desc.region)) {
-          pieces = store_.get(req.desc.var, logged_version, req.desc.region);
-        }
+            dlog_.covers(req.desc.var, logged_version, req.desc.region)
+                ? dlog_.get(req.desc.var, logged_version, req.desc.region)
+                : store_.get(req.desc.var, logged_version, req.desc.region);
         ++ctx_.stats.gets_from_log;
         ctx_.spawn(respond_get(std::move(req), std::move(pieces), true));
         co_return;
@@ -487,17 +484,11 @@ sim::Task<void> StagingServer::sweep_after_durable() {
   // Spilled versions the watermark has now passed are as unreachable as
   // swept log versions: retire their PFS spill files too.
   memory_.prune_to_watermark();
-  // Peers can reclaim fragments that neither the log's retention nor the
-  // base store's window still needs.
+  // Peers can reclaim fragments of a windowed variable that neither the
+  // window nor the log still holds.
   if (!redundancy_.prunes()) co_return;
   for (const std::string& var : store_.variables()) {
-    const auto store_versions = store_.versions_of(var);
-    const Version oldest_store =
-        store_versions.empty() ? 0 : store_versions.front();
-    const auto log_versions = dlog_.versions_of(var);
-    const Version oldest_log =
-        log_versions.empty() ? oldest_store : log_versions.front();
-    const Version keep_from = std::min(oldest_store, oldest_log);
+    const Version keep_from = store_.versions_of(var, Holder::kBoth).front();
     if (keep_from == 0) continue;
     redundancy_.prune_peers(var, keep_from - 1);
   }
@@ -547,9 +538,11 @@ sim::Task<void> StagingServer::handle_rollback(RollbackRequest req) {
     return tenant < 0 || tenant_of(var) == tenant;
   };
 
+  // Both holders let go: no codec rebase is needed, as a surviving delta's
+  // base is always older than the delta itself, hence also a survivor.
   RollbackAck ack;
-  ack.versions_dropped = store_.drop_versions_above(req.version, in_scope);
-  dlog_.drop_above(req.version, in_scope);
+  ack.versions_dropped =
+      store_.drop_versions_above(req.version, in_scope, Holder::kBoth);
   memory_.rollback_above(req.version, tenant);
   if (tenant < 0) {
     queues_.clear();
@@ -680,17 +673,11 @@ sim::Task<StagingServer::ResilverOutcome> StagingServer::hand_off(
   ResilverOutcome outcome;
   co_await memory_.fault_in_all();
 
-  std::set<std::string> vars;
-  for (std::string& var : store_.variables()) vars.insert(std::move(var));
-  for (std::string& var : dlog_.variables()) vars.insert(std::move(var));
-  for (const std::string& var : vars) {
-    std::set<Version> versions;
-    for (Version v : store_.versions_of(var)) versions.insert(v);
-    for (Version v : dlog_.versions_of(var)) versions.insert(v);
+  for (const std::string& var : store_.variables(Holder::kBoth)) {
     // Ascending versions: the destination's window rotation keeps the
     // newest, matching what the old owner would retain.
-    for (const Version version : versions) {
-      const bool in_store = !store_.chunks_of(var, version).empty();
+    for (const Version version : store_.versions_of(var, Holder::kBoth)) {
+      const bool in_store = store_.holds(var, version);
       const bool logged = ctx_.params.logging && dlog_.has(var, version);
       // Log-only versions travel in export form (self-contained blocks);
       // store-resident versions travel raw, and the destination's log

@@ -40,7 +40,7 @@ struct ServerParams {
   /// write response times).
   double mem_bw = 6e9;
   /// Log-append work per payload byte, as a fraction of the store copy
-  /// (the data log shares buffers with the store; appending is index,
+  /// (the data log holds the window's pieces; appending is index,
   /// version-chain and refcount bookkeeping, not a second full copy).
   double log_append_fraction = 0.14;
   /// Fixed per-request processing overhead.
@@ -51,7 +51,7 @@ struct ServerParams {
   sim::Duration log_event_overhead = sim::microseconds(2);
   /// Redundancy applied to staged (and logged) payloads.
   resilience::ResiliencePolicy policy;
-  /// Versions per variable retained by the base store.
+  /// Versions per variable retained by the coupling window.
   int version_window = 2;
   /// Memory governor (budget 0 = disabled, the default).
   GovernorParams governor;
@@ -134,8 +134,8 @@ struct ServerContext {
 class StagingServer {
  public:
   /// `track` is this server's event track ("staging-N"); a detached
-  /// (default) track records nothing. The base store, the data log and the
-  /// GC emit their drops, checkpoints and sweeps on it too.
+  /// (default) track records nothing. The version store emits its window
+  /// and log drops on it too, and the GC its checkpoints and sweeps.
   StagingServer(cluster::Cluster& cluster, cluster::VprocId vproc,
                 ServerParams params, obs::Track track = {});
   // Components hold references into the server.
@@ -214,7 +214,7 @@ class StagingServer {
     std::uint64_t bytes = 0;
   };
 
-  /// Resilver hand-off, driven by the GroupManager: push every store/log
+  /// Resilver hand-off, driven by the GroupManager: push every window/log
   /// piece intersecting `regions` to the new owner at `dest_ep` (each
   /// transfer is acknowledged before the local copy is dropped), then
   /// bounce parked gets for regions no longer owned. Sources back off
@@ -247,7 +247,7 @@ class StagingServer {
 
   /// True when this server holds no primary data (retirement is complete).
   [[nodiscard]] bool drained() const {
-    return store_.nominal_bytes() == 0 && dlog_.nominal_bytes() == 0;
+    return store_.nominal_bytes(Holder::kBoth) == 0;
   }
 
   /// Spilled log versions per variable (version → nominal bytes) — the
@@ -257,12 +257,14 @@ class StagingServer {
   }
 
   [[nodiscard]] net::EndpointId endpoint() const;
+  /// The one version store; its default view is the coupling window.
   [[nodiscard]] const ObjectStore& store() const { return store_; }
+  /// The log holder of store().
   [[nodiscard]] const wlog::DataLog& data_log() const { return dlog_; }
   [[nodiscard]] const ServerStats& stats() const { return ctx_.stats; }
   [[nodiscard]] const obs::Track& track() const { return ctx_.track; }
   [[nodiscard]] MemoryReport memory() const;
-  /// One tenant's store, log and shared bytes: the footprint weighted
+  /// One tenant's window, log and distinct bytes: the footprint weighted
   /// fair-share admission charges that tenant.
   [[nodiscard]] MemoryReport memory(net::TenantId tenant) const {
     return memory_.footprint(tenant);
@@ -334,17 +336,17 @@ class StagingServer {
   /// any was acked, those the (single) destination's regions cover
   /// (resilver); or those every intersecting destination acked (drain).
   enum class Release { kCovered, kAcked };
-  /// The one walk over this server's holdings: each (var, version) of the
-  /// store/log union in ascending order, each piece to every destination
-  /// whose regions intersect it, then release per `release`.
+  /// The one walk over this server's holdings: each (var, version) the
+  /// window or the log holds, in ascending order, each piece to every
+  /// destination whose regions intersect it, then release per `release`.
   sim::Task<ResilverOutcome> hand_off(std::vector<DrainDest> dests,
                                       Release release);
 
   void sample_memory();
 
   ServerContext ctx_;
-  ObjectStore store_;
-  wlog::DataLog dlog_;
+  ObjectStore store_;     // the one version store: window and log pieces
+  wlog::DataLog dlog_;    // the log holder of store_
   std::map<AppId, wlog::EventQueue> queues_;
   // app → tenant, learned from the tenant field every request carries.
   // Lets a tenant-scoped rollback drop only that tenant's replay queues.

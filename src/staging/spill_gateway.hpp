@@ -44,8 +44,8 @@ class SpillGateway {
   [[nodiscard]] const obs::Track& track() const { return track_; }
 
   // Oracle-facing holdings API (aggregated across owners), shaped like the
-  // ObjectStore accessors so check::verify_holdings treats the gateway as
-  // one more holder in the durability union.
+  // ObjectStore accessors: the oracle's integrity walk and durability union
+  // read the gateway as one more holder.
   [[nodiscard]] std::vector<std::string> variables() const;
   [[nodiscard]] std::vector<Version> versions_of(const std::string& var) const;
   [[nodiscard]] std::vector<Chunk> get(const std::string& var, Version version,

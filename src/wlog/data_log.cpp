@@ -32,7 +32,7 @@ std::span<const std::uint8_t> bytes_of(const staging::Chunk& c) {
 std::vector<std::uint8_t> DataLog::base_bytes(
     const std::string& var, staging::Version base_version,
     const Box& region) const {
-  for (const staging::Chunk& c : store_.chunks_of(var, base_version)) {
+  for (const staging::Chunk& c : chunks_of(var, base_version)) {
     if (c.region == region) return decode_piece(c);
   }
   return {};
@@ -64,7 +64,7 @@ std::vector<std::uint8_t> DataLog::decode_piece(
 void DataLog::add(staging::Chunk chunk) {
   if (scheme_ == codec::Scheme::kNone || !chunk.data ||
       chunk.data->empty() || chunk.nominal_bytes == 0) {
-    store_.put(std::move(chunk));
+    store_->put(std::move(chunk), kLog);
     return;
   }
   if (codec::is_encoded(*chunk.data)) {
@@ -77,7 +77,7 @@ void DataLog::add(staging::Chunk chunk) {
             chunk.nominal_bytes, info->payload_size, info->raw_size);
       }
     }
-    store_.put(std::move(chunk));
+    store_->put(std::move(chunk), kLog);
     return;
   }
 
@@ -88,11 +88,11 @@ void DataLog::add(staging::Chunk chunk) {
   staging::Version base_version = 0;
   if (scheme_ == codec::Scheme::kDelta ||
       scheme_ == codec::Scheme::kDeltaLz) {
-    const auto versions = store_.versions_of(chunk.var);
+    const auto versions = versions_of(chunk.var);
     for (auto it = versions.rbegin(); it != versions.rend(); ++it) {
       if (*it >= chunk.version) continue;
       staging::Version candidate = *it;
-      for (const staging::Chunk& prior : store_.chunks_of(chunk.var, *it)) {
+      for (const staging::Chunk& prior : chunks_of(chunk.var, *it)) {
         if (!(prior.region == chunk.region)) continue;
         if (prior.data && codec::is_encoded(*prior.data)) {
           if (const auto info = codec::inspect(*prior.data);
@@ -120,23 +120,26 @@ void DataLog::add(staging::Chunk chunk) {
   if (info && info->has_base) ++codec_stats_.delta_blocks;
   chunk.data = std::make_shared<std::vector<std::uint8_t>>(std::move(block));
   chunk.stored_bytes = stored;
-  store_.put(std::move(chunk));
+  store_->put(std::move(chunk), kLog);
 }
 
 std::vector<staging::Chunk> DataLog::get(const std::string& var,
                                          staging::Version version,
                                          const Box& region) const {
-  std::vector<staging::Chunk> pieces = store_.get(var, version, region);
-  for (staging::Chunk& piece : pieces) {
-    if (!piece.data || !codec::is_encoded(*piece.data)) continue;
-    // store_.get shares the stored buffer unsliced and keeps the source
-    // region, so the piece decodes exactly like the retained chunk; the
-    // clipped nominal size is already raw-scale.
-    piece.data = std::make_shared<std::vector<std::uint8_t>>(
-        decode_piece(piece));
-    piece.stored_bytes = 0;
-  }
+  std::vector<staging::Chunk> pieces = store_->get(var, version, region, kLog);
+  // The store's get shares the stored buffer unsliced and keeps the source
+  // region, so a piece decodes exactly like the retained chunk; the
+  // clipped nominal size is already raw-scale.
+  for (staging::Chunk& piece : pieces) piece = decoded(std::move(piece));
   return pieces;
+}
+
+staging::Chunk DataLog::decoded(staging::Chunk piece) const {
+  if (!piece.data || !codec::is_encoded(*piece.data)) return piece;
+  piece.data =
+      std::make_shared<std::vector<std::uint8_t>>(decode_piece(piece));
+  piece.stored_bytes = 0;
+  return piece;
 }
 
 void DataLog::rebase_piece_full(const std::string& var,
@@ -148,31 +151,32 @@ void DataLog::rebase_piece_full(const std::string& var,
   const std::uint64_t stored = scaled_stored_bytes(
       piece.nominal_bytes, full_info ? full_info->payload_size : raw.size(),
       raw.size());
-  store_.rewrite_payload(
+  store_->rewrite_payload(
       var, version, piece.region,
-      std::make_shared<std::vector<std::uint8_t>>(std::move(full)), stored);
+      std::make_shared<std::vector<std::uint8_t>>(std::move(full)), stored,
+      kLog);
   ++codec_stats_.rebases;
 }
 
 std::vector<staging::Chunk> DataLog::export_chunks(const std::string& var,
                                                    staging::Version version) {
   if (scheme_ != codec::Scheme::kNone) {
-    for (const staging::Chunk& piece : store_.chunks_of(var, version)) {
+    for (const staging::Chunk& piece : chunks_of(var, version)) {
       if (!piece.data || !codec::is_encoded(*piece.data)) continue;
       const auto info = codec::inspect(*piece.data);
       if (!info || !info->has_base) continue;
       rebase_piece_full(var, version, piece);
     }
   }
-  return store_.chunks_of(var, version);
+  return chunks_of(var, version);
 }
 
 void DataLog::rebase_dependents(const std::string& var,
                                 staging::Version version) {
   if (scheme_ == codec::Scheme::kNone) return;
-  for (staging::Version w : store_.versions_of(var)) {
+  for (staging::Version w : versions_of(var)) {
     if (w == version) continue;
-    for (const staging::Chunk& piece : store_.chunks_of(var, w)) {
+    for (const staging::Chunk& piece : chunks_of(var, w)) {
       if (!piece.data || !codec::is_encoded(*piece.data)) continue;
       const auto info = codec::inspect(*piece.data);
       if (!info || !info->has_base || info->base_version != version) continue;
@@ -183,11 +187,11 @@ void DataLog::rebase_dependents(const std::string& var,
 
 std::vector<staging::Version> DataLog::versions_of(
     const std::string& var) const {
-  return store_.versions_of(var);
+  return store_->versions_of(var, kLog);
 }
 
 std::vector<std::string> DataLog::variables() const {
-  return store_.variables();
+  return store_->variables(kLog);
 }
 
 std::size_t DataLog::drop_upto(const std::string& var,
@@ -196,9 +200,9 @@ std::size_t DataLog::drop_upto(const std::string& var,
   // full blocks first (while the base is still present to decode against);
   // doomed deltas are simply dropped and never need their base again.
   if (scheme_ != codec::Scheme::kNone) {
-    for (staging::Version w : store_.versions_of(var)) {
+    for (staging::Version w : versions_of(var)) {
       if (w <= watermark) continue;
-      for (const staging::Chunk& piece : store_.chunks_of(var, w)) {
+      for (const staging::Chunk& piece : chunks_of(var, w)) {
         if (!piece.data || !codec::is_encoded(*piece.data)) continue;
         const auto info = codec::inspect(*piece.data);
         if (!info || !info->has_base || info->base_version > watermark)
@@ -208,8 +212,10 @@ std::size_t DataLog::drop_upto(const std::string& var,
     }
   }
   std::size_t dropped = 0;
-  for (staging::Version v : store_.versions_of(var)) {
-    if (v <= watermark && store_.drop_version(var, v)) ++dropped;
+  for (staging::Version v : versions_of(var)) {
+    if (v <= watermark &&
+        store_->drop_version(var, v, staging::DropReason::kExplicit, kLog))
+      ++dropped;
   }
   return dropped;
 }

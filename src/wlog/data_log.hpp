@@ -1,7 +1,9 @@
 // Payload retention for replay (the Data Logging Component's storage half).
-// While the base ObjectStore keeps only the current coupling window, the
-// data log retains every logged version that a rolled-back consumer might
-// re-read, until the garbage collector proves it unreachable.
+// The data log is one of the two holders of its server's version store
+// (staging::ObjectStore): while the coupling window keeps only the latest
+// versions, the log retains every logged version that a rolled-back
+// consumer might re-read, until the garbage collector proves it
+// unreachable. Every operation here acts on the log's own pieces.
 //
 // With a codec scheme armed (WorkflowSpec::wlog.codec), payloads are
 // encoded at retain time — LZ block compression, optionally XOR-deltaed
@@ -16,6 +18,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -37,10 +40,15 @@ struct CodecStats {
 
 class DataLog {
  public:
-  /// Every (var, version) the log releases is emitted on `track` as
-  /// obs::Kind::kLogDrop (detail=var, a=version, b=staging::DropReason).
+  /// A log with a store of its own (standalone use): every (var, version)
+  /// it releases is emitted on `track` as obs::Kind::kLogDrop (detail=var,
+  /// a=version, b=staging::DropReason).
   explicit DataLog(obs::Track track = {})
-      : store_(1 << 30, track, obs::Kind::kLogDrop) {}  // unbounded window
+      : own_(std::make_unique<staging::ObjectStore>(1, track)),
+        store_(own_.get()) {}
+  /// The log holder of `store`, a staging server's one version store,
+  /// which must outlive the log. Its releases go out on the store's track.
+  explicit DataLog(staging::ObjectStore& store) : store_(&store) {}
 
   /// Arm the payload codec; kNone (the default) retains raw buffers and
   /// leaves every path byte-identical to the pre-codec log.
@@ -48,17 +56,11 @@ class DataLog {
   [[nodiscard]] codec::Scheme codec_scheme() const { return scheme_; }
   [[nodiscard]] const CodecStats& codec_stats() const { return codec_stats_; }
 
-  /// Pair the log with its server's base store, so a raw log piece that
-  /// shares its buffer with a store piece is charged once (see
-  /// ObjectStore::pair_with).
-  void share_buffers_with(staging::ObjectStore& base) {
-    store_.pair_with(base);
-  }
-
-  /// Retain a logged payload. With the codec off the bytes stay shared
-  /// with the base store's buffer; with a scheme armed the log stores an
-  /// encoded copy (an already-encoded chunk — spill fault-in, resilver —
-  /// is re-ingested as-is).
+  /// Retain a logged payload. With the codec off the piece keeps the
+  /// chunk's buffer — the window's piece of the same put, held twice and
+  /// stored once; with a scheme armed the log stores an encoded copy (an
+  /// already-encoded chunk — spill fault-in, resilver — is re-ingested
+  /// as-is).
   void add(staging::Chunk chunk);
 
   /// Decoded (raw-byte) pieces of (var, version) clipped to `region` —
@@ -69,8 +71,11 @@ class DataLog {
                                                 const Box& region) const;
   [[nodiscard]] bool covers(const std::string& var, staging::Version version,
                             const Box& region) const {
-    return store_.covers(var, version, region);
+    return store_->covers(var, version, region, kLog);
   }
+  /// The raw-byte form of a stored piece: `piece` itself unless it is
+  /// encoded, when its payload is decoded (reads, integrity audits).
+  [[nodiscard]] staging::Chunk decoded(staging::Chunk piece) const;
 
   /// Retained versions of `var`, ascending.
   [[nodiscard]] std::vector<staging::Version> versions_of(
@@ -81,7 +86,7 @@ class DataLog {
   /// representation (index walks; not for export — see export_chunks).
   [[nodiscard]] std::vector<staging::Chunk> chunks_of(
       const std::string& var, staging::Version version) const {
-    return store_.chunks_of(var, version);
+    return store_->chunks_of(var, version, kLog);
   }
   /// Self-contained pieces of one version for spill/resilver export:
   /// delta blocks are rebased to full blocks first (in place), so the
@@ -91,14 +96,15 @@ class DataLog {
   /// True when the log retains any piece of (var, version).
   [[nodiscard]] bool has(const std::string& var,
                          staging::Version version) const {
-    return !store_.chunks_of(var, version).empty();
+    return store_->holds(var, version, kLog);
   }
   /// Memory-governor eviction: drop one retained version because its
   /// payload now lives on the PFS spill gateway. Reported to the oracle's
   /// drop probe as kSpill (durability is preserved, just relocated).
   bool drop_spilled(const std::string& var, staging::Version version) {
     rebase_dependents(var, version);
-    return store_.drop_version(var, version, staging::DropReason::kSpill);
+    return store_->drop_version(var, version, staging::DropReason::kSpill,
+                                kLog);
   }
 
   /// Elastic rebalance: drop the retained pieces of (var, version) that
@@ -108,8 +114,8 @@ class DataLog {
       const std::string& var, staging::Version version,
       const std::function<bool(const staging::Chunk&)>& pred) {
     rebase_dependents(var, version);
-    return store_.drop_pieces(var, version, pred,
-                              staging::DropReason::kResilver);
+    return store_->drop_pieces(var, version, pred,
+                               staging::DropReason::kResilver, kLog);
   }
 
   /// Drop all retained versions of `var` up to and including `watermark`.
@@ -119,29 +125,16 @@ class DataLog {
   /// rebase is needed: a surviving delta's base is always older than the
   /// delta itself, hence also a survivor.
   std::size_t drop_above(staging::Version version) {
-    return store_.drop_versions_above(version);
-  }
-  /// Tenant-scoped rollback: drop versions newer than `version`, but only
-  /// of variables matching `var_pred` (a tenant-namespace predicate), so one
-  /// tenant's rollback never truncates another tenant's retained history.
-  std::size_t drop_above(
-      staging::Version version,
-      const std::function<bool(const std::string&)>& var_pred) {
-    return store_.drop_versions_above(version, var_pred);
+    return store_->drop_versions_above(version, {}, kLog);
   }
 
   [[nodiscard]] std::uint64_t nominal_bytes() const {
-    return store_.nominal_bytes();
-  }
-  /// Retained nominal bytes attributable to one tenant's variables.
-  [[nodiscard]] std::uint64_t nominal_bytes(net::TenantId tenant) const {
-    return store_.nominal_bytes(tenant);
-  }
-  [[nodiscard]] std::uint64_t physical_bytes() const {
-    return store_.physical_bytes();
+    return store_->nominal_bytes(kLog);
   }
 
  private:
+  static constexpr staging::Holder kLog = staging::Holder::kLog;
+
   /// Decode one stored piece to its raw bytes (identity when not encoded).
   [[nodiscard]] std::vector<std::uint8_t> decode_piece(
       const staging::Chunk& stored) const;
@@ -155,7 +148,8 @@ class DataLog {
   /// Re-encode every delta whose base is (var, version) as a full block.
   void rebase_dependents(const std::string& var, staging::Version version);
 
-  staging::ObjectStore store_;
+  std::unique_ptr<staging::ObjectStore> own_;  // standalone logs only
+  staging::ObjectStore* store_;
   codec::Scheme scheme_ = codec::Scheme::kNone;
   CodecStats codec_stats_;
 };

@@ -2,6 +2,10 @@
 // coupled workflow to completion and exhibits the paper's semantics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <string_view>
+
 #include "core/executor.hpp"
 #include "core/setups.hpp"
 
@@ -130,7 +134,33 @@ TEST(WorkflowTest, LoggingCostsMemory) {
   EXPECT_GT(logged.staging.total_bytes_peak, plain.staging.total_bytes_peak);
 }
 
-// With the codec off a logged put's log piece is the store's buffer, so
+// GC sweeps shrink the data log after every durable checkpoint, so its
+// end-of-run size is not its peak. log_payload_bytes_peak is the sum of the
+// servers' high-water marks, recounted here after every put (the only way a
+// failure-free run's log grows).
+TEST(WorkflowTest, LogPeakIsEachServersHighWaterMark) {
+  WorkflowRunner runner(small_spec(Scheme::kUncoordinated, 0, 1));
+  const auto& servers = runner.runtime().servers();
+  std::map<std::uint32_t, std::uint64_t> high;  // track id → log bytes
+  runner.runtime().recorder().subscribe(
+      [&](const obs::Event& e, std::string_view) {
+        if (e.kind != obs::Kind::kPutAdmit) return;
+        for (const auto& s : servers) {
+          if (s->track().id() != e.track) continue;
+          std::uint64_t& h = high[e.track];
+          h = std::max(h, s->data_log().nominal_bytes());
+        }
+      });
+  const RunMetrics m = runner.run();
+  std::uint64_t peak = 0;
+  for (const auto& [track, bytes] : high) peak += bytes;
+  std::uint64_t final_log = 0;
+  for (const auto& s : servers) final_log += s->data_log().nominal_bytes();
+  EXPECT_LT(final_log, peak);  // the sweeps really shrank the log
+  EXPECT_EQ(m.staging.log_payload_bytes_peak, peak);
+}
+
+// With the codec off a logged put's log piece is the window's piece, so
 // the memory governor charges it once. At 512 MiB/server the Table II Un
 // run then fits under the hard watermark: no put bounces, and write
 // response matches the unbounded run's. Charging the shared buffer twice

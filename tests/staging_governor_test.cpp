@@ -322,12 +322,12 @@ TEST(StagingGovernorTest, BouncedPutIsNotAckedUntilDurable) {
 
 // --- Charge-once accounting ------------------------------------------------
 //
-// A server keeps its footprint's shared term (bytes of the buffers both the
-// base store and the data log hold) up to date as pieces enter and leave
-// either holder. After every step of a randomized schedule, and every 5 ms
+// A server charges each piece of its one version store once, however many
+// holders keep it, and keeps that footprint current as pieces gain and
+// lose holders. After every step of a randomized schedule, and every 5 ms
 // of virtual time in between, that running footprint must equal a recount
-// from scratch that charges each distinct payload buffer once, pooled and
-// per tenant. The schedule interleaves raw-log, encoded-log and unlogged
+// from scratch over the window's and the log's views that charges each
+// distinct payload buffer once, pooled and per tenant. The schedule interleaves raw-log, encoded-log and unlogged
 // puts, window rotation, checkpoint-driven GC, spills and fault-ins,
 // tenant rollbacks and a standby's join (the resilver drops pieces at the
 // source).

@@ -362,7 +362,7 @@ MemoryReport three_logged_versions(ServerParams params) {
     const MemoryReport m = s->memory();
     sum.store_bytes += m.store_bytes;
     sum.log_payload_bytes += m.log_payload_bytes;
-    sum.shared_bytes += m.shared_bytes;
+    sum.buffer_bytes += m.buffer_bytes;
     sum.log_metadata_bytes += m.log_metadata_bytes;
   }
   return sum;
@@ -374,9 +374,8 @@ TEST(StagingRtTest, MemoryReportSeparatesStoreAndLog) {
   EXPECT_EQ(m.store_bytes, 2 * per_version);  // base window of 2
   EXPECT_EQ(m.log_payload_bytes, 3 * per_version);  // no ckpt yet
   EXPECT_GT(m.log_metadata_bytes, 0u);
-  // The raw log keeps the store's buffers: the two windowed versions are
-  // held once, so the server is charged for three versions, not five.
-  EXPECT_EQ(m.shared_bytes, 2 * per_version);
+  // The raw log holds the window's pieces: the two windowed versions are
+  // stored once, so the server is charged for three versions, not five.
   EXPECT_EQ(m.governed(), 3 * per_version + m.log_metadata_bytes);
 }
 
@@ -387,7 +386,7 @@ TEST(StagingRtTest, EncodedLogSharesNoBufferWithTheStore) {
   const std::uint64_t per_version = Box::from_dims(64, 64, 64).volume() * 8;
   EXPECT_EQ(m.store_bytes, 2 * per_version);
   EXPECT_GT(m.log_payload_bytes, 0u);
-  EXPECT_EQ(m.shared_bytes, 0u);  // the encoded copy is a buffer of its own
+  // The encoded copy is a piece of its own: both holders are charged.
   EXPECT_EQ(m.governed(),
             m.store_bytes + m.log_payload_bytes + m.log_metadata_bytes);
 }

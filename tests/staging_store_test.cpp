@@ -1,7 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <string_view>
+#include <tuple>
+
+#include "gc/garbage_collector.hpp"
+#include "obs/recorder.hpp"
+#include "sim/engine.hpp"
 #include "staging/object_store.hpp"
 #include "staging/types.hpp"
+#include "wlog/data_log.hpp"
 
 namespace dstage::staging {
 namespace {
@@ -166,6 +173,142 @@ TEST(ObjectStoreTest, EmptyRegionTriviallyCovered) {
   ObjectStore store(1);
   store.put(chunk_of("v", 1, Box::from_dims(4, 4, 4)));
   EXPECT_TRUE(store.covers("v", 1, Box{}));
+}
+
+// --- One version store -----------------------------------------------------
+//
+// A server keeps one ObjectStore: the data log is its log holder. A logged
+// put with the codec off is one piece both holders keep; an encoded log
+// copy is a second piece only the log keeps. Each holder sees exactly its
+// own pieces, and a piece's bytes leave with its last holder.
+
+/// A logged put as the server applies it: the log first, then the window.
+void logged_put(ObjectStore& store, wlog::DataLog& log, const Chunk& c) {
+  log.add(c);
+  store.put(c);
+}
+
+TEST(VersionStoreTest, RotatedLoggedVersionKeepsItsOneBuffer) {
+  ObjectStore store(1);
+  wlog::DataLog log(store);
+  const Box r = Box::from_dims(8, 8, 8);
+  const Chunk v1 = chunk_of("f", 1, r);
+  const Chunk v2 = chunk_of("f", 2, r);
+  logged_put(store, log, v1);
+  EXPECT_EQ(store.nominal_bytes(Holder::kBoth), v1.nominal_bytes);
+  logged_put(store, log, v2);  // rotates v1 out of the window
+  EXPECT_EQ(store.versions_of("f"), (std::vector<Version>{2}));
+  const std::vector<Chunk> kept = log.chunks_of("f", 1);
+  ASSERT_EQ(kept.size(), 1u);
+  EXPECT_EQ(kept[0].data, v1.data);  // the put's own buffer, not a copy
+  EXPECT_EQ(store.nominal_bytes(), v2.nominal_bytes);
+  EXPECT_EQ(log.nominal_bytes(), v1.nominal_bytes + v2.nominal_bytes);
+  EXPECT_EQ(store.nominal_bytes(Holder::kBoth),
+            v1.nominal_bytes + v2.nominal_bytes);
+}
+
+TEST(VersionStoreTest, GcDropOfAWindowedVersionLeavesItReadable) {
+  ObjectStore store(2);
+  wlog::DataLog log(store);
+  const Box r = Box::from_dims(8, 8, 8);
+  for (Version v = 1; v <= 2; ++v) logged_put(store, log, chunk_of("f", v, r));
+  const std::uint64_t per_version = r.volume() * 8;
+  EXPECT_EQ(log.drop_upto("f", 1), 1u);
+  EXPECT_FALSE(log.has("f", 1));
+  ASSERT_TRUE(store.covers("f", 1, r));
+  const std::vector<Chunk> pieces = store.get("f", 1, r);
+  ASSERT_EQ(pieces.size(), 1u);
+  EXPECT_EQ(check_chunk(pieces[0], "f", 1), ChunkCheck::kOk);
+  // The window still holds both versions: nothing was freed.
+  EXPECT_EQ(log.nominal_bytes(), per_version);
+  EXPECT_EQ(store.nominal_bytes(Holder::kBoth), 2 * per_version);
+}
+
+TEST(VersionStoreTest, EncodedLogCopyIsAPieceOfItsOwn) {
+  ObjectStore store(2);
+  wlog::DataLog log(store);
+  log.set_codec(wlog::codec::Scheme::kDeltaLz);
+  const Box r = Box::from_dims(8, 8, 8);
+  const std::uint64_t raw = r.volume() * 8;
+  std::uint64_t encoded[4] = {};
+  for (Version v = 1; v <= 3; ++v) {
+    const std::uint64_t before = log.nominal_bytes();
+    logged_put(store, log, make_chunk("f", v, r, 8.0, 1));
+    encoded[v] = log.nominal_bytes() - before;
+    ASSERT_GT(encoded[v], 0u);
+    ASSERT_LT(encoded[v], raw);
+  }
+  // v1 rotated out of the window: only its raw copy left.
+  EXPECT_EQ(store.versions_of("f"), (std::vector<Version>{2, 3}));
+  EXPECT_EQ(log.versions_of("f"), (std::vector<Version>{1, 2, 3}));
+  EXPECT_EQ(store.nominal_bytes(), 2 * raw);
+  EXPECT_EQ(store.nominal_bytes(Holder::kBoth),
+            2 * raw + encoded[1] + encoded[2] + encoded[3]);
+  // GC of v2, still in the window, frees only its encoded copy.
+  const std::uint64_t log_before = log.nominal_bytes();
+  EXPECT_EQ(log.drop_upto("f", 2), 2u);
+  EXPECT_EQ(store.versions_of("f"), (std::vector<Version>{2, 3}));
+  EXPECT_EQ(store.nominal_bytes(), 2 * raw);
+  EXPECT_EQ(store.nominal_bytes(Holder::kBoth), 2 * raw + log.nominal_bytes());
+  EXPECT_LT(log.nominal_bytes(), log_before);
+  for (const Chunk& piece : store.get("f", 2, r)) {
+    EXPECT_EQ(check_chunk(piece, "f", 2), ChunkCheck::kOk);
+  }
+  for (const Chunk& piece : log.get("f", 3, r)) {
+    EXPECT_EQ(check_chunk(piece, "f", 3), ChunkCheck::kOk);
+  }
+}
+
+TEST(VersionStoreTest, RollbackDropsEachHolderOncePerVersion) {
+  sim::Engine eng;
+  obs::Recorder rec(eng);
+  ObjectStore store(2, rec.track("staging-0"));
+  wlog::DataLog log(store);
+  const Box r = Box::from_dims(8, 8, 8);
+  for (Version v = 1; v <= 4; ++v) logged_put(store, log, chunk_of("f", v, r));
+  store.put(chunk_of("u", 3, r));  // unlogged: the window's alone
+  std::vector<std::tuple<obs::Kind, std::string, std::int64_t>> drops;
+  rec.subscribe([&](const obs::Event& e, std::string_view detail) {
+    EXPECT_EQ(e.b, static_cast<std::int64_t>(DropReason::kRollback));
+    drops.emplace_back(e.kind, std::string(detail), e.a);
+  });
+  EXPECT_EQ(store.drop_versions_above(2, {}, Holder::kBoth), 3u);
+  using obs::Kind;
+  EXPECT_EQ(drops, (std::vector<std::tuple<Kind, std::string, std::int64_t>>{
+                       {Kind::kStoreDrop, "f", 3},
+                       {Kind::kLogDrop, "f", 3},
+                       {Kind::kStoreDrop, "f", 4},
+                       {Kind::kLogDrop, "f", 4},
+                       {Kind::kStoreDrop, "u", 3},
+                   }));
+  EXPECT_EQ(log.versions_of("f"), (std::vector<Version>{1, 2}));
+  EXPECT_EQ(store.versions_of("f"), (std::vector<Version>{}));
+  EXPECT_EQ(store.nominal_bytes(Holder::kBoth), 2 * r.volume() * 8);
+}
+
+TEST(VersionStoreTest, EachHolderSeesOnlyItsOwnPieces) {
+  ObjectStore store(2);
+  wlog::DataLog log(store);
+  const Box r = Box::from_dims(8, 8, 8);
+  logged_put(store, log, chunk_of("f", 1, r));
+  store.put(chunk_of("f", 2, r));  // unlogged
+  store.put(chunk_of("u", 1, r));  // unlogged variable
+  // The log never lists a window-only version...
+  EXPECT_EQ(log.variables(), (std::vector<std::string>{"f"}));
+  EXPECT_EQ(log.versions_of("f"), (std::vector<Version>{1}));
+  EXPECT_FALSE(log.has("f", 2));
+  EXPECT_FALSE(log.covers("f", 2, r));
+  EXPECT_TRUE(log.get("f", 2, r).empty());
+  EXPECT_EQ(log.nominal_bytes(), r.volume() * 8);
+  // ...so a GC sweep scans (and charges for) the log's one version only.
+  gc::GarbageCollector gc;
+  EXPECT_EQ(gc.sweep(log).entries_scanned, 1u);
+  // And the window never sees a log-only version.
+  log.add(chunk_of("f", 3, r));
+  EXPECT_EQ(store.latest("f"), Version{2});
+  EXPECT_FALSE(store.covers("f", 3, r));
+  EXPECT_TRUE(store.get("f", 3, r).empty());
+  EXPECT_EQ(store.versions_of("f"), (std::vector<Version>{1, 2}));
 }
 
 }  // namespace
