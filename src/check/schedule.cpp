@@ -114,9 +114,6 @@ core::WorkflowSpec Schedule::to_spec() const {
       core::table2_setup(scheme, 1.0, sim_period, analytic_period);
   spec.total_ts = total_ts;
   spec.server.policy = resilience_for(resilience);
-  for (auto& comp : spec.components) {
-    comp.local_ckpt_period = local_ckpt_period;
-  }
   if (memory_budget_mb > 0) {
     spec.staging.memory_budget =
         static_cast<std::uint64_t>(memory_budget_mb) << 20;
@@ -153,11 +150,10 @@ core::WorkflowSpec Schedule::to_spec() const {
 std::string Schedule::repro() const {
   std::string out = "cc1";
   char buf[128];
-  std::snprintf(buf, sizeof(buf), ";id=%d;sch=%s;ts=%d;sp=%d;ap=%d;lp=%d"
+  std::snprintf(buf, sizeof(buf), ";id=%d;sch=%s;ts=%d;sp=%d;ap=%d"
                 ";res=%d;mtbf=%d",
                 id, scheme_token(scheme), total_ts, sim_period,
-                analytic_period, local_ckpt_period, resilience,
-                mtbf ? 1 : 0);
+                analytic_period, resilience, mtbf ? 1 : 0);
   out += buf;
   // Emitted only when set, so pre-governor repro strings stay stable.
   if (memory_budget_mb > 0) {
@@ -230,7 +226,14 @@ Schedule Schedule::parse(const std::string& repro) {
     } else if (key == "ap") {
       s.analytic_period = parse_int(val, "ap");
     } else if (key == "lp") {
-      s.local_ckpt_period = parse_int(val, "lp");
+      // The retired node-local checkpoint period: `lp=0` means what its
+      // absence does; the hierarchy's cache is now the only node-local
+      // level.
+      if (parse_int(val, "lp", 0) != 0) {
+        throw std::invalid_argument(
+            "repro: lp=" + val + " is retired (node-local checkpoints are "
+            "the checkpoint hierarchy's cache); use ckpt=<group>");
+      }
     } else if (key == "res") {
       s.resilience = parse_int(val, "res");
     } else if (key == "mtbf") {
@@ -317,7 +320,9 @@ std::vector<Schedule> generate_schedules(const GenerateOptions& opts) {
     s.total_ts = opts.total_ts;
     s.sim_period = rng.uniform_int(2, 4);
     s.analytic_period = rng.uniform_int(2, 5);
-    s.local_ckpt_period = rng.next_double() < 0.3 ? 2 : 0;
+    // The retired node-local period's draw: still consumed, so every
+    // other field of every schedule stays what it was.
+    (void)rng.next_double();
     s.resilience = rng.uniform_int(0, kResilienceKinds - 1);
     s.mtbf = rng.next_double() < 0.5;
     s.memory_budget_mb = opts.memory_budget_mb;

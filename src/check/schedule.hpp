@@ -22,7 +22,7 @@ struct ScheduleFailure {
   int ts = 1;               // timestep the failure strikes
   double phase = 0.5;       // fraction of the timestep's compute before death;
                             // < 0 means predictor false alarm (no kill)
-  bool node_level = false;  // node failure: local checkpoints are lost
+  bool node_level = false;  // node failure: its cached ckpt blocks are lost
   bool predicted = false;   // the failure predictor flagged it in advance
 
   friend bool operator==(const ScheduleFailure&,
@@ -49,9 +49,8 @@ struct Schedule {
   int id = 0;  // position in the campaign (label only; not part of config)
   core::Scheme scheme = core::Scheme::kUncoordinated;
   int total_ts = 12;
-  int sim_period = 3;        // simulation PFS checkpoint period
-  int analytic_period = 4;   // analytic PFS checkpoint period
-  int local_ckpt_period = 0; // multi-level local checkpoints (0 disables)
+  int sim_period = 3;        // simulation checkpoint period
+  int analytic_period = 4;   // analytic checkpoint period
   int resilience = 0;        // see kResilienceKinds
   bool mtbf = false;         // provenance: failure times drawn via MTBF
   /// Per-server staging memory budget in MB (0 = governor disabled). Part
@@ -95,6 +94,8 @@ struct Schedule {
   /// One-line re-runnable serialization (exact round-trip incl. phases).
   [[nodiscard]] std::string repro() const;
   /// Inverse of repro(). Throws std::invalid_argument on malformed input.
+  /// Accepts the retired node-local period only as `lp=0`, so older repro
+  /// strings stay runnable; `lp=N` with N > 0 throws.
   static Schedule parse(const std::string& repro);
 
   friend bool operator==(const Schedule&, const Schedule&) = default;

@@ -217,7 +217,7 @@ sim::Task<void> WorkflowRunner::maybe_fail(Comp* comp, int ts, sim::Ctx ctx) {
     if (f.fired || f.comp != comp->id || f.ts != ts) continue;
     f.fired = true;
     if (f.predicted && policy_->proactive_eligible(comp->spec)) {
-      // The failure predictor raised an alert: take an emergency local
+      // The failure predictor raised an alert: take an emergency
       // checkpoint so the imminent failure loses only the current timestep.
       co_await policy_->emergency_checkpoint(services_, *comp, ts - 1, ctx);
     }
@@ -228,26 +228,23 @@ sim::Task<void> WorkflowRunner::maybe_fail(Comp* comp, int ts, sim::Ctx ctx) {
         comp->track.begin("compute (interrupted)", obs::Phase::kCompute, 0, ts);
     co_await ctx.delay(
         sim::from_seconds(f.phase * comp->spec.compute_per_ts_s));
-    if (f.node_level) {
-      if (services_.ckpt != nullptr) {
-        // Multi-level hierarchy: the node loss wipes one member's cached
-        // blocks per affected set; the freshest level still complete (cache
-        // intact, partner-rebuildable, or PFS-drained) is the restart point.
-        // Mid-drain sets don't qualify until their CkptDrainAck lands.
-        const std::uint64_t double_losses_before =
-            services_.ckpt->stats().double_losses;
-        services_.ckpt->on_node_failure(comp->id);
-        if (services_.ckpt->stats().double_losses > double_losses_before) {
-          // Double XOR loss: some cached set is now unrestorable at any
-          // level below the PFS — loud enough to warrant a forensic dump.
-          comp->track.degrade("double XOR loss: checkpoint set(s) of " +
-                              comp->spec.name + " unrestorable below the PFS");
-        }
-        comp->last_ckpt_ts = services_.ckpt->best_restart_ts(
-            comp->id, comp->last_pfs_ckpt_ts);
-      } else {
-        comp->last_ckpt_ts = comp->last_pfs_ckpt_ts;
+    if (f.node_level && services_.ckpt != nullptr) {
+      // The node loss wipes one member's cached blocks per affected set;
+      // the freshest level still complete (cache intact, partner-
+      // rebuildable, or PFS-drained) is the restart point. Mid-drain sets
+      // don't qualify until their CkptDrainAck lands. With the hierarchy
+      // off every checkpoint is already on the PFS, so nothing is lost.
+      const std::uint64_t double_losses_before =
+          services_.ckpt->stats().double_losses;
+      services_.ckpt->on_node_failure(comp->id);
+      if (services_.ckpt->stats().double_losses > double_losses_before) {
+        // Double XOR loss: some cached set is now unrestorable at any
+        // level below the PFS — loud enough to warrant a forensic dump.
+        comp->track.degrade("double XOR loss: checkpoint set(s) of " +
+                            comp->spec.name + " unrestorable below the PFS");
       }
+      comp->last_ckpt_ts = services_.ckpt->best_restart_ts(
+          comp->id, comp->last_pfs_ckpt_ts);
     }
     comp->track.emit(obs::Kind::kFailure, ts, f.node_level ? 1 : 0);
     comp->track.end(partial);

@@ -63,14 +63,9 @@ sim::Task<void> stage_data_recovery(RuntimeServices& rt, Comp& comp,
     }
     comp.track.emit(obs::Kind::kCkptRestore, comp.last_ckpt_ts,
                     static_cast<std::int64_t>(r.level));
-  } else if (comp.last_ckpt_ts > comp.last_pfs_ckpt_ts) {
-    // Hierarchy off, but a fresher local (cache-level) checkpoint exists.
-    comp.track.emit(obs::Kind::kRestartLevel, comp.spec.name,
-                    static_cast<std::int64_t>(ckpt::CkptLevel::kCache),
-                    comp.last_ckpt_ts);
-    co_await sys.delay(sim::from_seconds(static_cast<double>(bytes) /
-                                         rt.spec->costs.local_ckpt_bw));
   } else {
+    // Hierarchy off (every checkpoint is a PFS write) or no set taken yet:
+    // the restart reads the PFS.
     comp.track.emit(obs::Kind::kRestartLevel, comp.spec.name,
                     static_cast<std::int64_t>(ckpt::CkptLevel::kPfs),
                     comp.last_ckpt_ts);

@@ -29,8 +29,9 @@ sim::Task<void> stage_process_recovery(RuntimeServices& rt, Comp& comp,
                                        sim::Ctx sys);
 
 /// Data recovery: restore process state from the freshest usable checkpoint
-/// level — the fast node-local level when it holds the anchor, the PFS
-/// otherwise — and account the timesteps lost to rollback.
+/// level — with the hierarchy on, its intact cache, a partner rebuild or
+/// the drained PFS copy; with it off, the PFS — and account the timesteps
+/// lost to rollback.
 sim::Task<void> stage_data_recovery(RuntimeServices& rt, Comp& comp,
                                     sim::Ctx sys);
 

@@ -43,7 +43,8 @@ struct Comp {
   cluster::VprocId vproc = -1;
   std::unique_ptr<staging::StagingClient> client;
   int current_ts = 0;        // last fully completed timestep
-  int last_ckpt_ts = 0;      // freshest restartable checkpoint (any level)
+  int last_ckpt_ts = 0;      // freshest restartable checkpoint (any level;
+                             // equals last_pfs_ckpt_ts with the hierarchy off)
   int last_pfs_ckpt_ts = 0;  // freshest PFS-level checkpoint
   bool done = false;
   bool recovering = false;
@@ -60,7 +61,7 @@ struct PlannedFailure {
   int comp = 0;
   int ts = 1;
   double phase = 0.5;       // fraction of the timestep's compute before death
-  bool node_level = false;  // node failure: local checkpoints are lost
+  bool node_level = false;  // node failure: its cached ckpt blocks are lost
   bool predicted = false;   // the failure predictor flagged it in advance
   bool fired = false;
 };

@@ -19,34 +19,42 @@ sim::Task<void> SchemePolicy::emergency_checkpoint(RuntimeServices& rt,
                                                    Comp& comp, int ts,
                                                    sim::Ctx ctx) {
   if (ts <= comp.last_ckpt_ts) co_return;  // already covered
+  // The emergency snapshot is a regular checkpoint of whichever path the
+  // spec runs: a hierarchy cache set (partner-protected once its parity
+  // lands, durable once drained), else a durable PFS write.
   if (rt.ckpt != nullptr) {
-    // Multi-level hierarchy: the emergency snapshot is a regular cache-level
-    // set — partner-protected once its parity lands, durable once drained —
-    // instead of a bare node-local copy a node failure wipes entirely.
     co_await hierarchy_checkpoint(rt, comp, ts, ctx, /*emergency=*/true);
-    co_return;
+  } else {
+    co_await pfs_checkpoint(rt, comp, ts, ctx, /*emergency=*/true);
   }
+}
+
+sim::Task<void> SchemePolicy::pfs_checkpoint(RuntimeServices& rt, Comp& comp,
+                                             int ts, sim::Ctx ctx,
+                                             bool emergency) {
   const sim::TimePoint stall_start = ctx.now();
   const obs::SpanId span =
-      comp.track.begin("emergency checkpoint", obs::Phase::kCheckpoint, 0, ts);
-  co_await ctx.delay(sim::from_seconds(
-      static_cast<double>(rt.spec->costs.state_bytes(comp.spec.cores)) /
-      rt.spec->costs.local_ckpt_bw));
-  // Emergency checkpoints land in node-local storage, which a node-level
-  // failure wipes — so, like the regular node-local level, they anchor a
-  // replay script but must not advance the staging GC watermark (the
-  // predicted failure may be the very node failure that forces a
-  // PFS-level fallback restart).
-  if (component_logged(comp.spec)) {
-    co_await comp.client->workflow_check(ctx, static_cast<staging::Version>(ts),
-                                         /*durable=*/false);
+      comp.track.begin(emergency ? "emergency checkpoint" : "checkpoint",
+                       obs::Phase::kCheckpoint, 0, ts);
+  co_await rt.pfs->write(ctx, rt.spec->costs.state_bytes(comp.spec.cores));
+  comp.last_pfs_ckpt_ts = ts;
+  if (emergency) {
+    ++comp.metrics.proactive_checkpoints;
+    comp.track.emit(obs::Kind::kProactiveCheckpoint, ts);
+    comp.track.count("proactive_checkpoints");
+  } else {
+    ++comp.metrics.checkpoints;
+    comp.track.emit(obs::Kind::kCheckpoint, ts);
   }
-  comp.last_ckpt_ts = ts;
-  ++comp.metrics.proactive_checkpoints;
-  comp.metrics.ckpt_stall_s += (ctx.now() - stall_start).seconds();
-  comp.track.emit(obs::Kind::kProactiveCheckpoint, ts);
+  // The PFS copy survives node loss, so the marker may advance the staging
+  // GC watermark.
+  if (component_logged(comp.spec)) {
+    co_await comp.client->workflow_check(ctx,
+                                         static_cast<staging::Version>(ts));
+  }
   comp.track.end(span);
-  comp.track.count("proactive_checkpoints");
+  comp.last_ckpt_ts = ts;
+  comp.metrics.ckpt_stall_s += (ctx.now() - stall_start).seconds();
 }
 
 sim::Task<void> SchemePolicy::hierarchy_checkpoint(RuntimeServices& rt,

@@ -65,12 +65,18 @@ class SchemePolicy {
   /// appropriate recovery-pipeline stages (core/recovery_pipeline.hpp).
   virtual void recover(RuntimeServices& rt, Comp& comp) = 0;
 
-  /// Emergency (proactive) checkpoint to node-local storage, plus a
-  /// staging checkpoint event for logged components. Shared across schemes;
-  /// invoked when the failure predictor flags an imminent crash. Routes
-  /// through the multi-level hierarchy when the spec enables it.
+  /// Emergency (proactive) checkpoint, invoked when the failure predictor
+  /// flags an imminent crash; shared across schemes. It is the regular
+  /// checkpoint of the spec's path — a hierarchy set when the hierarchy is
+  /// on, else pfs_checkpoint() — counted as proactive.
   sim::Task<void> emergency_checkpoint(RuntimeServices& rt, Comp& comp,
                                        int ts, sim::Ctx ctx);
+
+  /// Hierarchy-off checkpoint: one synchronous PFS write plus a durable
+  /// staging checkpoint event for logged components. Writes both the
+  /// periodic checkpoint and (`emergency`) the predictor's one.
+  sim::Task<void> pfs_checkpoint(RuntimeServices& rt, Comp& comp, int ts,
+                                 sim::Ctx ctx, bool emergency);
 
   /// Multi-level hierarchy checkpoint (DESIGN.md §12): write the node-local
   /// cache level (the only synchronous I/O the component pays), record a

@@ -3,8 +3,8 @@
 // periods, staging logs every coupled put/get, and a failed component
 // replays its own data-access history without disturbing the others.
 // Also the base for the Individual and Hybrid variants, which share the
-// per-component checkpoint machinery (including the multi-level node-local
-// layer) and differ only in logging and per-component recovery method.
+// per-component checkpoint machinery (including the checkpoint hierarchy)
+// and differ only in logging and per-component recovery method.
 #pragma once
 
 #include "core/scheme/policy.hpp"
@@ -20,9 +20,9 @@ class UncoordinatedPolicy : public SchemePolicy {
 
   sim::Task<void> on_timestep_end(RuntimeServices& rt, Comp& comp, int ts,
                                   sim::Ctx ctx) override;
-  /// PFS-level checkpoint when the component's period is due (the PFS level
-  /// wins when both fall on the same timestep), else the fast node-local
-  /// level; logged components also insert a W_Chk_ID staging event.
+  /// The checkpoint due at the component's period: a hierarchy cache set
+  /// when the hierarchy is on, else one synchronous PFS write; logged
+  /// components also insert a W_Chk_ID staging event.
   sim::Task<void> checkpoint(RuntimeServices& rt, Comp& comp, int ts,
                              sim::Ctx ctx) override;
   void recover(RuntimeServices& rt, Comp& comp) override;

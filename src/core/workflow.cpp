@@ -118,9 +118,6 @@ void WorkflowSpec::validate() const {
       reject(who + "compute_per_ts_s must be >= 0");
     }
     if (c.ckpt_period < 1) reject(who + "ckpt_period must be >= 1");
-    if (c.local_ckpt_period < 0) {
-      reject(who + "local_ckpt_period must be >= 0 (0 disables)");
-    }
     for (const auto& w : c.writes) {
       if (w.var.empty()) reject(who + "write var must be non-empty");
       if (!(w.subset_fraction > 0) || w.subset_fraction > 1) {

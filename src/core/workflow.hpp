@@ -56,15 +56,11 @@ struct ComponentSpec {
   std::string name;
   int cores = 1;
   double compute_per_ts_s = 1.0;
-  /// Checkpoint period in timesteps (per-component under Un/In/Hy); these
-  /// checkpoints go to the parallel file system and survive node loss.
+  /// Checkpoint period in timesteps (per-component under Un/In/Hy). With
+  /// the checkpoint hierarchy off (CkptSpec) each checkpoint is one
+  /// synchronous PFS write that survives node loss; with it on, each is a
+  /// node-local cache set that the drain agent makes durable.
   int ckpt_period = 4;
-  /// Multi-level checkpointing (the paper's future-work direction, after
-  /// Moody et al. [16]): additional fast checkpoints to node-local storage
-  /// every `local_ckpt_period` timesteps (0 disables). Process failures
-  /// restart from the freshest local or PFS checkpoint; node failures can
-  /// only use the PFS level.
-  int local_ckpt_period = 0;
   FtMethod method = FtMethod::kCheckpointRestart;
   std::vector<CouplingWrite> writes;
   std::vector<CouplingRead> reads;
@@ -84,7 +80,7 @@ struct ExplicitFailure {
   int ts = 1;               // timestep the failure strikes
   double phase = 0.5;       // fraction of the timestep's compute before death;
                             // < 0 means predictor false alarm (no kill)
-  bool node_level = false;  // node failure: local checkpoints are lost
+  bool node_level = false;  // node failure: its cached ckpt blocks are lost
   bool predicted = false;   // the failure predictor flagged it in advance
 
   friend bool operator==(const ExplicitFailure&,
@@ -101,8 +97,9 @@ struct FailurePlan {
   /// planner (count/mtbf_s) entirely.
   std::vector<ExplicitFailure> explicit_failures;
   std::uint64_t seed = 1;
-  /// Fraction of failures that take the whole node down (local checkpoints
-  /// lost); the rest are process failures.
+  /// Fraction of failures that take the whole node down (the checkpoint
+  /// hierarchy's cached blocks on it are lost); the rest are process
+  /// failures.
   double node_failure_fraction = 0.2;
   /// Proactive checkpointing (the paper's future-work direction, after
   /// Bouguerra et al. [15]): a failure predictor flags this fraction of
@@ -147,8 +144,10 @@ struct ElasticSpec {
 
 /// Multi-level checkpoint hierarchy (DESIGN.md §12): node-local cache,
 /// XOR-encoded partner redundancy, and an asynchronous background drain to
-/// the PFS. Inert by default (xor_group == 0): schemes take classic
-/// synchronous PFS checkpoints and the golden digests are byte-identical.
+/// the PFS. Its cache is the only node-local checkpoint storage. Inert by
+/// default (xor_group == 0): every checkpoint, periodic or emergency, is
+/// then one synchronous PFS write and the golden digests are
+/// byte-identical.
 struct CkptSpec {
   /// XOR partner-group size (numbers of peers sharing one parity block).
   /// 0 disables the hierarchy; enabled values must lie in [2, 16]. A single
@@ -265,8 +264,8 @@ struct ComponentMetrics {
   int timesteps_done = 0;
   int timesteps_reworked = 0;  // re-executed after rollbacks
   int failures = 0;
-  int checkpoints = 0;       // PFS-level checkpoints
-  int local_checkpoints = 0; // node-local checkpoints (multi-level)
+  int checkpoints = 0;       // periodic synchronous PFS checkpoints
+  int local_checkpoints = 0; // checkpoint-hierarchy cache sets
   int proactive_checkpoints = 0;
   SampleSet put_response_s;
   SampleSet get_response_s;

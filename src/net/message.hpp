@@ -171,10 +171,11 @@ struct CheckpointEvent {
   // A checkpoint marker plays two roles: it anchors the app's replay
   // script (valid for every checkpoint level) and it advances the GC
   // watermark (only sound for a checkpoint that survives the worst
-  // failure the app can suffer). Node-local and emergency checkpoints
-  // are wiped by a node failure, whose recovery falls back to the PFS
-  // level — announcing them as durable would let GC reclaim logged
-  // versions the fallback restart still has to replay.
+  // failure the app can suffer). A checkpoint-hierarchy cache set can be
+  // lost to node failures before it drains, and that recovery falls back
+  // to an older durable checkpoint — announcing the set as durable would
+  // let GC reclaim logged versions the fallback restart still has to
+  // replay. Only its drain's CkptDrainAck makes it durable.
   bool durable = true;
   TenantId tenant = 0;
 };

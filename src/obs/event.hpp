@@ -30,7 +30,7 @@ enum class Kind : std::uint8_t {
   kWriteDone,            // a=ts, b=nominal bytes written
   kTimestepDone,         // a=ts
   kCheckpoint,           // PFS level: a=ts
-  kLocalCheckpoint,      // node-local level: a=ts
+  kLocalCheckpoint,      // checkpoint-hierarchy cache set: a=ts
   kProactiveCheckpoint,  // a=ts
   kFailure,              // a=ts, b=1 node-level
   kRecoveryStart,        // a=ts

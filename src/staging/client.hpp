@@ -119,9 +119,9 @@ class StagingClient {
 
   /// workflow_check(): notify every staging server of a checkpoint event at
   /// timestep `version`. Returns the highest assigned W_Chk_ID. Pass
-  /// `durable = false` for checkpoint levels a node failure can wipe
-  /// (node-local, emergency): the marker still anchors replay, but must
-  /// not advance the staging GC watermark.
+  /// `durable = false` for a checkpoint a node failure can wipe (a
+  /// checkpoint-hierarchy cache set before its drain): the marker still
+  /// anchors replay, but must not advance the staging GC watermark.
   sim::Task<std::uint64_t> workflow_check(sim::Ctx ctx, Version version,
                                           bool durable = true);
 

@@ -298,9 +298,9 @@ sim::Task<void> StagingServer::handle_get(GetRequest req) {
       const wlog::LogEvent* expected = q.expected();
       // The version is part of the match, exactly as for puts: after a
       // fallback restart from a checkpoint older than the replay anchor
-      // (node failure wiping a node-local checkpoint), the app re-reads
-      // versions from before the script — matching on var/region alone
-      // would serve the script's newer version for those reads.
+      // (node failures losing an undrained hierarchy cache set), the app
+      // re-reads versions from before the script — matching on var/region
+      // alone would serve the script's newer version for those reads.
       if (expected != nullptr && expected->kind == wlog::EventKind::kGet &&
           expected->var == req.desc.var &&
           expected->version == req.desc.version &&
@@ -428,10 +428,10 @@ sim::Task<void> StagingServer::handle_checkpoint(CheckpointEvent ev) {
 
   CheckpointAck ack;
   ack.chk_id = next_chk_id_++;
-  // Only durable checkpoints move the watermark: a non-durable level
-  // (node-local, emergency) is wiped by a node failure, whose recovery
-  // falls back to the last durable checkpoint and must still be able to
-  // replay every logged version above it.
+  // Only durable checkpoints move the watermark: a non-durable one (a
+  // checkpoint-hierarchy cache set before its drain) can be lost to node
+  // failures, whose recovery falls back to the last durable checkpoint and
+  // must still be able to replay every logged version above it.
   if (ev.durable) advance_watermark(ev.app, ev.version);
 
   if (params.logging) {

@@ -38,13 +38,35 @@ TEST(CheckCkptTest, ReproRoundTripsCkptField) {
 
 TEST(CheckCkptTest, HierarchyOffReproStaysStable) {
   // Pre-hierarchy repro strings must parse and re-serialize unchanged: the
-  // `;ckpt=` field is emitted only when set.
+  // `;ckpt=` field is emitted only when set. The retired `lp=0` they carry
+  // parses and is left out of repro().
   const std::string legacy =
       "cc1;id=4;sch=un;ts=12;sp=3;ap=4;lp=0;res=1;mtbf=0"
       ";f=0:5:0.5:";
-  EXPECT_EQ(Schedule::parse(legacy).repro(), legacy);
+  const std::string current =
+      "cc1;id=4;sch=un;ts=12;sp=3;ap=4;res=1;mtbf=0"
+      ";f=0:5:0.5:";
+  EXPECT_EQ(Schedule::parse(legacy).repro(), current);
+  EXPECT_EQ(Schedule::parse(current).repro(), current);
+  EXPECT_EQ(Schedule::parse(legacy), Schedule::parse(current));
   EXPECT_EQ(Schedule::parse(legacy).ckpt_group, 0);
   EXPECT_EQ(legacy.find("ckpt"), std::string::npos);
+}
+
+TEST(CheckCkptTest, ParseRejectsRetiredNodeLocalPeriod) {
+  // The hierarchy's cache is the only node-local checkpoint level: a repro
+  // that asks for the retired one fails loudly and names its replacement.
+  try {
+    (void)Schedule::parse("cc1;id=29;sch=un;ts=12;sp=3;ap=4;lp=2;res=1");
+    ADD_FAILURE() << "lp=2 parsed";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("ckpt=<group>"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(Schedule::parse("cc1;lp=1"), std::invalid_argument);
+  EXPECT_THROW(Schedule::parse("cc1;lp=-1"), std::invalid_argument);
+  EXPECT_THROW(Schedule::parse("cc1;lp=x"), std::invalid_argument);
+  EXPECT_NO_THROW(Schedule::parse("cc1;lp=0"));
 }
 
 TEST(CheckCkptTest, ParseRejectsMalformedCkpt) {
@@ -141,7 +163,7 @@ TEST(CheckCkptTest, ShrunkReproAnchorsStillCatchSabotage) {
   const char* anchors[] = {
       "cc1;id=0;sch=un;ts=12;sp=2;ap=3;lp=0;res=0;mtbf=0;ckpt=3"
       ";f=0:1:0.5:",
-      "cc1;id=2;sch=un;ts=12;sp=3;ap=4;lp=2;res=1;mtbf=0;ckpt=2"
+      "cc1;id=2;sch=un;ts=12;sp=3;ap=4;res=1;mtbf=0;ckpt=2"
       ";f=0:1:0.5:n",
   };
   ReferenceCache cache;

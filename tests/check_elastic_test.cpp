@@ -53,7 +53,7 @@ TEST(CheckElasticTest, RetireDuringFragmentPushReproIsDeterministic) {
   // join and retire now go out in per-box placement order; the new send
   // order shifts the timing of those re-sent puts.
   const Schedule s = Schedule::parse(
-      "cc1;id=57;sch=co;ts=12;sp=3;ap=4;lp=2;res=2;mtbf=1;elastic=j7,r8"
+      "cc1;id=57;sch=co;ts=12;sp=3;ap=4;res=2;mtbf=1;elastic=j7,r8"
       ";f=1:7:0.44417586001904841:;f=0:10:0.64393891274561454:n"
       ";f=0:11:0.27701717915369706:n");
   std::set<std::uint64_t> digests;
@@ -68,11 +68,16 @@ TEST(CheckElasticTest, RetireDuringFragmentPushReproIsDeterministic) {
 
 TEST(CheckElasticTest, FixedGroupReproStaysStable) {
   // Pre-elastic repro strings must parse and re-serialize unchanged: the
-  // new fields are emitted only when set.
+  // new fields are emitted only when set. The retired `lp=0` they carry
+  // parses and is left out of repro().
   const std::string legacy =
       "cc1;id=4;sch=un;ts=12;sp=3;ap=4;lp=0;res=1;mtbf=0"
       ";f=0:5:0.5:";
-  EXPECT_EQ(Schedule::parse(legacy).repro(), legacy);
+  const std::string current =
+      "cc1;id=4;sch=un;ts=12;sp=3;ap=4;res=1;mtbf=0"
+      ";f=0:5:0.5:";
+  EXPECT_EQ(Schedule::parse(legacy).repro(), current);
+  EXPECT_EQ(Schedule::parse(current).repro(), current);
   EXPECT_EQ(legacy.find("elastic"), std::string::npos);
 }
 
@@ -174,7 +179,7 @@ TEST(CheckElasticTest, ShrunkReproAnchorsStillCatchSabotage) {
   // regression anchors: each must keep failing its oracle invariant under
   // the sabotage that produced it, and pass clean without it.
   const char* anchors[] = {
-      "cc1;id=0;sch=un;ts=12;sp=4;ap=5;lp=2;res=1;mtbf=1"
+      "cc1;id=0;sch=un;ts=12;sp=4;ap=5;res=1;mtbf=1"
       ";elastic=j7,r11;f=0:1:0.5:",
       "cc1;id=2;sch=un;ts=12;sp=2;ap=2;lp=0;res=2;mtbf=1"
       ";elastic=j4,r9;f=0:1:0.5:",

@@ -202,7 +202,7 @@ TEST(OracleTest, ExplicitPlanDrivesExactlyThePlannedFailures) {
 TEST(OracleTest, VerdictIsDeterministic) {
   ReferenceCache cache;
   Schedule s = basic_un_schedule();
-  s.local_ckpt_period = 2;
+  s.ckpt_group = 2;
   s.resilience = 1;
   s.failures.push_back({.comp = 1, .ts = 6, .phase = 0.5,
                         .node_level = true});
@@ -214,16 +214,22 @@ TEST(OracleTest, VerdictIsDeterministic) {
 }
 
 // Regression anchors: the two genuine crash-consistency bugs the campaign
-// found in the multi-level extension. Both repros are verbatim shrinker
-// output from the failing runs.
+// found in the retired node-local checkpoint level. Both repros were
+// verbatim shrinker output from the failing runs, which also carried
+// `lp=2`; the grammar now rejects that field, so each anchor keeps the
+// rest of its schedule. With no node-local level left to fall back from,
+// neither anchor reaches its bug any more: each guard is pinned on the
+// staging rig instead (see the test named in each comment). The anchors
+// stay as whole-run checks of their schedules.
 //
 // Bug 1: node-local checkpoints advanced the staging GC watermark; a node
 // failure falls back to the PFS checkpoint, so GC had reclaimed logged
 // versions the fallback replay still needed — the consumer deadlocked.
+// Guard: StagingRtTest.NonDurableCheckpointReclaimsNothing.
 TEST(OracleTest, RegressionNodeLocalCheckpointMustNotAdvanceWatermark) {
   ReferenceCache cache;
   const Schedule s = Schedule::parse(
-      "cc1;id=29;sch=un;ts=12;sp=3;ap=4;lp=2;res=1;mtbf=0;f=1:4:0.5:n");
+      "cc1;id=29;sch=un;ts=12;sp=3;ap=4;res=1;mtbf=0;f=1:4:0.5:n");
   const OracleReport report = check_schedule(s, cache);
   EXPECT_TRUE(report.ok()) << report.summary();
 }
@@ -232,10 +238,11 @@ TEST(OracleTest, RegressionNodeLocalCheckpointMustNotAdvanceWatermark) {
 // cross-level fallback restart the replay script served newer versions
 // for re-reads of older timesteps (wrong-version anomalies on one
 // server's pieces).
+// Guard: StagingRtTest.ReplayedGetMatchesTheVersion.
 TEST(OracleTest, RegressionReplayedGetMustMatchVersion) {
   ReferenceCache cache;
   const Schedule s = Schedule::parse(
-      "cc1;id=438;sch=un;ts=12;sp=3;ap=5;lp=2;res=2;mtbf=1;f=1:4:0.5:n");
+      "cc1;id=438;sch=un;ts=12;sp=3;ap=5;res=2;mtbf=1;f=1:4:0.5:n");
   const OracleReport report = check_schedule(s, cache);
   EXPECT_TRUE(report.ok()) << report.summary();
 }

@@ -117,10 +117,6 @@ TEST(ValidateTest, ComponentFieldsAreNamedInMessages) {
   expect_rejected(bad, "ckpt_period");
 
   bad = spec;
-  bad.components[0].local_ckpt_period = -1;
-  expect_rejected(bad, "local_ckpt_period");
-
-  bad = spec;
   bad.components[0].compute_per_ts_s = -1;
   expect_rejected(bad, "compute_per_ts_s");
 

@@ -277,6 +277,80 @@ TEST(StagingRtTest, GarbageCollectionReclaimsAfterConsumerCheckpoint) {
   EXPECT_GT(rig.total_stats().gc_versions_dropped, 0u);
 }
 
+TEST(StagingRtTest, NonDurableCheckpointReclaimsNothing) {
+  // The durability split: a checkpoint a node failure can wipe (a
+  // hierarchy cache set before its drain) anchors replay, but only a
+  // durable one may advance the GC watermark and sweep.
+  Rig rig;
+  auto producer = rig.make_client(0, true);
+  auto consumer = rig.make_client(1, true);
+  rig.register_simple_var("f", {{1, true}});
+  std::uint64_t log_before = 0, log_non_durable = 0, log_durable = 0;
+  std::uint64_t dropped_non_durable = 0;
+  sim::spawn(rig.eng, [&]() -> sim::Task<void> {
+    sim::Ctx ctx{&rig.eng, nullptr};
+    for (Version v = 1; v <= 6; ++v) {
+      co_await producer->put(ctx, "f", v, rig.domain);
+      co_await consumer->get(ctx, "f", v, rig.domain);
+    }
+    for (const auto& s : rig.servers)
+      log_before += s->data_log().nominal_bytes();
+    co_await consumer->workflow_check(ctx, 6, /*durable=*/false);
+    for (const auto& s : rig.servers)
+      log_non_durable += s->data_log().nominal_bytes();
+    dropped_non_durable = rig.total_stats().gc_versions_dropped;
+    co_await consumer->workflow_check(ctx, 6);
+    for (const auto& s : rig.servers)
+      log_durable += s->data_log().nominal_bytes();
+  });
+  rig.run();
+  EXPECT_GT(log_before, 0u);
+  EXPECT_EQ(log_non_durable, log_before);
+  EXPECT_EQ(dropped_non_durable, 0u);
+  EXPECT_LT(log_durable, log_before / 2);
+  EXPECT_GT(rig.total_stats().gc_versions_dropped, 0u);
+}
+
+TEST(StagingRtTest, ReplayedGetMatchesTheVersion) {
+  // The version is part of the replay match: a consumer restarted from a
+  // checkpoint older than its last marker re-reads a version from before
+  // the script. The script's next get has the same var and region, but
+  // serving it would hand back the script's newer version.
+  Rig rig;
+  auto producer = rig.make_client(0, true);
+  auto consumer = rig.make_client(1, true);
+  rig.register_simple_var("f", {{1, true}});
+  GetResult reread, script_get;
+  sim::spawn(rig.eng, [&]() -> sim::Task<void> {
+    sim::Ctx ctx{&rig.eng, nullptr};
+    for (Version v = 1; v <= 5; ++v) {
+      co_await producer->put(ctx, "f", v, rig.domain);
+    }
+    // Durable checkpoint at 2, a non-durable marker at 3, then one more
+    // read: the replay script is get v4.
+    for (Version v = 1; v <= 4; ++v) {
+      co_await consumer->get(ctx, "f", v, rig.domain);
+      if (v == 2) co_await consumer->workflow_check(ctx, 2);
+      if (v == 3) {
+        co_await consumer->workflow_check(ctx, 3, /*durable=*/false);
+      }
+    }
+    // The marker at 3 was lost: restart from the durable checkpoint at 2.
+    co_await consumer->workflow_restart(ctx, 2);
+    reread = co_await consumer->get(ctx, "f", 3, rig.domain);
+    script_get = co_await consumer->get(ctx, "f", 4, rig.domain);
+  });
+  rig.run();
+  EXPECT_EQ(reread.wrong_version, 0);
+  EXPECT_EQ(reread.corrupt, 0);
+  EXPECT_EQ(reread.nominal_bytes, rig.domain.volume() * 8);
+  EXPECT_EQ(script_get.wrong_version, 0);
+  EXPECT_TRUE(script_get.any_from_log);
+  // Every piece request of the v3 re-read missed its server's script;
+  // the v4 ones then matched it.
+  EXPECT_EQ(rig.total_stats().replay_mismatches, reread.pieces.size());
+}
+
 TEST(StagingRtTest, GcSafety_ReplayStillServedAfterSweeps) {
   // GC runs at every checkpoint, yet a consumer that rolls back can still
   // replay every read after its last checkpoint.

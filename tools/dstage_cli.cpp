@@ -6,7 +6,7 @@
 //   dstage_cli --scheme=un --failures=1 --seed=6
 //   dstage_cli --setup=table3 --scale=2 --scheme=co --failures=3
 //   dstage_cli --scheme=un --failures=2 --trace=run.csv
-//              --local-ckpt-period=1 --predictor-recall=1.0
+//              --predictor-recall=1.0
 //   dstage_cli --scheme=hy --failures=2 --seeds=16 --json=sweep.json
 #include <cstdio>
 #include <fstream>
@@ -47,7 +47,6 @@ int usage() {
       "  --subset=F                  coupled fraction (0,1]   [1.0]\n"
       "  --sim-period=N              sim ckpt period          [4]\n"
       "  --analytic-period=N         analytic ckpt period     [5]\n"
-      "  --local-ckpt-period=N       multi-level local period [0=off]\n"
       "  --predictor-recall=F        proactive ckpt recall    [0=off]\n"
       "  --node-failure-fraction=F   node-level failure share [0.2]\n"
       "  --trace=FILE                write execution trace CSV\n"
@@ -105,8 +104,6 @@ int run_cli(int argc, char** argv) {
   spec.failures.node_failure_fraction =
       flags.get_double("node-failure-fraction", 0.2);
   spec.failures.predictor_recall = flags.get_double("predictor-recall", 0);
-  const int local_period = flags.get_int("local-ckpt-period", 0);
-  for (auto& c : spec.components) c.local_ckpt_period = local_period;
   const std::string trace_file = flags.get("trace", "");
   const std::string json_file = flags.get("json", "");
   const int seeds = flags.get_int("seeds", 0);
