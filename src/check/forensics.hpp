@@ -1,8 +1,8 @@
 // Failure forensics: the post-mortem side of the always-on flight
 // recorder rings (obs/recorder). When check_schedule() trips an oracle
 // invariant, a campaign --expect-fail run passes unexpectedly, or the
-// recorder noted a loud degradation (spare-pool exhaustion, double XOR
-// loss), the run's surviving ring events are frozen into a ForensicBundle
+// recorder noted a loud degradation (double XOR loss), the run's
+// surviving ring events are frozen into a ForensicBundle
 // together with the failing schedule, the run digests, and the memoized
 // reference run's events. find_divergence() then diffs the two event
 // streams by key — not by position, since each ring truncates
@@ -42,7 +42,7 @@ struct ForensicBundle {
   std::vector<obs::DecodedEvent> events;
   /// Same, from the memoized failure-free reference run.
   std::vector<obs::DecodedEvent> reference_events;
-  /// Verbatim degradation notes (spare exhaustion, double XOR loss).
+  /// Verbatim degradation notes (double XOR loss).
   std::vector<std::string> degradations;
 };
 

@@ -90,25 +90,4 @@ class Cluster {
   int kill_count_ = 0;
 };
 
-/// Pool of idle spare processes that recovery draws replacements from
-/// (the paper's Process/Data Resilience Component maintains such a pool so
-/// ULFM recovery does not depend on the job scheduler spawning processes).
-class SparePool {
- public:
-  explicit SparePool(int spares) : remaining_(spares) {}
-
-  /// Take one spare; returns false when the pool is exhausted (recovery
-  /// then falls back to the slower scheduler-spawn path).
-  bool acquire() {
-    if (remaining_ <= 0) return false;
-    --remaining_;
-    return true;
-  }
-  void refund() { ++remaining_; }
-  [[nodiscard]] int remaining() const { return remaining_; }
-
- private:
-  int remaining_;
-};
-
 }  // namespace dstage::cluster

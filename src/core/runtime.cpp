@@ -495,7 +495,6 @@ void Runtime::finalize_obs() {
     t.count("staging.puts_suppressed", st.puts_suppressed);
     t.count("staging.gets_from_log", st.gets_from_log);
     t.count("staging.checkpoints", st.checkpoints);
-    t.count("staging.mirrored_events", st.mirrored_events);
     t.gauge("staging.peak_total_bytes",
             static_cast<double>(server->peak_total_bytes()));
     t.gauge("staging.mean_total_bytes", server->mean_total_bytes());

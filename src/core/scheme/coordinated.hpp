@@ -13,6 +13,11 @@ class CoordinatedPolicy final : public SchemePolicy {
  public:
   [[nodiscard]] Scheme scheme() const override { return Scheme::kCoordinated; }
   [[nodiscard]] bool uses_logging() const override { return false; }
+  /// Recovery resets every component to the global snapshot, so an
+  /// emergency checkpoint would shorten nothing and only cost its write.
+  [[nodiscard]] bool proactive_eligible(const ComponentSpec&) const override {
+    return false;
+  }
   [[nodiscard]] sim::Duration barrier_cost(
       const RuntimeServices& rt) const override;
 

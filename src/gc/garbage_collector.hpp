@@ -37,9 +37,6 @@ class GarbageCollector {
   void register_var(const std::string& var,
                     std::vector<std::pair<AppId, bool>> consumers);
 
-  /// Take over `other`'s variable registrations (not its checkpoints).
-  void adopt_registry(const GarbageCollector& o) { consumers_ = o.consumers_; }
-
   /// Record that `app` checkpointed at timestep `version`.
   void on_checkpoint(AppId app, Version version);
 

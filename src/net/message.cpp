@@ -7,9 +7,6 @@ namespace {
 constexpr std::uint64_t kDescriptor = 64;
 /// Request/response naming an object (descriptor + geometry + keys).
 constexpr std::uint64_t kObjectHeader = 128;
-/// Serialized event-queue record (kind, app, version, chk id, 6 box
-/// coordinates, variable name slot) — matches wlog's metadata accounting.
-constexpr std::uint64_t kEventRecord = 96;
 }  // namespace
 
 std::uint64_t wire_size(const PutRequest& m) {
@@ -21,8 +18,6 @@ std::uint64_t wire_size(const RecoveryEvent&) { return kDescriptor; }
 std::uint64_t wire_size(const RollbackRequest&) { return kDescriptor; }
 std::uint64_t wire_size(const FragmentPut& m) { return m.nominal_bytes; }
 std::uint64_t wire_size(const FragmentPrune&) { return kDescriptor; }
-std::uint64_t wire_size(const QueueBackup&) { return kEventRecord; }
-std::uint64_t wire_size(const RecoveryPull&) { return kDescriptor; }
 std::uint64_t wire_size(const QueryRequest&) { return kDescriptor; }
 
 std::uint64_t wire_size(const SpillPut& m) {
@@ -55,8 +50,8 @@ std::uint64_t wire_size(const PutResponse&) { return kDescriptor; }
 std::uint64_t wire_size(const SpillAck&) { return kDescriptor; }
 
 std::uint64_t wire_size(const SpillFetchResponse& m) {
-  // Payload fetches carry real chunk bytes; index_only fetches carry a
-  // descriptor per chunk (data pointer absent).
+  // A descriptor per chunk, plus the bytes of each chunk that carries a
+  // payload.
   std::uint64_t bytes = kObjectHeader;
   for (const Chunk& chunk : m.chunks)
     bytes += kDescriptor + (chunk.data ? chunk.accounted_bytes() : 0);
@@ -70,13 +65,6 @@ std::uint64_t wire_size(const RollbackAck&) { return kDescriptor; }
 std::uint64_t wire_size(const GetResponse& m) {
   std::uint64_t bytes = kObjectHeader;
   for (const Chunk& piece : m.pieces) bytes += piece.nominal_bytes;
-  return bytes;
-}
-
-std::uint64_t wire_size(const RecoveryPullResponse& m) {
-  std::uint64_t bytes = kObjectHeader;
-  for (const FragmentPut& f : m.fragments) bytes += f.nominal_bytes;
-  bytes += kEventRecord * static_cast<std::uint64_t>(m.events.size());
   return bytes;
 }
 
@@ -108,8 +96,6 @@ const char* message_name(const RecoveryEvent&) { return "recovery"; }
 const char* message_name(const RollbackRequest&) { return "rollback"; }
 const char* message_name(const FragmentPut&) { return "fragment_put"; }
 const char* message_name(const FragmentPrune&) { return "fragment_prune"; }
-const char* message_name(const QueueBackup&) { return "queue_backup"; }
-const char* message_name(const RecoveryPull&) { return "recovery_pull"; }
 const char* message_name(const QueryRequest&) { return "query"; }
 const char* message_name(const SpillPut&) { return "spill_put"; }
 const char* message_name(const SpillFetch&) { return "spill_fetch"; }

@@ -3,12 +3,6 @@
 // is an exhaustive std::visit and the modeled serialized size of every
 // message (and every response) is computed in exactly one place: the
 // wire_size() codec below. Callers never supply byte counts.
-//
-// Layering: this header sits between reply.hpp (addressing + reply slots)
-// and fabric.hpp (which carries Message in its Packet envelope). Both the
-// staging layer and the write-ahead log layer build on this vocabulary —
-// wlog::LogEvent *is* net::EventRecord, which is what lets QueueBackup
-// mirror queue records without a field-for-field flattening.
 #pragma once
 
 #include <cstdint>
@@ -66,22 +60,6 @@ struct Chunk {
   [[nodiscard]] std::uint64_t accounted_bytes() const {
     return stored_bytes != 0 ? stored_bytes : nominal_bytes;
   }
-};
-
-/// Event-queue record kinds (Section III's queue-based consistency
-/// algorithm records these per application).
-enum class EventKind { kPut, kGet, kCheckpoint, kRecovery };
-
-/// One event-queue record: the shared POD used both by wlog::EventQueue
-/// (as its LogEvent) and by the QueueBackup mirror message.
-struct EventRecord {
-  EventKind kind = EventKind::kPut;
-  AppId app = -1;
-  Version version = 0;  // data version; for checkpoints, the app's timestep
-  std::string var;
-  Box region;
-  std::uint64_t nominal_bytes = 0;
-  std::uint64_t chk_id = 0;  // W_Chk_ID for checkpoint markers
 };
 
 // ---------------------------------------------------------------------------
@@ -205,9 +183,8 @@ struct RollbackRequest {
 
 // ---------------------------------------------------------------------------
 // Inter-server resilience traffic (CoREC-style). Every staged (and logged)
-// payload is protected by redundancy fragments pushed to peer servers, and
-// each server mirrors its event queues to its successor, so a failed
-// staging server can be rebuilt from its peers.
+// payload is protected by redundancy fragments pushed to peer servers, so
+// a reader can reconstruct a lost server's pieces from its peers.
 // ---------------------------------------------------------------------------
 
 /// One-way: a redundancy fragment (full replica or RS shard) pushed by the
@@ -230,27 +207,6 @@ struct FragmentPrune {
   int owner = -1;
   std::string var;
   Version upto = 0;
-};
-
-/// One-way: a mirrored event-queue record (queue resilience). Carries the
-/// wlog record verbatim — wlog::LogEvent is net::EventRecord.
-struct QueueBackup {
-  int owner = -1;
-  EventRecord record;
-};
-
-struct RecoveryPullResponse {
-  std::vector<FragmentPut> fragments;
-  std::vector<QueueBackup> events;
-};
-
-/// Replacement server → every peer: send back everything you hold on my
-/// behalf (fragments + mirrored queue events).
-struct RecoveryPull {
-  using Response = RecoveryPullResponse;
-  int owner = -1;
-  EndpointId reply_to = -1;
-  ReplyPtr<RecoveryPullResponse> reply;
 };
 
 struct QueryRequest {
@@ -283,21 +239,16 @@ struct SpillPut {
 };
 
 struct SpillFetchResponse {
-  /// Full chunks for a payload fetch; descriptor-only chunks (no data) for
-  /// an index_only fetch.
   std::vector<Chunk> chunks;
 };
 
-/// Server → gateway: read spilled chunks back. A payload fetch names one
-/// (var, version) and pays the PFS read cost; an index_only fetch (empty
-/// var) returns descriptors for everything the gateway holds on the
-/// owner's behalf, letting a replacement server rebuild its spill index.
+/// Server → gateway: read the spilled chunks of one (var, version) back,
+/// paying the PFS read cost.
 struct SpillFetch {
   using Response = SpillFetchResponse;
   int owner = -1;
   std::string var;
   Version version = 0;
-  bool index_only = false;
   EndpointId reply_to = -1;
   ReplyPtr<SpillFetchResponse> reply;
 };
@@ -348,8 +299,8 @@ struct RetireServer {
 };
 
 /// One-way, GroupManager → server: the authoritative membership view for
-/// `epoch`. Servers use it to re-aim redundancy (mirror successor,
-/// fragment round-robin) at the active set only.
+/// `epoch`. Servers use it to re-aim redundancy (fragment round-robin,
+/// prune fan-out) at the active set only.
 struct MembershipUpdate {
   std::uint64_t epoch = 0;
   std::vector<int> active;  // ascending server ids
@@ -444,11 +395,10 @@ struct CkptDrainAck {
 /// goes through std::visit only: nothing depends on variant indices.
 using Message =
     std::variant<PutRequest, GetRequest, CheckpointEvent, RecoveryEvent,
-                 RollbackRequest, FragmentPut, FragmentPrune, QueueBackup,
-                 RecoveryPull, QueryRequest, SpillPut, SpillFetch, SpillPrune,
-                 JoinGroup, RetireServer, MembershipUpdate, MembershipQuery,
-                 FragmentFetch, ResilverPut, CkptStoreLocal, CkptXorShard,
-                 CkptDrainAck>;
+                 RollbackRequest, FragmentPut, FragmentPrune, QueryRequest,
+                 SpillPut, SpillFetch, SpillPrune, JoinGroup, RetireServer,
+                 MembershipUpdate, MembershipQuery, FragmentFetch,
+                 ResilverPut, CkptStoreLocal, CkptXorShard, CkptDrainAck>;
 
 // ---------------------------------------------------------------------------
 // Codec: the modeled serialized footprint of every message and response.
@@ -465,8 +415,6 @@ using Message =
 [[nodiscard]] std::uint64_t wire_size(const RollbackRequest& m);
 [[nodiscard]] std::uint64_t wire_size(const FragmentPut& m);
 [[nodiscard]] std::uint64_t wire_size(const FragmentPrune& m);
-[[nodiscard]] std::uint64_t wire_size(const QueueBackup& m);
-[[nodiscard]] std::uint64_t wire_size(const RecoveryPull& m);
 [[nodiscard]] std::uint64_t wire_size(const QueryRequest& m);
 [[nodiscard]] std::uint64_t wire_size(const SpillPut& m);
 [[nodiscard]] std::uint64_t wire_size(const SpillFetch& m);
@@ -486,7 +434,6 @@ using Message =
 [[nodiscard]] std::uint64_t wire_size(const CheckpointAck& m);
 [[nodiscard]] std::uint64_t wire_size(const RecoveryAck& m);
 [[nodiscard]] std::uint64_t wire_size(const RollbackAck& m);
-[[nodiscard]] std::uint64_t wire_size(const RecoveryPullResponse& m);
 [[nodiscard]] std::uint64_t wire_size(const QueryResponse& m);
 [[nodiscard]] std::uint64_t wire_size(const SpillAck& m);
 [[nodiscard]] std::uint64_t wire_size(const SpillFetchResponse& m);
@@ -506,8 +453,6 @@ using Message =
 [[nodiscard]] const char* message_name(const RollbackRequest&);
 [[nodiscard]] const char* message_name(const FragmentPut&);
 [[nodiscard]] const char* message_name(const FragmentPrune&);
-[[nodiscard]] const char* message_name(const QueueBackup&);
-[[nodiscard]] const char* message_name(const RecoveryPull&);
 [[nodiscard]] const char* message_name(const QueryRequest&);
 [[nodiscard]] const char* message_name(const SpillPut&);
 [[nodiscard]] const char* message_name(const SpillFetch&);

@@ -7,8 +7,8 @@
 //     (one track per component, staging server, or auxiliary vproc),
 //     recorded at near-zero host cost and zero virtual-time cost. When
 //     something goes loudly wrong — an oracle invariant violation, a
-//     campaign --expect-fail mismatch, or a degradation (spare-pool
-//     exhaustion, double XOR loss) — the rings are dumped into a forensic
+//     campaign --expect-fail mismatch, or a degradation (double XOR
+//     loss) — the rings are dumped into a forensic
 //     bundle (check/forensics) and diffed against the memoized reference
 //     run to name the first divergent event.
 //   - With ObsConfig::enabled, the span tracer (spans plus the kinds'
@@ -110,7 +110,7 @@ class Track {
   /// This track's id in its recorder: the Event::track of what it emits.
   [[nodiscard]] std::uint32_t id() const { return id_; }
 
-  /// A loud degradation (spare-pool exhaustion, double XOR loss, ...):
+  /// A loud degradation (double XOR loss, ...):
   /// recorded as a kDegradation event AND kept verbatim so a forensic
   /// bundle is dumped even when no invariant check is watching.
   void degrade(std::string what) const;

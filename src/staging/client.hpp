@@ -156,7 +156,7 @@ class StagingClient {
   }
 
   /// Install a probe reporting whether a staging server is in degraded
-  /// (failed, spares exhausted, never recovered) state. When set, requests
+  /// (failed, never recovered) state. When set, requests
   /// to such a server fail fast — and retry-exhausted requests re-surface —
   /// as a distinct "staging degraded" error instead of a generic rpc
   /// timeout, so callers can tell unrecoverable loss from transient stalls.

@@ -17,8 +17,8 @@
 
 namespace dstage::staging {
 
-/// A request to a server that failed with no replacement coming (spare
-/// pool exhausted): "staging degraded: server N unrecovered". Raised by
+/// A request to a server that failed with no replacement coming:
+/// "staging degraded: server N unrecovered". Raised by
 /// the client's peer check when a put or get starts or exhausts its
 /// retries, so it marks exactly the failures a degraded read may serve
 /// from redundancy fragments.
@@ -64,7 +64,6 @@ struct DegradedReconstruction {
 /// Rebuild one owner chunk from fragments of one (var, version, region),
 /// duplicates allowed, verified against its content key: the first replica
 /// that verifies, or a Reed–Solomon decode. nullopt when none verifies.
-/// Shared by degraded reads and a replacement server's rebuild.
 std::optional<Chunk> reconstruct_chunk(
     const std::vector<const FragmentPut*>& frags,
     const resilience::ResiliencePolicy& policy);

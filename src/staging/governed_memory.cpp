@@ -228,20 +228,6 @@ sim::Task<void> GovernedMemory::fault_in_all() {
   }
 }
 
-sim::Task<void> GovernedMemory::restore_inventory() {
-  if (!governor_.enabled() || spill_endpoint_ < 0) co_return;
-  sim::Ctx c = ctx_->ctx();
-  SpillFetch fetch;
-  fetch.owner = ctx_->self_index;
-  fetch.index_only = true;
-  SpillFetchResponse inventory =
-      co_await ctx_->rpc.call(c, spill_endpoint_, std::move(fetch));
-  for (const Chunk& chunk : inventory.chunks) {
-    if (dlog_->has(chunk.var, chunk.version)) continue;
-    spilled_[chunk.var][chunk.version] += chunk.accounted_bytes();
-  }
-}
-
 void GovernedMemory::prune_to_watermark() {
   if (spilled_.empty()) return;
   for (auto vit = spilled_.begin(); vit != spilled_.end();) {

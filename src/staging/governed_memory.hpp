@@ -57,7 +57,6 @@ class GovernedMemory {
                  const gc::GarbageCollector& gc);
 
   void set_spill_endpoint(net::EndpointId ep) { spill_endpoint_ = ep; }
-  [[nodiscard]] auto spill_endpoint() const { return spill_endpoint_; }
   [[nodiscard]] const MemoryGovernor& governor() const { return governor_; }
   [[nodiscard]] const SpillIndex& spilled() const { return spilled_; }
 
@@ -93,9 +92,6 @@ class GovernedMemory {
   /// Fault every spilled version back in (a hand-off's new owner cannot
   /// read this server's spill files).
   sim::Task<void> fault_in_all();
-  /// Replacement server: rebuild the spill index from the gateway's
-  /// inventory (it outlived the failed incarnation).
-  sim::Task<void> restore_inventory();
   /// Retire spill-index entries (and files) the GC watermark has passed.
   void prune_to_watermark();
   /// Rollback: spilled versions newer than `version` go with the log —

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <tuple>
 #include <utility>
 
 #include "resilience/reed_solomon.hpp"
-#include "staging/degraded_read.hpp"
 #include "staging/server.hpp"
 
 namespace dstage::staging {
@@ -104,48 +102,10 @@ sim::Task<void> PeerRedundancy::handle(FragmentFetch fetch) {
                              std::move(resp));
 }
 
-void PeerRedundancy::apply(QueueBackup backup) {
-  ++ctx_->stats.mirrored_events;
-  auto& q = mirrors_[backup.owner][backup.record.app];
-  const bool checkpoint =
-      backup.record.kind == wlog::EventKind::kCheckpoint;
-  q.record(std::move(backup.record));
-  if (checkpoint) q.truncate_before_last_checkpoint();
-}
-
-sim::Task<void> PeerRedundancy::handle(RecoveryPull pull) {
-  sim::Ctx c = ctx_->ctx();
-  co_await c.delay(ctx_->params.request_overhead);
-  RecoveryPullResponse resp;
-  if (auto it = fragments_.find(pull.owner); it != fragments_.end()) {
-    resp.fragments = it->second;
-  }
-  if (auto it = mirrors_.find(pull.owner); it != mirrors_.end()) {
-    for (const auto& [app, queue] : it->second) {
-      for (const wlog::LogEvent& e : queue.events()) {
-        resp.events.push_back(QueueBackup{pull.owner, e});
-      }
-    }
-  }
-  co_await c.delay(ctx_->copy_time(net::wire_size(resp)));
-  co_await ctx_->rpc.fulfill(c, pull.reply_to, std::move(pull.reply),
-                             std::move(resp));
-}
-
 sim::Task<void> PeerRedundancy::handle(MembershipUpdate update) {
   sim::Ctx c = ctx_->ctx();
   co_await c.delay(ctx_->params.request_overhead);
   apply_membership(std::move(update.active));
-}
-
-void PeerRedundancy::mirror(wlog::LogEvent event) {
-  // A retired standby generates no events worth mirroring.
-  const int successor = placement(view_pos_, 1);
-  if (successor < 0) return;
-  net::Message backup{QueueBackup{ctx_->self_index, std::move(event)}};
-  ctx_->rpc.post(ctx_->rpc.send(ctx_->ctx(),
-                                peers()[static_cast<std::size_t>(successor)],
-                                std::move(backup)));
 }
 
 sim::Task<void> PeerRedundancy::push_fragments(Chunk chunk, bool logged) {
@@ -247,64 +207,9 @@ sim::Task<void> PeerRedundancy::handoff() {
                                 std::move(msg));
       }
     }
-    for (auto& [owner, apps] : mirrors_) {
-      const int pos = position(owner);
-      if (pos < 0) continue;
-      const int successor = placement(pos, 1);
-      if (successor < 0 || successor == owner) continue;
-      for (auto& [app, queue] : apps) {
-        for (const wlog::LogEvent& e : queue.events()) {
-          net::Message msg{QueueBackup{owner, e}};
-          co_await ctx_->rpc.send(
-              c, peers()[static_cast<std::size_t>(successor)],
-              std::move(msg));
-        }
-      }
-    }
   }
   fragments_.clear();
   fragment_bytes_ = 0;
-  mirrors_.clear();
-}
-
-sim::Task<PeerRedundancy::Rebuilt> PeerRedundancy::rebuild() {
-  Rebuilt out;
-  const int total_servers = static_cast<int>(peers().size());
-  if (total_servers < 2 ||
-      ctx_->params.policy.kind == resilience::Redundancy::kNone) {
-    co_return out;
-  }
-  sim::Ctx c = ctx_->ctx();
-
-  // Pull everything our peers hold on our behalf.
-  std::vector<net::Addressed<RecoveryPull>> pulls;
-  for (int p = 0; p < total_servers; ++p) {
-    if (p == ctx_->self_index) continue;
-    RecoveryPull pull;
-    pull.owner = ctx_->self_index;
-    pulls.push_back({peers()[static_cast<std::size_t>(p)], std::move(pull)});
-  }
-  auto responses = co_await ctx_->rpc.call_all(c, std::move(pulls));
-  responses.rethrow_first();
-
-  // Group fragments by object; mirrored queue events keep their order (the
-  // single successor mirror preserves per-app ordering).
-  using Key = std::tuple<std::string, Version, std::uint64_t>;
-  std::map<Key, std::vector<const FragmentPut*>> objects;
-  for (std::size_t i = 0; i < responses.size(); ++i) {
-    RecoveryPullResponse& resp = *responses.response(i);
-    for (const FragmentPut& f : resp.fragments) {
-      objects[Key{f.var, f.version, region_hash(f.region)}].push_back(&f);
-    }
-    for (QueueBackup& e : resp.events)
-      out.events.push_back(std::move(e.record));
-  }
-
-  for (const auto& [key, frags] : objects) {
-    out.objects.emplace_back(reconstruct_chunk(frags, ctx_->params.policy),
-                             frags.front()->logged);
-  }
-  co_return out;
 }
 
 }  // namespace dstage::staging

@@ -86,13 +86,6 @@ bool StagingServer::not_owner(const Box& region) const {
 
 void StagingServer::start() { ctx_.spawn(run()); }
 
-void StagingServer::start_with_recovery() { ctx_.spawn(run_after_recovery()); }
-
-sim::Task<void> StagingServer::run_after_recovery() {
-  co_await rebuild_from_peers();
-  co_await run();
-}
-
 sim::Task<void> StagingServer::run() {
   auto& ep = ctx_.cluster->fabric().endpoint(endpoint());
   sim::Ctx c = ctx_.ctx();
@@ -128,9 +121,10 @@ sim::Task<void> StagingServer::dispatch(Request request) {
           [this](CkptDrainAck&& m) {
             return handle_ckpt_drain_ack(std::move(m));
           },
-          [this](OneOf<MembershipUpdate, FragmentFetch, RecoveryPull> auto&&
-                     m) { return redundancy_.handle(std::move(m)); },
-          [this](OneOf<FragmentPut, FragmentPrune, QueueBackup> auto&& m) {
+          [this](OneOf<MembershipUpdate, FragmentFetch> auto&& m) {
+            return redundancy_.handle(std::move(m));
+          },
+          [this](OneOf<FragmentPut, FragmentPrune> auto&& m) {
             redundancy_.apply(std::move(m));
             return sim::Task<void>{};
           },
@@ -147,17 +141,10 @@ sim::Task<void> StagingServer::dispatch(Request request) {
       std::move(request));
 }
 
-wlog::EventQueue& StagingServer::log_event(AppId app, wlog::LogEvent event) {
-  wlog::EventQueue& q = queues_[app];
-  q.record(event);
-  redundancy_.mirror(std::move(event));
-  return q;
-}
-
 void StagingServer::log_get(const GetRequest& req) {
-  log_event(req.app, wlog::LogEvent{wlog::EventKind::kGet, req.app,
-                                    req.desc.version, req.desc.var,
-                                    req.desc.region, 0, 0});
+  queues_[req.app].record(wlog::LogEvent{wlog::EventKind::kGet, req.app,
+                                         req.desc.version, req.desc.var,
+                                         req.desc.region, 0, 0});
 }
 
 sim::Task<PutResponse> StagingServer::apply_put(AppId app, bool logged,
@@ -228,9 +215,9 @@ sim::Task<PutResponse> StagingServer::apply_put(AppId app, bool logged,
 
   if (apply && log) {
     co_await c.delay(params.log_event_overhead);
-    log_event(app, wlog::LogEvent{wlog::EventKind::kPut, app, chunk.version,
-                                  chunk.var, chunk.region,
-                                  chunk.nominal_bytes, 0});
+    queues_[app].record(wlog::LogEvent{wlog::EventKind::kPut, app,
+                                       chunk.version, chunk.var, chunk.region,
+                                       chunk.nominal_bytes, 0});
   }
 
   if (apply) {
@@ -439,10 +426,9 @@ sim::Task<void> StagingServer::handle_checkpoint(CheckpointEvent ev) {
     // recorded for every level — it anchors the replay script for a
     // restart from this checkpoint — but payload reclamation below only
     // runs when the watermark may actually have advanced.
-    wlog::EventQueue& q =
-        log_event(ev.app, wlog::LogEvent{wlog::EventKind::kCheckpoint,
-                                         ev.app, ev.version, {}, Box{}, 0,
-                                         ack.chk_id});
+    wlog::EventQueue& q = queues_[ev.app];
+    q.record(wlog::LogEvent{wlog::EventKind::kCheckpoint, ev.app, ev.version,
+                            {}, Box{}, 0, ack.chk_id});
     const std::size_t events_dropped = q.truncate_before_last_checkpoint();
     ctx_.track.emit(obs::Kind::kLogTruncate,
                     static_cast<std::int64_t>(events_dropped));
@@ -568,28 +554,6 @@ sim::Task<void> StagingServer::handle_query(QueryRequest query) {
   resp.logged_versions = memory_.retained_versions(query.var);
   co_await ctx_.rpc.fulfill(c, query.reply_to, std::move(query.reply),
                             std::move(resp));
-}
-
-sim::Task<void> StagingServer::rebuild_from_peers() {
-  PeerRedundancy::Rebuilt rebuilt = co_await redundancy_.rebuild();
-  for (wlog::LogEvent& e : rebuilt.events) queues_[e.app].record(std::move(e));
-  sim::Ctx c = ctx_.ctx();
-  for (const auto& [restored, logged] : rebuilt.objects) {
-    if (!restored) {
-      ++ctx_.stats.rebuild_failures;
-      continue;
-    }
-    const Chunk& chunk = *restored;
-    ++ctx_.stats.chunks_rebuilt;
-    co_await c.delay(ctx_.copy_time(chunk.nominal_bytes));
-    if (ctx_.params.logging && logged) dlog_.add(chunk);
-    store_.put(chunk);
-    // Re-protect the restored object on the (new) fragment layout.
-    Chunk copy = store_.get(chunk.var, chunk.version, chunk.region).front();
-    copy.region = chunk.region;
-    ctx_.spawn(redundancy_.push_fragments(std::move(copy), logged));
-  }
-  co_await memory_.restore_inventory();
 }
 
 sim::Task<void> StagingServer::handle_resilver_put(ResilverPut put) {

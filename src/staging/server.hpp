@@ -63,9 +63,6 @@ struct ServerParams {
 struct ServerStats {
   std::uint64_t puts = 0;
   std::uint64_t fragments_held = 0;     // fragments stored for peers
-  std::uint64_t mirrored_events = 0;    // queue records mirrored here
-  std::uint64_t chunks_rebuilt = 0;     // objects restored after recovery
-  std::uint64_t rebuild_failures = 0;   // unrecoverable objects
   std::uint64_t gets = 0;
   std::uint64_t gets_pending = 0;   // gets that had to wait for data
   std::uint64_t puts_suppressed = 0;
@@ -146,7 +143,7 @@ class StagingServer {
   void start();
 
   /// Wire this server into the staging group: its own index and every
-  /// server's endpoint (enables fragment push and queue mirroring). All
+  /// server's endpoint (enables fragment push and prune). All
   /// servers alias one shared endpoint list and (optionally) one shared
   /// initial membership view — per-server copies cost O(N²) bytes across
   /// the group, which forecloses 100k-server ceiling runs.
@@ -160,27 +157,12 @@ class StagingServer {
                   std::move(endpoints)));
   }
 
-  /// Spawn a replacement server's loop: first rebuild the store, log and
-  /// event queues from the peers' fragments/mirrors, then serve the (queued)
-  /// mailbox backlog.
-  void start_with_recovery();
-
   /// Declare variable coupling for GC retention decisions (mirrors what the
   /// workflow registers at startup).
   void register_var(const std::string& var,
                     std::vector<std::pair<AppId, bool>> consumers) {
     gc_.register_var(var, std::move(consumers));
   }
-  /// Recovery: wire a replacement as its failed predecessor was — index,
-  /// peers (every server active), spill gateway, and the variables the
-  /// workflow registered. The checkpoint records died with the
-  /// predecessor: retention stays conservative until consumers checkpoint.
-  void take_over(const StagingServer& predecessor) {
-    set_peers(predecessor.ctx_.self_index, predecessor.redundancy_.endpoints());
-    memory_.set_spill_endpoint(predecessor.memory_.spill_endpoint());
-    gc_.adopt_registry(predecessor.gc_);
-  }
-
   /// Fault-injection seam for the consistency campaign (see
   /// gc::GarbageCollector::set_watermark_bias).
   void set_gc_watermark_bias(Version bias) { gc_.set_watermark_bias(bias); }
@@ -202,8 +184,7 @@ class StagingServer {
 
   /// Install a membership view (active server ids, ascending). Also
   /// delivered at runtime via MembershipUpdate messages; redundancy
-  /// (mirror successor, fragment round-robin, prune fan-out) follows the
-  /// active set only.
+  /// (fragment round-robin, prune fan-out) follows the active set only.
   void apply_membership(std::vector<int> active) {
     redundancy_.apply_membership(std::move(active));
   }
@@ -240,9 +221,8 @@ class StagingServer {
     return hand_off(std::move(dests), Release::kAcked);
   }
 
-  /// Retirement: re-home fragments held for other owners and forward
-  /// mirrored queue events onto the active set, so redundancy survives
-  /// this server leaving the group.
+  /// Retirement: re-home fragments held for other owners onto the active
+  /// set, so redundancy survives this server leaving the group.
   sim::Task<void> handoff_redundancy() { return redundancy_.handoff(); }
 
   /// True when this server holds no primary data (retirement is complete).
@@ -278,8 +258,8 @@ class StagingServer {
  private:
   sim::Task<void> run();
   /// Route one request to its handler. Handlers that suspend come back as
-  /// the task to await; the rest (fragment and queue-mirror traffic, and
-  /// messages this endpoint does not speak — spill, membership control and
+  /// the task to await; the rest (fragment puts and prunes, and messages
+  /// this endpoint does not speak — spill, membership control and
   /// checkpoint-announcement traffic belongs to other endpoints) run here
   /// and return an empty task.
   sim::Task<void> dispatch(Request request);
@@ -299,9 +279,6 @@ class StagingServer {
   /// overhead, which handle_put charges.
   sim::Task<PutResponse> apply_put(AppId app, bool logged, Chunk chunk);
 
-  /// Record `event` in `app`'s queue and mirror it onto the successor
-  /// (one detached send). Returns the queue.
-  wlog::EventQueue& log_event(AppId app, wlog::LogEvent event);
   void log_get(const GetRequest& req);
 
   /// Advance `app`'s durable checkpoint to `version`: emit kGcCheckpoint,
@@ -313,10 +290,6 @@ class StagingServer {
   /// reclaim fragments below the retention floor. Caller guards on
   /// params.logging.
   sim::Task<void> sweep_after_durable();
-
-  /// Rebuild state from peers (runs before the replacement serves traffic).
-  sim::Task<void> rebuild_from_peers();
-  sim::Task<void> run_after_recovery();
 
   /// True in elastic mode when the current epoch maps any cell of
   /// `region` to a different owner.

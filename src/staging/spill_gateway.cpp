@@ -67,39 +67,22 @@ sim::Task<void> SpillGateway::handle_put(SpillPut put) {
 sim::Task<void> SpillGateway::handle_fetch(SpillFetch fetch) {
   sim::Ctx c = ctx();
   SpillFetchResponse resp;
-  auto it = per_owner_.find(fetch.owner);
-  if (fetch.index_only) {
-    // Descriptor-only inventory: what does the gateway hold on the owner's
-    // behalf? (Replacement servers rebuild their spill index from this.)
-    if (it != per_owner_.end()) {
-      for (const std::string& var : it->second.variables()) {
-        for (Version v : it->second.versions_of(var)) {
-          for (Chunk chunk : it->second.chunks_of(var, v)) {
-            chunk.data.reset();  // index entries carry no payload
-            resp.chunks.push_back(std::move(chunk));
-          }
-        }
-      }
-    }
-    ++stats_.index_fetches;
-  } else {
-    std::uint64_t bytes = 0;
-    if (it != per_owner_.end()) {
-      resp.chunks = it->second.chunks_of(fetch.var, fetch.version);
-      for (const Chunk& chunk : resp.chunks) bytes += chunk.accounted_bytes();
-    }
-    const obs::SpanId span = track_.begin("fetch-back", obs::Phase::kSpill);
-    track_.emit(obs::Kind::kSpillFetch, fetch.var,
-                static_cast<std::int64_t>(fetch.version),
-                static_cast<std::int64_t>(bytes));
-    // Reading the spill file back is a real PFS read. The file stays put —
-    // reclamation is the owner's explicit SpillPrune, mirroring how GC (not
-    // reads) retires log versions.
-    if (bytes > 0) co_await pfs_->read(c, bytes);
-    ++stats_.fetches;
-    stats_.fetch_bytes += bytes;
-    track_.end(span);
+  std::uint64_t bytes = 0;
+  if (auto it = per_owner_.find(fetch.owner); it != per_owner_.end()) {
+    resp.chunks = it->second.chunks_of(fetch.var, fetch.version);
+    for (const Chunk& chunk : resp.chunks) bytes += chunk.accounted_bytes();
   }
+  const obs::SpanId span = track_.begin("fetch-back", obs::Phase::kSpill);
+  track_.emit(obs::Kind::kSpillFetch, fetch.var,
+              static_cast<std::int64_t>(fetch.version),
+              static_cast<std::int64_t>(bytes));
+  // Reading the spill file back is a real PFS read. The file stays put —
+  // reclamation is the owner's explicit SpillPrune, mirroring how GC (not
+  // reads) retires log versions.
+  if (bytes > 0) co_await pfs_->read(c, bytes);
+  ++stats_.fetches;
+  stats_.fetch_bytes += bytes;
+  track_.end(span);
   co_await rpc_.fulfill(c, fetch.reply_to, std::move(fetch.reply),
                         std::move(resp));
 }

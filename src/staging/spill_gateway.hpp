@@ -27,7 +27,6 @@ struct SpillGatewayStats {
   std::uint64_t spill_bytes = 0;    // nominal bytes persisted
   std::uint64_t fetches = 0;        // payload fetches served
   std::uint64_t fetch_bytes = 0;    // nominal bytes read back
-  std::uint64_t index_fetches = 0;  // descriptor-only fetches served
   std::uint64_t pruned_versions = 0;
 };
 
@@ -65,8 +64,7 @@ class SpillGateway {
   cluster::Pfs* pfs_;
   net::Rpc rpc_;
   /// Spill "files" per owning server. Owners spill disjoint key ranges in
-  /// normal operation, but keeping them separate makes prune exact and
-  /// lets a replacement server rebuild precisely its own spill index.
+  /// normal operation, but keeping them separate makes prune exact.
   std::map<int, ObjectStore> per_owner_;
   SpillGatewayStats stats_;
   obs::Track track_;

@@ -27,7 +27,6 @@ using GetResponse = net::GetResponse;
 using CheckpointAck = net::CheckpointAck;
 using RecoveryAck = net::RecoveryAck;
 using RollbackAck = net::RollbackAck;
-using RecoveryPullResponse = net::RecoveryPullResponse;
 using QueryResponse = net::QueryResponse;
 
 using PutRequest = net::PutRequest;
@@ -37,8 +36,6 @@ using RecoveryEvent = net::RecoveryEvent;
 using RollbackRequest = net::RollbackRequest;
 using FragmentPut = net::FragmentPut;
 using FragmentPrune = net::FragmentPrune;
-using QueueBackup = net::QueueBackup;
-using RecoveryPull = net::RecoveryPull;
 using QueryRequest = net::QueryRequest;
 
 using SpillAck = net::SpillAck;

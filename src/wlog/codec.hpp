@@ -1,7 +1,7 @@
 // Payload codec for log-retained chunks: LZ-style block compression plus
 // XOR delta encoding against the previous version of the same region key.
 // The data log applies it at retain time; every read path (replay, slow
-// consumer, spill fault-in, resilver, recovery pull) decodes transparently.
+// consumer, spill fault-in, resilver) decodes transparently.
 //
 // Encoded blocks are self-describing: a fixed header carries the scheme,
 // the raw size, the delta base (when any) and an FNV-1a checksum of the

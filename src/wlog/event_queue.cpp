@@ -69,9 +69,9 @@ std::size_t EventQueue::truncate_before_last_checkpoint() {
   // Keep the checkpoint marker itself so later recoveries can anchor on it.
   const std::size_t drop = start - 1;
   for (std::size_t i = 0; i < drop; ++i) {
-    // The tally must cover every retained record — it is rebuilt through
-    // record() on both the normal path and a replayed QueueBackup, so a
-    // shortfall here means some path mutated events_ without accounting.
+    // The tally must cover every retained record — record() is the only
+    // way in, so a shortfall here means some path mutated events_ without
+    // accounting.
     // Unsigned underflow would poison the governor's metadata accounting
     // for the rest of the run, so clamp (and assert in debug builds).
     const std::uint64_t bytes = event_metadata_bytes(events_.front());

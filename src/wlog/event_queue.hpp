@@ -21,12 +21,20 @@ using net::Version;
 /// Workflow-checkpoint identifier (unique per checkpoint event).
 using WChkId = std::uint64_t;
 
-using EventKind = net::EventKind;
+/// Event-queue record kinds (Section III's queue-based consistency
+/// algorithm records these per application).
+enum class EventKind { kPut, kGet, kCheckpoint, kRecovery };
 
-/// One queue record. This *is* the shared net::EventRecord POD — the same
-/// record the QueueBackup mirror message carries verbatim, so queue
-/// resilience involves no per-field flattening between layers.
-using LogEvent = net::EventRecord;
+/// One queue record.
+struct LogEvent {
+  EventKind kind = EventKind::kPut;
+  AppId app = -1;
+  Version version = 0;  // data version; for checkpoints, the app's timestep
+  std::string var;
+  Box region;
+  std::uint64_t nominal_bytes = 0;
+  WChkId chk_id = 0;  // W_Chk_ID for checkpoint markers
+};
 
 /// Modeled serialized footprint of one queue record (descriptor + indexing
 /// entry), used by the staging memory accounting.

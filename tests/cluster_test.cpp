@@ -95,16 +95,6 @@ TEST(ClusterTest, ReviveLiveProcessThrows) {
   EXPECT_THROW(rig.cluster.revive(vp), std::logic_error);
 }
 
-TEST(SparePoolTest, AcquireAndExhaust) {
-  SparePool pool(2);
-  EXPECT_TRUE(pool.acquire());
-  EXPECT_TRUE(pool.acquire());
-  EXPECT_FALSE(pool.acquire());
-  EXPECT_EQ(pool.remaining(), 0);
-  pool.refund();
-  EXPECT_TRUE(pool.acquire());
-}
-
 TEST(FailureInjectorTest, UniformPlanWithinWindowSorted) {
   Rig rig;
   FailureInjector inj(rig.cluster, Rng(42));

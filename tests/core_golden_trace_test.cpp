@@ -143,8 +143,11 @@ TEST(GoldenTraceTest, AdaptiveIntervalDigestIsStable) {
 // one for the same pressure: at 512 MB it bounces no put, at 416 MB it
 // bounces 3,456, spills 100 versions and faults 4 back in (448 and 480 MB
 // bounce none). The delta+LZ log keeps an encoded copy of its own, which
-// is charged as before; its digest predates charge-once accounting, and
-// at 512 MB it spills and faults in without bouncing a put.
+// is charged as before, and at 512 MB it spills and faults in without
+// bouncing a put. Its digest was re-pinned (was 0xf7b597808f5b97f9) when
+// the per-event queue mirror was deleted: the mirror's posted send no
+// longer holds the server's NIC, which moves a later send's start. The
+// raw case's digest did not move.
 TEST(GoldenTraceTest, GovernedDigestsAreStable) {
   struct Case {
     wlog::codec::Scheme codec;
@@ -154,7 +157,7 @@ TEST(GoldenTraceTest, GovernedDigestsAreStable) {
   };
   const Case cases[] = {
       {wlog::codec::Scheme::kNone, 416, true, 0xd6062dd5189abebcull},
-      {wlog::codec::Scheme::kDeltaLz, 512, false, 0xf7b597808f5b97f9ull},
+      {wlog::codec::Scheme::kDeltaLz, 512, false, 0x627c68cc52d1c24cull},
   };
   for (const Case& c : cases) {
     WorkflowSpec spec = golden_spec(Scheme::kUncoordinated, 2, 1003);
@@ -171,8 +174,11 @@ TEST(GoldenTraceTest, GovernedDigestsAreStable) {
   }
 }
 
-// Fixed-group peer redundancy: fragment placement and queue mirroring over
-// the identity view, under replication (res=1) and RS(2, 1) (res=2).
+// Fixed-group peer redundancy: fragment placement over the identity view,
+// under replication (res=1) and RS(2, 1) (res=2). Both digests were
+// re-pinned (were 0xaaccdb957bbab48a and 0xd54976e1273880c9) when the
+// per-event queue mirror was deleted: its posted send to the successor no
+// longer holds the server's NIC ahead of the fragment pushes.
 TEST(GoldenTraceTest, FixedGroupRedundancyDigestsAreStable) {
   struct Case {
     const char* repro;
@@ -180,9 +186,9 @@ TEST(GoldenTraceTest, FixedGroupRedundancyDigestsAreStable) {
   };
   const Case cases[] = {
       {"cc1;id=4;sch=un;ts=12;sp=3;ap=4;lp=0;res=1;mtbf=0;f=0:5:0.5:",
-       0xaaccdb957bbab48aull},
+       0xe3c23d8d43cda2d8ull},
       {"cc1;id=4;sch=un;ts=12;sp=3;ap=4;lp=0;res=2;mtbf=0;f=0:5:0.5:",
-       0xd54976e1273880c9ull},
+       0x97c2d67aa0c971fcull},
   };
   for (const Case& c : cases) {
     WorkflowRunner runner(check::Schedule::parse(c.repro).to_spec());

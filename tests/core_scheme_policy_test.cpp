@@ -60,10 +60,34 @@ TEST(SchemePolicyTest, ProactiveEligibility) {
   repl.method = FtMethod::kReplication;
 
   EXPECT_FALSE(make_scheme_policy(Scheme::kNone)->proactive_eligible(cr));
+  // Co's recovery resets every component to the global snapshot.
+  EXPECT_FALSE(
+      make_scheme_policy(Scheme::kCoordinated)->proactive_eligible(cr));
   EXPECT_TRUE(
       make_scheme_policy(Scheme::kUncoordinated)->proactive_eligible(cr));
   EXPECT_TRUE(make_scheme_policy(Scheme::kHybrid)->proactive_eligible(cr));
   EXPECT_FALSE(make_scheme_policy(Scheme::kHybrid)->proactive_eligible(repl));
+}
+
+TEST(SchemePolicyTest, CoordinatedTakesNoEmergencyCheckpoints) {
+  // A perfect predictor changes nothing under Co: the rollback to the
+  // global snapshot would discard an emergency checkpoint, so none is
+  // written and the run is the unpredicted one, byte for byte.
+  WorkflowSpec blind = table2_setup(Scheme::kCoordinated);
+  blind.failures.count = 2;
+  blind.failures.seed = 1;
+  WorkflowSpec predicted = blind;
+  predicted.failures.predictor_recall = 1.0;
+  WorkflowRunner blind_run(std::move(blind));
+  const RunMetrics mb = blind_run.run();
+  WorkflowRunner predicted_run(std::move(predicted));
+  const RunMetrics mp = predicted_run.run();
+  int proactive = 0;
+  for (const auto& c : mp.components) proactive += c.proactive_checkpoints;
+  EXPECT_EQ(proactive, 0);
+  EXPECT_EQ(mp.pfs_bytes_written, mb.pfs_bytes_written);
+  EXPECT_EQ(predicted_run.trace().digest(), blind_run.trace().digest());
+  EXPECT_EQ(predicted_run.trace().digest(), 0x4073f2de068e38b1ull);
 }
 
 TEST(SchemePolicyTest, CoordinatedBarrierCostIsAlphaLogP) {

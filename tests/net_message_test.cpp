@@ -39,9 +39,7 @@ TEST(MessageCodecTest, RequestSizesLockedDown) {
   EXPECT_EQ(wire_size(RecoveryEvent{}), 64u);
   EXPECT_EQ(wire_size(RollbackRequest{}), 64u);
   EXPECT_EQ(wire_size(FragmentPrune{}), 64u);
-  EXPECT_EQ(wire_size(RecoveryPull{}), 64u);
   EXPECT_EQ(wire_size(QueryRequest{}), 64u);
-  EXPECT_EQ(wire_size(QueueBackup{}), 96u);
 
   FragmentPut frag;
   frag.nominal_bytes = 5000;
@@ -78,13 +76,8 @@ TEST(MessageCodecTest, ResponseSizesLockedDown) {
   query.logged_versions = {2, 3};
   EXPECT_EQ(wire_size(query), 64u + 4u * 5u);
 
-  RecoveryPullResponse pull;
-  EXPECT_EQ(wire_size(pull), 128u);
   FragmentPut frag;
   frag.nominal_bytes = 5000;
-  pull.fragments.push_back(frag);
-  pull.events.emplace_back();
-  EXPECT_EQ(wire_size(pull), 128u + 5000u + 96u);
 
   EXPECT_EQ(wire_size(GroupChangeAck{}), 64u);
   EXPECT_EQ(wire_size(ResilverAck{}), 64u);
@@ -98,7 +91,7 @@ TEST(MessageCodecTest, ResponseSizesLockedDown) {
 }
 
 TEST(MessageCodecTest, SerializedSizeDispatchesOverEveryAlternative) {
-  static_assert(std::variant_size_v<Message> == 22);
+  static_assert(std::variant_size_v<Message> == 20);
   FragmentPut frag;
   frag.nominal_bytes = 777;
   EXPECT_EQ(serialized_size(Message{std::move(frag)}), 777u);
@@ -118,8 +111,6 @@ TEST(MessageCodecTest, MessageNamesMatchSpanVocabulary) {
   EXPECT_STREQ(message_name(RollbackRequest{}), "rollback");
   EXPECT_STREQ(message_name(FragmentPut{}), "fragment_put");
   EXPECT_STREQ(message_name(FragmentPrune{}), "fragment_prune");
-  EXPECT_STREQ(message_name(QueueBackup{}), "queue_backup");
-  EXPECT_STREQ(message_name(RecoveryPull{}), "recovery_pull");
   EXPECT_STREQ(message_name(QueryRequest{}), "query");
   EXPECT_STREQ(message_name(SpillPut{}), "spill_put");
   EXPECT_STREQ(message_name(SpillFetch{}), "spill_fetch");

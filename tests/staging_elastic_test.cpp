@@ -318,35 +318,36 @@ TEST(StagingElasticTest, RetireDuringFragmentPushTargetsOnlyTheCurrentView) {
   }
 }
 
-TEST(StagingElasticTest, MirrorSuccessorFollowsMembership) {
-  // The owner mirrors each logged put's event to its successor in the
-  // active view: the join of a standby and a later retire both move it.
-  ElasticRig rig(3, 1, elastic_params(resilience::Redundancy::kNone));
+TEST(StagingElasticTest, ReplicaSuccessorFollowsMembership) {
+  // With two replicas the owner pushes each put's one copy to its
+  // successor in the active view (slot 1): the join of a standby and a
+  // later retire both move it.
+  ElasticRig rig(3, 1, elastic_params(resilience::Redundancy::kReplication));
   const Box cell{{0, 0, 0}, {7, 7, 7}};
   const int owner = rig.index.server_of(cell.lo);
   auto producer = rig.make_client(0);
-  std::vector<int> got;  // the server whose mirror count rose, per put
+  std::vector<int> got;  // the server whose fragment count rose, per put
   sim::spawn(rig.eng, [&]() -> sim::Task<void> {
     sim::Ctx ctx{&rig.eng, nullptr};
-    auto put_and_find_mirror = [&](Version v) -> sim::Task<void> {
+    auto put_and_find_replica = [&](Version v) -> sim::Task<void> {
       std::vector<std::uint64_t> before;
       for (const auto& s : rig.servers)
-        before.push_back(s->stats().mirrored_events);
+        before.push_back(s->stats().fragments_held);
       co_await producer->put(ctx, "f", v, cell);
       co_await ctx.delay(sim::seconds(1));
-      int mirror = -1;
+      int holder = -1;
       for (std::size_t s = 0; s < rig.servers.size(); ++s) {
-        if (rig.servers[s]->stats().mirrored_events == before[s]) continue;
-        mirror = mirror < 0 ? static_cast<int>(s) : -2;  // -2: ambiguous
+        if (rig.servers[s]->stats().fragments_held == before[s]) continue;
+        holder = holder < 0 ? static_cast<int>(s) : -2;  // -2: ambiguous
       }
-      got.push_back(mirror);
+      got.push_back(holder);
     };
-    co_await put_and_find_mirror(1);
+    co_await put_and_find_replica(1);
     for (const auto& s : rig.servers) s->apply_membership({0, 1, 2, 3});
-    co_await put_and_find_mirror(2);
+    co_await put_and_find_replica(2);
     const std::vector<int> view = without({0, 1, 2, 3}, (owner + 1) % 4);
     for (const auto& s : rig.servers) s->apply_membership(view);
-    co_await put_and_find_mirror(3);
+    co_await put_and_find_replica(3);
   });
   rig.run();
   const std::vector<int> three = {0, 1, 2};
